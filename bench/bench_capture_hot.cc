@@ -87,8 +87,7 @@ main()
     const std::uint64_t bytes = reference->memoryBytes();
     panicIf(records == 0, "empty trace");
 
-    // The one-time lowering cost the evaluator's decoded cache
-    // amortizes across captures.
+    // The one-time lowering cost each threaded capture pays.
     WallTimer decodeTimer;
     DecodedProgram decoded(*prog);
     double decodeSeconds = decodeTimer.seconds();

@@ -3,11 +3,13 @@
 # validate every BENCH_*.json it emits (the StatsSnapshot-serialized
 # observability payload) with a strict JSON parser.
 #
-# Cold pass: enforces the packed-trace perf contract — the throughput
+# Cold pass: enforces the packed-trace size contract — the throughput
 # counters must be present and bytes-per-capture / bytes-per-entry
 # must stay under the committed thresholds (the packed 4-byte entry +
 # varint delta format sits well below them; the old 8-byte format
-# would trip both).
+# would trip both). Throughput itself is not gated here: absolute
+# rates depend on the machine, so perfbench/ judges them against the
+# parent commit's runs instead.
 #
 # Warm pass: reruns the same binaries against the store populated by
 # the cold pass and enforces the store contract — every
@@ -39,13 +41,12 @@ export PREDILP_STORE="${PREDILP_STORE:-$PWD/bench-out/store}"
 export PREDILP_STORE_MODE="${PREDILP_STORE_MODE:-rw}"
 cd bench-out
 
-# Under fault injection the perf floors are meaningless (delay
-# faults inflate wall time, degradation rungs re-emulate on purpose),
-# so skip them and the warm zero-work counters — but keep every
-# shape check and every bit-identity contract: injected faults must
-# never change the figures.
+# Under fault injection the size thresholds and warm zero-work
+# counters are skipped (degradation rungs re-emulate on purpose) — but
+# every shape check and every bit-identity contract is kept: injected
+# faults must never change the figures.
 if [ -n "${PREDILP_FAULTS:-}" ]; then
-    echo "== PREDILP_FAULTS='${PREDILP_FAULTS}': perf floors and" \
+    echo "== PREDILP_FAULTS='${PREDILP_FAULTS}': size thresholds and" \
         "warm zero-work counters skipped; identity checks kept =="
 fi
 
@@ -82,51 +83,15 @@ import json
 import os
 import sys
 
-# Perf floors only bind on fault-free runs; see the PREDILP_FAULTS
-# note at the top of this script.
-FLOORS = not os.environ.get("PREDILP_FAULTS")
+# Size thresholds only bind on fault-free runs; see the
+# PREDILP_FAULTS note at the top of this script.
+THRESHOLDS = not os.environ.get("PREDILP_FAULTS")
 
 # Committed thresholds for the packed trace format. Baselines on the
 # old 8-byte format: ~4.2 MB/capture and ~10.8 B/entry; the packed
 # format measures ~1.9 MB/capture and ~4.9 B/entry.
 MAX_TRACE_BYTES_PER_CAPTURE = 3_000_000
 MAX_TRACE_BYTES_PER_ENTRY = 6.0
-
-# Floors for the capture-kernel microbenchmark (the only bench that
-# reports speedup_vs_interp). The threaded backend measures
-# ~140-180 Mrec/s capture and ~2.5-3x over the interpreter on the dev
-# box; the floors sit far enough below that container noise cannot
-# trip them, while a regression to interpreter-level dispatch
-# (~55 Mrec/s, 1.0x) trips both.
-MIN_EMULATE_RECORDS_PER_SEC = 60_000_000
-MIN_CAPTURE_SPEEDUP_VS_INTERP = 1.5
-
-# Floors for the replay kernels (benches reporting replay_passes —
-# the evaluator-driven benches time whole phases, not the kernel).
-# The baked static-op metadata table measures ~63-68 Mrec/s
-# single-config on the dev box; the pre-table path measured
-# ~36 Mrec/s, so the floor catches a regression to per-record
-# StaticOp re-derivation (the committed >=1.3x table win) while
-# sitting clear of container noise.
-MIN_REPLAY_RECORDS_PER_SEC = 45_000_000
-
-# Amortized per-config floor for the batched-replay kernel: the
-# acceptance batch mixes real-cache and narrow-machine configs, so
-# per-config throughput sits well below the perfect-cache
-# single-config rate (~7 Mrec/s measured serially on the dev box).
-MIN_REPLAY_BATCH_PER_CONFIG = 4_000_000
-
-# Aggregate batch speedup vs pricing the same configs with
-# sequential replay() calls. The committed contract is >=3x at batch
-# 8, delivered by spreading one lane per pool thread — so it is only
-# enforceable where the pool actually has threads to spread over.
-# With fewer than 4 threads the floor degrades to "batching must not
-# meaningfully lose to sequential": serial amortization alone
-# measures ~1.05-1.15x on a 1-core container, with ~10% run-to-run
-# noise even under best-of-5 timing, so the serial floor sits just
-# below parity.
-MIN_BATCH_SPEEDUP_PARALLEL = 3.0
-MIN_BATCH_SPEEDUP_SERIAL = 0.9
 
 failed = False
 
@@ -137,8 +102,8 @@ def fail(msg):
     print(f"error: {msg}", file=sys.stderr)
 
 
-def floor_fail(msg):
-    if FLOORS:
+def threshold_fail(msg):
+    if THRESHOLDS:
         fail(msg)
     else:
         print(f"skip (faults armed): {msg}")
@@ -149,40 +114,16 @@ for path in sys.argv[1:]:
         timing = json.load(f)["timing"]
     counters = timing.get("counters", {})
     throughput = timing.get("throughput", {})
-    store_hits = timing.get("store", {}).get("hit", 0)
 
     replays = counters.get("replays", counters.get("replay_passes", 0))
     if replays and "replay_records_per_sec" not in throughput:
         fail(f"{path}: missing throughput.replay_records_per_sec")
-
-    if counters.get("replay_passes", 0):
-        rps = throughput.get("replay_records_per_sec", 0.0)
-        if rps < MIN_REPLAY_RECORDS_PER_SEC:
-            floor_fail(f"{path}: replay_records_per_sec {rps:.3g} below "
-                 f"floor {MIN_REPLAY_RECORDS_PER_SEC:.3g}")
-        else:
-            print(f"ok: {path} replay_records_per_sec {rps:.3g} "
-                  f">= {MIN_REPLAY_RECORDS_PER_SEC:.3g}")
-
-    if "replay_batch_records_per_sec_per_config" in throughput:
-        per_config = throughput["replay_batch_records_per_sec_per_config"]
-        if per_config < MIN_REPLAY_BATCH_PER_CONFIG:
-            floor_fail(f"{path}: replay_batch_records_per_sec_per_config "
-                 f"{per_config:.3g} below floor "
-                 f"{MIN_REPLAY_BATCH_PER_CONFIG:.3g}")
-        else:
-            print(f"ok: {path} replay_batch per-config {per_config:.3g} "
-                  f">= {MIN_REPLAY_BATCH_PER_CONFIG:.3g}")
-        threads = counters.get("pool_threads", 1)
-        floor = (MIN_BATCH_SPEEDUP_PARALLEL if threads >= 4
-                 else MIN_BATCH_SPEEDUP_SERIAL)
-        speedup = throughput.get("batch_speedup_vs_sequential", 0.0)
-        if speedup < floor:
-            floor_fail(f"{path}: batch_speedup_vs_sequential {speedup:.2f} "
-                 f"below floor {floor} ({threads} pool threads)")
-        else:
-            print(f"ok: {path} batch_speedup_vs_sequential "
-                  f"{speedup:.2f} >= {floor} ({threads} pool threads)")
+    if ("replay_batch_records_per_sec_per_config" in throughput and
+            "batch_speedup_vs_sequential" not in throughput):
+        fail(f"{path}: missing throughput.batch_speedup_vs_sequential")
+    if ("speedup_vs_interp" in throughput and
+            "emulate_records_per_sec" not in throughput):
+        fail(f"{path}: missing throughput.emulate_records_per_sec")
 
     records = counters.get("captured_records",
                            counters.get("trace_records", 0))
@@ -192,36 +133,16 @@ for path in sys.argv[1:]:
         else:
             bpe = throughput["trace_bytes_per_entry"]
             if bpe > MAX_TRACE_BYTES_PER_ENTRY:
-                floor_fail(f"{path}: trace_bytes_per_entry {bpe:.2f} exceeds "
-                     f"threshold {MAX_TRACE_BYTES_PER_ENTRY}")
-    elif not store_hits:
-        # A bench that neither captured nor loaded traces did no
-        # trace work at all; the threshold checks are vacuous.
-        pass
-
-    if "speedup_vs_interp" in throughput:
-        rps = throughput.get("emulate_records_per_sec", 0.0)
-        if rps < MIN_EMULATE_RECORDS_PER_SEC:
-            floor_fail(f"{path}: emulate_records_per_sec {rps:.3g} below "
-                 f"floor {MIN_EMULATE_RECORDS_PER_SEC:.3g}")
-        else:
-            print(f"ok: {path} emulate_records_per_sec {rps:.3g} "
-                  f">= {MIN_EMULATE_RECORDS_PER_SEC:.3g}")
-        speedup = throughput["speedup_vs_interp"]
-        if speedup < MIN_CAPTURE_SPEEDUP_VS_INTERP:
-            floor_fail(f"{path}: capture speedup_vs_interp {speedup:.2f} below "
-                 f"floor {MIN_CAPTURE_SPEEDUP_VS_INTERP}")
-        else:
-            print(f"ok: {path} speedup_vs_interp {speedup:.2f} "
-                  f">= {MIN_CAPTURE_SPEEDUP_VS_INTERP}")
+                threshold_fail(f"{path}: trace_bytes_per_entry {bpe:.2f} "
+                               f"exceeds {MAX_TRACE_BYTES_PER_ENTRY}")
 
     captures = counters.get("captures", 0)
     captured_bytes = counters.get("captured_bytes", 0)
     if captures and captured_bytes:
         per_capture = captured_bytes / captures
         if per_capture > MAX_TRACE_BYTES_PER_CAPTURE:
-            floor_fail(f"{path}: {per_capture:.0f} trace bytes/capture exceeds "
-                 f"threshold {MAX_TRACE_BYTES_PER_CAPTURE}")
+            threshold_fail(f"{path}: {per_capture:.0f} trace bytes/capture "
+                           f"exceeds {MAX_TRACE_BYTES_PER_CAPTURE}")
         else:
             print(f"ok: {path} trace bytes/capture {per_capture:.0f} "
                   f"<= {MAX_TRACE_BYTES_PER_CAPTURE}")

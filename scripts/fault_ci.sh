@@ -123,17 +123,12 @@ run_case "worker killed at startup" "sweep.worker.start=once:crash" 1
 run_case "torn worker result file" \
     "sweep.worker.publish=once:short-write" 1
 # Artifact payload truncated at half length before publish (cold
-# store); load validation must quarantine and recompute the torn
-# artifact, never serve it.
+# store), tearing the trace and its embedded provenance together;
+# load validation must quarantine and recompute the torn artifact,
+# never serve it.
 rm -rf "${PREDILP_STORE}"
 run_case "truncated artifact publish" \
     "store.publish.write=once:short-write" 0
-# Provenance sidecar torn at half length (cold store): the artifact
-# lands but its sidecar fails the seal, so the loader must condemn
-# the pair and recompute rather than serve unprovenanced bytes.
-rm -rf "${PREDILP_STORE}"
-run_case "torn provenance sidecar publish" \
-    "store.publish.prov=once:short-write" 0
 # Certified result record torn at half length (cold store): the
 # record fails its seal on read and the next evaluation republishes
 # it; figures never change.
@@ -169,8 +164,8 @@ print("ok: warm store serves only validated artifacts "
 PYEOF
 
 # ...and the whole store must pass the provenance contract: every
-# artifact parses and carries a sealed, paired sidecar, every
-# certified record passes its seal. Anything the fault matrix tore
+# artifact validates and carries a non-empty provenance section,
+# every certified record passes its seal. Anything the fault matrix tore
 # must have been healed, not left behind.
 build/tools/predilp_diff --verify "${PREDILP_STORE}"
 

@@ -52,21 +52,6 @@ if [ ! -d "${objects}" ]; then
     exit 0
 fi
 
-# Orphan provenance sidecars (artifact gone — a writer died between
-# sidecar publish and artifact rename, or a prior GC ran before this
-# sweep existed) are never served; reclaim them.
-orphans=0
-while IFS= read -r prov; do
-    trc="${prov%.prov.json}"
-    if [ ! -f "${trc}" ]; then
-        rm -f "${prov}"
-        orphans=$((orphans + 1))
-    fi
-done < <(find "${objects}" -name '*.prov.json' -type f)
-if [ "${orphans}" -gt 0 ]; then
-    echo "store-gc: removed ${orphans} orphan sidecar(s)"
-fi
-
 total=$(find "${objects}" -name '*.trc' -type f -printf '%s\n' |
     awk '{s+=$1} END {print s+0}')
 echo "store-gc: ${total} bytes in store (cap ${MAX_BYTES})"
@@ -83,9 +68,7 @@ while IFS= read -r line; do
     if [ "${total}" -le "${MAX_BYTES}" ]; then
         break
     fi
-    # The provenance sidecar travels with its artifact: leaving it
-    # behind would strand an orphan the next sweep has to clean up.
-    rm -f "${path}" "${path}.prov.json"
+    rm -f "${path}"
     total=$((total - size))
     evicted=$((evicted + 1))
 done < <(find "${objects}" -name '*.trc' -type f \

@@ -39,7 +39,6 @@ timingSnapshot(const BenchTiming &timing, double wallSeconds,
                                                              : 0);
     s.setSeconds("emu.decode_seconds", timing.decodeSeconds);
     s.setCounter("emu.decodes", timing.decodes);
-    s.setCounter("emu.decoded_cache_hits", timing.decodedCacheHits);
     s.setCounter("emu.decoded_bytes", timing.decodedBytes);
     s.setCounter("emu.records.threaded", timing.threadedRecords);
     s.setCounter("emu.records.interp", timing.interpRecords);
@@ -114,7 +113,6 @@ printPhaseTiming(std::ostream &os, const BenchTiming &timing,
            << " backend | decode "
            << formatFixed(timing.decodeSeconds, 2) << "s ("
            << timing.decodes << " decodes, "
-           << timing.decodedCacheHits << " hits, "
            << timing.decodedBytes / 1024 << " KiB) | records "
            << timing.threadedRecords << " threaded, "
            << timing.interpRecords << " interp\n";

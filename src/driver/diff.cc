@@ -498,42 +498,14 @@ verifyStoreProvenance(std::ostream &os, const std::string &storeDir)
              sortedFiles(objects.string(), true, ".trc", "")) {
             std::optional<ArtifactInfo> info =
                 inspectArtifact(path);
-            if (!info) {
-                os << "violation: corrupt artifact " << path
-                   << '\n';
-                ++violations;
-                continue;
-            }
-            const std::string provPath = path + ".prov.json";
-            std::optional<JsonValue> prov =
-                readSealedJson(provPath);
-            if (!prov) {
-                os << "violation: missing or torn sidecar for "
+            if (!info)
+                os << "violation: corrupt artifact " << path << '\n';
+            else if (info->provenanceBytes == 0)
+                os << "violation: artifact without provenance "
                    << path << '\n';
-                ++violations;
+            else
                 continue;
-            }
-            const JsonValue *recorded =
-                prov->find("artifact_checksum");
-            if (recorded == nullptr ||
-                recorded->kind() != JsonValue::Kind::String ||
-                recorded->asString() !=
-                    artifactChecksumString(info->payloadChecksum)) {
-                os << "violation: stale sidecar for " << path
-                   << '\n';
-                ++violations;
-            }
-        }
-        // Orphan sidecars (artifact gone — a writer died between
-        // sidecar and artifact publish) are never served; GC sweeps
-        // them. Report, don't fail.
-        for (const std::string &prov :
-             sortedFiles(objects.string(), true, ".prov.json", "")) {
-            const std::string artifact =
-                prov.substr(0, prov.size() -
-                                   std::strlen(".prov.json"));
-            if (!fs::exists(artifact, ec))
-                os << "note: orphan sidecar " << prov << '\n';
+            ++violations;
         }
     }
     const fs::path results = fs::path(storeDir) / "results";

@@ -137,12 +137,10 @@ JsonValue diffReportToJson(const DiffReport &report);
 
 /**
  * Verify the provenance contract across a whole store directory:
- * every objects/ artifact parses cleanly and carries a sealed
- * sidecar naming its exact payload checksum, and every results/
- * certified record passes seal validation. Orphan sidecars (artifact
- * gone) are warned about but are not violations — they are never
- * served and GC sweeps them. @return the number of violations,
- * printing one evidence line each to @p os.
+ * every objects/ artifact validates and carries a non-empty
+ * provenance section, and every results/ certified record passes
+ * seal validation. @return the number of violations, printing one
+ * evidence line each to @p os.
  */
 int verifyStoreProvenance(std::ostream &os,
                           const std::string &storeDir);

@@ -5,6 +5,7 @@
 
 #include "driver/certified.hh"
 #include "driver/reproducer.hh"
+#include "emu/decoded.hh"
 #include "store/sha256.hh"
 #include "support/env.hh"
 #include "support/faultpoint.hh"
@@ -53,9 +54,9 @@ flagsKey(const EvalRequest &request, Model model)
 }
 
 /**
- * Identity of a compiled program: everything traceKey() hashes
- * except the capture fuel, which decoding never reads. Keys the
- * decoded-program cache.
+ * Identity of a captured trace: the compiled program (workload,
+ * scale, model, machine, canonical ablation flags) plus the capture
+ * fuel.
  *
  * Deliberately machine-only (not the full SimConfig digest): traces
  * depend on what the scheduler emitted and how far emulation ran,
@@ -63,23 +64,15 @@ flagsKey(const EvalRequest &request, Model model)
  * replays the perfect-cache Figure 8 traces byte-for-byte.
  */
 std::string
-decodedKey(const Workload &workload, const EvalRequest &request,
-           Model model, const MachineConfig &machine)
-{
-    std::ostringstream os;
-    os << workload.name << "|s" << request.scale << "|m"
-       << static_cast<int>(model) << '|' << machineKey(machine)
-       << '|' << flagsKey(request, model);
-    return os.str();
-}
-
-std::string
 traceKey(const Workload &workload, const EvalRequest &request,
          Model model, const MachineConfig &machine,
          std::uint64_t fuel)
 {
-    return decodedKey(workload, request, model, machine) + "|f" +
-           std::to_string(fuel);
+    std::ostringstream os;
+    os << workload.name << "|s" << request.scale << "|m"
+       << static_cast<int>(model) << '|' << machineKey(machine)
+       << '|' << flagsKey(request, model) << "|f" << fuel;
+    return os.str();
 }
 
 /**
@@ -257,22 +250,6 @@ SuiteEvaluator::referenceFor(const Workload &workload,
         });
 }
 
-SuiteEvaluator::DecodedPtr
-SuiteEvaluator::decodedFor(const Program &prog,
-                           const std::string &key)
-{
-    return cachedCompute(
-        mutex_, decoded_, key, decodedCacheHits_,
-        [&]() -> DecodedPtr {
-            PhaseTimer timer(decodeTime_);
-            auto dp = std::make_shared<DecodedProgram>(prog);
-            decodes_.fetch_add(1, std::memory_order_relaxed);
-            decodedBytes_.fetch_add(dp->memoryBytes(),
-                                    std::memory_order_relaxed);
-            return dp;
-        });
-}
-
 SuiteEvaluator::TracePtr
 SuiteEvaluator::traceFor(const Workload &workload,
                          const EvalRequest &request, Model model,
@@ -318,16 +295,19 @@ SuiteEvaluator::traceFor(const Workload &workload,
                 compileStats_.merge(perCompile);
                 compiles_.fetch_add(1, std::memory_order_relaxed);
             }
-            // The threaded backend splits capture into a cached
-            // decode (shared across fuel budgets) and the engine
-            // run; only the latter counts as emulation time.
+            // The threaded backend splits capture into a decode and
+            // the engine run; only the latter counts as emulation
+            // time. Each trace key is captured once, so the decoded
+            // form dies with this capture.
             const bool threaded =
                 defaultEmuBackend() == EmuBackend::Threaded;
-            DecodedPtr decoded;
+            std::unique_ptr<DecodedProgram> decoded;
             if (threaded) {
-                decoded = decodedFor(
-                    *prog,
-                    decodedKey(workload, request, model, machine));
+                PhaseTimer timer(decodeTime_);
+                decoded = std::make_unique<DecodedProgram>(*prog);
+                decodes_.fetch_add(1, std::memory_order_relaxed);
+                decodedBytes_.fetch_add(decoded->memoryBytes(),
+                                        std::memory_order_relaxed);
             }
             std::unique_ptr<TraceBuffer> buffer;
             bool capturedThreaded = threaded;
@@ -384,9 +364,9 @@ SuiteEvaluator::traceFor(const Workload &workload,
                     reference.memHash));
             }
             if (store_ != nullptr) {
-                // Human/tooling-facing provenance sidecar: where
-                // this artifact came from and under which config it
-                // was first captured (the trace itself is shared by
+                // Provenance section of the artifact: where this
+                // trace came from and under which config it was
+                // first captured (the trace itself is shared by
                 // every config with the same machine and fuel).
                 SimConfig captureSim = request.sim;
                 captureSim.machine = machine;
@@ -774,8 +754,6 @@ SuiteEvaluator::timing() const
         replayedRecords_.load(std::memory_order_relaxed);
     timing.decodeSeconds = decodeTime_.seconds();
     timing.decodes = decodes_.load(std::memory_order_relaxed);
-    timing.decodedCacheHits =
-        decodedCacheHits_.load(std::memory_order_relaxed);
     timing.decodedBytes =
         decodedBytes_.load(std::memory_order_relaxed);
     timing.threadedRecords =

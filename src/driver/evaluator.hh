@@ -41,7 +41,6 @@
 
 #include "driver/eval_request.hh"
 #include "driver/report.hh"
-#include "emu/decoded.hh"
 #include "store/store.hh"
 #include "support/stats_registry.hh"
 #include "support/thread_pool.hh"
@@ -76,8 +75,7 @@ struct BenchTiming
     std::uint64_t storeBytesMapped = 0; ///< bytes mmap'd on hits.
     double decodeSeconds = 0; ///< pre-decoding for the threaded engine.
     std::uint64_t decodes = 0; ///< DecodedPrograms built.
-    std::uint64_t decodedCacheHits = 0; ///< decoded-cache hits.
-    std::uint64_t decodedBytes = 0; ///< resident decoded-program bytes.
+    std::uint64_t decodedBytes = 0; ///< cumulative decoded-program bytes.
     std::uint64_t threadedRecords = 0; ///< records emulated threaded.
     std::uint64_t interpRecords = 0; ///< records emulated interpreted.
     /// Threaded captures retried on the interpreter oracle.
@@ -188,7 +186,6 @@ class SuiteEvaluator
   private:
     using TracePtr = std::shared_ptr<const TraceBuffer>;
     using SnapshotPtr = std::shared_ptr<const FrontendSnapshot>;
-    using DecodedPtr = std::shared_ptr<const DecodedProgram>;
 
     /** (Re)open store_ to match policy_; Off closes it. */
     void openStore();
@@ -204,18 +201,6 @@ class SuiteEvaluator
     SnapshotPtr snapshotFor(const Workload &workload,
                             const std::string &input, int scale,
                             std::uint64_t profileFuel);
-
-    /**
-     * The threaded engine's pre-decoded form of @p prog, cached by
-     * the compile's identity (workload, scale, model, canonical
-     * ablation flags, machine) — everything that determines the
-     * compiled program, and nothing that doesn't (fuel): captures at
-     * different budgets share one decode, like the front-end
-     * snapshot cache shares one prefix across models. A
-     * DecodedProgram is self-contained, so it may outlive @p prog.
-     */
-    DecodedPtr decodedFor(const Program &prog,
-                          const std::string &key);
 
     TracePtr traceFor(const Workload &workload,
                       const EvalRequest &request, Model model,
@@ -256,8 +241,6 @@ class SuiteEvaluator
         results_;
     std::unordered_map<std::string, std::shared_future<SnapshotPtr>>
         snapshots_;
-    std::unordered_map<std::string, std::shared_future<DecodedPtr>>
-        decoded_;
 
     PhaseAccumulator compileTime_;
     PhaseAccumulator captureTime_;
@@ -277,7 +260,6 @@ class SuiteEvaluator
     std::atomic<std::uint64_t> capturedRecords_{0};
     std::atomic<std::uint64_t> replayedRecords_{0};
     std::atomic<std::uint64_t> decodes_{0};
-    std::atomic<std::uint64_t> decodedCacheHits_{0};
     std::atomic<std::uint64_t> decodedBytes_{0};
     std::atomic<std::uint64_t> threadedRecords_{0};
     std::atomic<std::uint64_t> interpRecords_{0};

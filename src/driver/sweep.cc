@@ -68,7 +68,6 @@ constexpr CounterField counterFields[] = {
     {"store_writes", &BenchTiming::storeWrites},
     {"store_bytes_mapped", &BenchTiming::storeBytesMapped},
     {"decodes", &BenchTiming::decodes},
-    {"decoded_cache_hits", &BenchTiming::decodedCacheHits},
     {"decoded_bytes", &BenchTiming::decodedBytes},
     {"threaded_records", &BenchTiming::threadedRecords},
     {"interp_records", &BenchTiming::interpRecords},

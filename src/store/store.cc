@@ -41,6 +41,7 @@ namespace fs = std::filesystem;
  *   ...  chunk table: per chunk u64 entryCount, u64 memSize,
  *        u32 memCount, u32 pad
  *   ...  ops (29 bytes each), reg pool (5 bytes each), output bytes
+ *   ...  u64 provenance length, provenance JSON bytes (may be empty)
  *   ...  zero padding to 8-byte file alignment
  *   ...  packed TraceEntry stream (4-byte aligned, mmap-replayable)
  *   ...  varint memory side stream
@@ -300,6 +301,11 @@ parseArtifact(const std::uint8_t *data, std::size_t size)
                              outputLen);
     r.p += outputLen;
 
+    const std::uint64_t provenanceLen = r.u64();
+    r.need(provenanceLen);
+    const auto provenanceOffset = static_cast<std::size_t>(r.p - data);
+    r.p += provenanceLen;
+
     // Zero padding to the 8-byte-aligned entry stream.
     std::size_t consumed = static_cast<std::size_t>(r.p - data);
     std::size_t entriesOffset = (consumed + 7) & ~std::size_t{7};
@@ -333,7 +339,9 @@ parseArtifact(const std::uint8_t *data, std::size_t size)
     parsed.info.records = parsed.recordCount;
     parsed.info.fileBytes = size;
     parsed.info.checksumOffset = kChecksumOffset;
-    parsed.info.payloadChecksum = checksum;
+    parsed.info.provenanceOffset = provenanceOffset;
+    parsed.info.provenanceBytes =
+        static_cast<std::size_t>(provenanceLen);
     parsed.info.entriesOffset = entriesOffset;
     parsed.info.entriesBytes =
         static_cast<std::size_t>(totalEntries * sizeof(TraceEntry));
@@ -343,9 +351,11 @@ parseArtifact(const std::uint8_t *data, std::size_t size)
     return parsed;
 }
 
-/** Serialize @p buffer into the on-disk artifact byte image. */
+/** Serialize @p buffer and its @p provenance section into the
+ * on-disk artifact byte image. */
 std::vector<std::uint8_t>
-serializeArtifact(const TraceBuffer &buffer)
+serializeArtifact(const TraceBuffer &buffer,
+                  const std::string &provenance)
 {
     const StaticIndex &index = buffer.index();
     std::vector<std::uint8_t> out;
@@ -360,7 +370,7 @@ serializeArtifact(const TraceBuffer &buffer)
     out.reserve(kHeaderBytes + 128 + chunkCount * 24 +
                 index.ops().size() * kOpBytes +
                 index.regPool().size() * kRegBytes +
-                buffer.run().output.size() +
+                buffer.run().output.size() + provenance.size() +
                 static_cast<std::size_t>(totalEntries) *
                     sizeof(TraceEntry) +
                 static_cast<std::size_t>(totalMemBytes));
@@ -417,6 +427,10 @@ serializeArtifact(const TraceBuffer &buffer)
         putReg(out, reg);
 
     for (char c : buffer.run().output)
+        out.push_back(static_cast<std::uint8_t>(c));
+
+    putU64(out, provenance.size());
+    for (char c : provenance)
         out.push_back(static_cast<std::uint8_t>(c));
 
     while (out.size() % 8 != 0)
@@ -574,12 +588,14 @@ writeAll(int fd, const std::uint8_t *data, std::size_t size)
  * Stage @p size bytes at a temp sibling of @p path (POSIX write +
  * fsync via retryIo), then atomically rename into place under the
  * store lock of @p dir. The one publish primitive every durable
- * store file — artifact, sidecar, certified record — goes through.
+ * store file — trace artifact, certified record — goes through.
+ * A non-null @p renamePoint is polled between staging and rename.
  */
 bool
 publishBytesAtomically(const std::string &dir,
                        const std::string &path,
-                       const std::uint8_t *data, std::size_t size)
+                       const std::uint8_t *data, std::size_t size,
+                       const char *renamePoint = nullptr)
 {
     std::error_code ec;
     const std::string temp =
@@ -601,7 +617,12 @@ publishBytesAtomically(const std::string &dir,
     if (staged)
         staged = retryIo([&] { return ::fsync(fd) == 0; });
     ::close(fd);
-    if (!staged) {
+    // Crash here (via the fault point) dies with the staged temp on
+    // disk but the canonical path untouched — the exact mid-publish
+    // window the GC and retrying readers must tolerate.
+    if (!staged || (renamePoint != nullptr &&
+                    faultpoints::poll(renamePoint) !=
+                        faultpoints::FaultAction::None)) {
         fs::remove(temp, ec);
         return false;
     }
@@ -618,55 +639,7 @@ publishBytesAtomically(const std::string &dir,
     return true;
 }
 
-/**
- * Read the payload checksum straight out of @p path's 32-byte header
- * (magic-checked, nothing else validated) — enough to test whether a
- * sidecar's `artifact_checksum` names this artifact.
- */
-bool
-readHeaderChecksum(const std::string &path, std::uint64_t &out)
-{
-    std::ifstream in(path, std::ios::binary);
-    char header[kHeaderBytes];
-    if (!in.read(header, kHeaderBytes))
-        return false;
-    if (std::memcmp(header, kMagic, sizeof(kMagic)) != 0)
-        return false;
-    out = 0;
-    for (std::size_t i = 0; i < 8; ++i)
-        out |= std::uint64_t{static_cast<std::uint8_t>(
-                   header[kChecksumOffset + i])}
-               << (8 * i);
-    return true;
-}
-
-/**
- * True iff @p sidecar (a sealed sidecar document) records exactly
- * @p payloadChecksum as its artifact pairing.
- */
-bool
-sidecarPairs(const JsonValue &sidecar, std::uint64_t payloadChecksum)
-{
-    if (!sidecar.isObject())
-        return false;
-    const JsonValue *recorded = sidecar.find("artifact_checksum");
-    return recorded != nullptr &&
-           recorded->kind() == JsonValue::Kind::String &&
-           recorded->asString() ==
-               artifactChecksumString(payloadChecksum);
-}
-
 } // namespace
-
-std::string
-artifactChecksumString(std::uint64_t checksum)
-{
-    static const char *hex = "0123456789abcdef";
-    std::string out = "fnv1a64:";
-    for (int shift = 60; shift >= 0; shift -= 4)
-        out.push_back(hex[(checksum >> shift) & 0xf]);
-    return out;
-}
 
 JsonValue
 sealRecord(const JsonValue &record)
@@ -788,19 +761,6 @@ ArtifactStore::load(const std::string &key)
         }
         ParsedArtifact parsed =
             parseArtifact(mapping->bytes(), mapping->size());
-        // A sidecar, when present, is load-bearing: it must be a
-        // valid sealed record naming this exact artifact. A torn or
-        // stale sidecar condemns the pair — quarantine moves both
-        // and the recompute republishes them together.
-        std::error_code ec;
-        const std::string provPath = path + ".prov.json";
-        if (fs::exists(provPath, ec)) {
-            std::optional<JsonValue> prov = readSealedJson(provPath);
-            if (!prov ||
-                !sidecarPairs(*prov, parsed.info.payloadChecksum))
-                throw TraceCorruptError(
-                    "provenance sidecar torn or stale");
-        }
         StaticIndex index(std::move(parsed.ops),
                           std::move(parsed.regPool),
                           parsed.regBounds);
@@ -812,6 +772,7 @@ ArtifactStore::load(const std::string &key)
                                std::memory_order_relaxed);
         if (mode_ == StoreMode::ReadWrite) {
             // Touch the artifact so the GC's LRU sweep sees use.
+            std::error_code ec;
             fs::last_write_time(
                 path, fs::file_time_type::clock::now(), ec);
         }
@@ -837,14 +798,11 @@ ArtifactStore::save(const std::string &key,
     if (ec)
         return false;
 
-    std::vector<std::uint8_t> bytes = serializeArtifact(buffer);
-    // The serialized header already carries the payload checksum;
-    // echo it into the sidecar so readers can prove the pairing.
-    std::uint64_t payloadChecksum = 0;
-    for (std::size_t i = 0; i < 8; ++i)
-        payloadChecksum |= std::uint64_t{bytes[kChecksumOffset + i]}
-                           << (8 * i);
-
+    // The provenance section rides inside the checksummed payload, so
+    // one publish makes trace and provenance durable together and a
+    // torn write condemns both on load.
+    std::vector<std::uint8_t> bytes =
+        serializeArtifact(buffer, provenanceJson);
     // A torn write publishes a truncated image the loader must catch
     // on checksum; a thrown write degrades to a cold cache.
     std::size_t publishBytes = bytes.size();
@@ -857,126 +815,30 @@ ArtifactStore::save(const std::string &key,
       default:
         break;
     }
-    const std::string temp =
-        path + ".tmp." + std::to_string(::getpid()) + "." +
-        std::to_string(
-            tempSeq.fetch_add(1, std::memory_order_relaxed));
-    {
-        int fd = -1;
-        if (!retryIo([&] {
-                fd = ::open(temp.c_str(),
-                            O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
-                            0644);
-                return fd >= 0;
-            })) {
-            return false;
-        }
-        bool staged = writeAll(fd, bytes.data(), publishBytes);
-        // Flush before publish: rename must never expose a file the
-        // kernel could still lose the tail of on a crash.
-        if (staged)
-            staged = retryIo([&] { return ::fsync(fd) == 0; });
-        ::close(fd);
-        if (!staged) {
-            fs::remove(temp, ec);
-            return false;
-        }
-    }
-
-    // The sidecar publishes BEFORE the artifact rename: at no kill
-    // point can the canonical artifact exist without durable, sealed
-    // provenance. The reverse window — a fresh sidecar next to a
-    // stale or absent artifact — is closed by the load-path pairing
-    // check on artifact_checksum.
-    if (!provenanceJson.empty() &&
-        !publishProvenance(path, provenanceJson, payloadChecksum)) {
-        fs::remove(temp, ec);
+    if (!publishBytesAtomically(dir_, path, bytes.data(), publishBytes,
+                                "store.publish.rename"))
         return false;
-    }
-
-    // Crash here (via the fault point) dies with the staged temp on
-    // disk but the canonical path untouched — the exact mid-publish
-    // window the GC and retrying readers must tolerate.
-    if (faultpoints::poll("store.publish.rename") !=
-        faultpoints::FaultAction::None) {
-        fs::remove(temp, ec);
-        return false;
-    }
-    bool renamed = false;
-    {
-        StoreLock lock(dir_);
-        renamed = retryIo(
-            [&] { return ::rename(temp.c_str(), path.c_str()) == 0; });
-    }
-    if (!renamed) {
-        fs::remove(temp, ec);
-        return false;
-    }
     writes_.fetch_add(1, std::memory_order_relaxed);
     return true;
-}
-
-bool
-ArtifactStore::publishProvenance(
-    const std::string &path, const std::string &provenanceJson,
-    std::uint64_t payloadChecksum) const
-{
-    JsonValue prov;
-    try {
-        prov = JsonValue::parse(provenanceJson);
-    } catch (const std::exception &) {
-        return false;
-    }
-    if (!prov.isObject())
-        return false;
-    std::vector<std::pair<std::string, JsonValue>> members;
-    for (const auto &[key, value] : prov.members())
-        if (key != "artifact_checksum" && key != "checksum")
-            members.emplace_back(key, value);
-    members.emplace_back(
-        "artifact_checksum",
-        JsonValue::makeString(
-            artifactChecksumString(payloadChecksum)));
-    const std::string payload =
-        sealRecord(JsonValue::makeObject(std::move(members)))
-            .dump() +
-        "\n";
-
-    // A torn sidecar fails the seal on read; a thrown publish aborts
-    // the whole save so the artifact never lands unprovenanced.
-    std::size_t publishBytes = payload.size();
-    switch (faultpoints::poll("store.publish.prov")) {
-      case faultpoints::FaultAction::ShortWrite:
-        publishBytes /= 2;
-        break;
-      case faultpoints::FaultAction::Throw:
-        return false;
-      default:
-        break;
-    }
-    return publishBytesAtomically(
-        dir_, path + ".prov.json",
-        reinterpret_cast<const std::uint8_t *>(payload.data()),
-        publishBytes);
 }
 
 std::string
 ArtifactStore::loadProvenance(const std::string &key) const
 {
-    const std::string path = objectPath(key);
-    std::optional<JsonValue> prov =
-        readSealedJson(path + ".prov.json");
-    if (!prov)
+    bool exists = false;
+    std::shared_ptr<MappedFile> mapping =
+        mapFile(objectPath(key), exists);
+    if (mapping == nullptr)
         return "";
-    // An orphan sidecar (artifact gone) or a stale one (artifact
-    // republished under a writer that died before the sidecar) is
-    // never served: the pairing must verify against the bytes on
-    // disk right now.
-    std::uint64_t payloadChecksum = 0;
-    if (!readHeaderChecksum(path, payloadChecksum) ||
-        !sidecarPairs(*prov, payloadChecksum))
+    try {
+        const ArtifactInfo info =
+            parseArtifact(mapping->bytes(), mapping->size()).info;
+        return std::string(reinterpret_cast<const char *>(
+                               mapping->bytes() + info.provenanceOffset),
+                           info.provenanceBytes);
+    } catch (const TraceCorruptError &) {
         return "";
-    return prov->dump() + "\n";
+    }
 }
 
 void
@@ -1001,14 +863,6 @@ ArtifactStore::quarantine(const std::string &path) const
     fs::rename(path, qdir / name, ec);
     if (ec)
         fs::remove(path, ec); // last resort: drop it.
-    // The sidecar is condemned with its artifact — provenance must
-    // never outlive the bytes it describes, or a recomputed artifact
-    // could pair with stale provenance.
-    const std::string provPath = path + ".prov.json";
-    ec.clear();
-    fs::rename(provPath, qdir / (name + ".prov.json"), ec);
-    if (ec)
-        fs::remove(provPath, ec);
 }
 
 std::string

@@ -26,14 +26,12 @@
  * reports a miss, so the caller transparently recomputes and
  * re-saves — corrupt artifacts are repaired, never trusted.
  *
- * Provenance is load-bearing: each artifact's `.prov.json` sidecar
- * is a sealed record (see sealRecord) carrying the cell's digests
- * plus the exact payload checksum of the artifact it describes.
- * Sidecars publish through the same staged write→fsync→rename path
- * as the artifact — sidecar first, so no crash window can expose a
- * canonical artifact without durable provenance — and the load path
- * verifies the pairing: a torn, stale, or mismatched sidecar
- * condemns the pair to quarantine and the caller recomputes both.
+ * One file per trace: the provenance JSON the evaluator records for
+ * a capture (workload, cell key, digests) is a length-prefixed
+ * section of the artifact itself, inside the checksummed payload. A
+ * single publish makes trace and provenance durable together, and a
+ * single validation covers both — torn provenance is a corrupt
+ * artifact, quarantined and recomputed like any other.
  *
  * The store also keeps certified result records (saveResult /
  * loadResult): sealed JSON under `results/`, one per priced cell,
@@ -71,8 +69,8 @@ enum class StoreMode
 /**
  * Section map of one on-disk artifact, produced by inspectArtifact
  * after full validation. Lets tests and tooling target a specific
- * region (header, entry stream, varint stream, checksum) without
- * duplicating layout knowledge.
+ * region (header, provenance, entry stream, varint stream, checksum)
+ * without duplicating layout knowledge.
  */
 struct ArtifactInfo
 {
@@ -81,9 +79,9 @@ struct ArtifactInfo
     std::size_t fileBytes = 0;
     /** Byte offset of the checksum field inside the header. */
     std::size_t checksumOffset = 0;
-    /** The header's FNV-1a-64 payload checksum — what a paired
-     * `.prov.json` sidecar must echo in `artifact_checksum`. */
-    std::uint64_t payloadChecksum = 0;
+    /** Embedded provenance JSON (zero bytes when saved without). */
+    std::size_t provenanceOffset = 0;
+    std::size_t provenanceBytes = 0;
     /** Packed TraceEntry stream. */
     std::size_t entriesOffset = 0;
     std::size_t entriesBytes = 0;
@@ -98,10 +96,10 @@ class ArtifactStore
   public:
     /**
      * Serialized trace format version. Part of every content key and
-     * of the file header; bump on any layout or packing change (the
-     * CI cache key in .github/workflows/ci.yml mirrors it).
+     * of the file header; bump on any layout or packing change, and
+     * bump the CI cache key in .github/workflows/ci.yml with it.
      */
-    static constexpr std::uint32_t formatVersion = 1;
+    static constexpr std::uint32_t formatVersion = 2;
 
     /**
      * Open (creating directories as needed) a store rooted at
@@ -125,12 +123,6 @@ class ArtifactStore
      * but invalid file counts a repair, is quarantined (read-write
      * mode), and reports as a miss so the caller recomputes. On a
      * hit the returned buffer replays out of the file mapping.
-     *
-     * When a `.prov.json` sidecar is present it must be a sealed
-     * record whose `artifact_checksum` names this artifact's payload
-     * checksum; a torn or stale sidecar condemns the pair exactly
-     * like a corrupt artifact (quarantine both, report a miss).
-     * Sidecar-less artifacts load normally.
      */
     std::shared_ptr<const TraceBuffer> load(const std::string &key);
 
@@ -141,22 +133,16 @@ class ArtifactStore
      * mode; never throws — a filesystem refusal degrades to a cold
      * cache, not a failure.
      *
-     * A non-empty @p provenanceJson (a JSON object) is stamped with
-     * the artifact's payload checksum (`artifact_checksum`), sealed
-     * (`checksum`), and published through the same staged path as a
-     * sidecar at objectPath(key) + ".prov.json" — *before* the
-     * artifact's own rename, so at no kill point does the canonical
-     * artifact exist without durable provenance. If the sidecar
-     * cannot be published the artifact is not published either.
+     * @p provenanceJson is written verbatim as the artifact's
+     * provenance section, covered by the payload checksum.
      */
     bool save(const std::string &key, const TraceBuffer &buffer,
               const std::string &provenanceJson = "");
 
     /**
-     * The sealed provenance sidecar published with @p key's
-     * artifact, or "" when none exists or it fails validation
-     * (torn envelope, or `artifact_checksum` not matching the
-     * on-disk artifact) — invalid provenance is never served.
+     * The provenance section of @p key's artifact, or "" when the
+     * artifact is absent, fails validation, or was saved without
+     * provenance — invalid provenance is never served.
      */
     std::string loadProvenance(const std::string &key) const;
 
@@ -192,12 +178,6 @@ class ArtifactStore
 
   private:
     void quarantine(const std::string &path) const;
-
-    /** Seal @p provenanceJson with @p payloadChecksum and publish it
-     * atomically at @p path + ".prov.json". */
-    bool publishProvenance(const std::string &path,
-                           const std::string &provenanceJson,
-                           std::uint64_t payloadChecksum) const;
 
     std::string dir_;
     StoreMode mode_;
@@ -235,10 +215,6 @@ bool sealedRecordValid(const JsonValue &record);
  * mismatch. The one gate every sealed-record consumer goes through.
  */
 std::optional<JsonValue> readSealedJson(const std::string &path);
-
-/** Canonical sidecar rendering of an artifact payload checksum:
- * "fnv1a64:" + 16 lowercase hex digits. */
-std::string artifactChecksumString(std::uint64_t checksum);
 
 } // namespace predilp
 

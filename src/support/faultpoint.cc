@@ -370,7 +370,6 @@ knownPoints()
     static const std::vector<std::string> points = {
         "store.publish.write",   // artifact temp-file staging
         "store.publish.rename",  // atomic rename into place
-        "store.publish.prov",    // provenance-sidecar staged publish
         "store.publish.result",  // certified result record publish
         "store.load.mmap",       // mapping an artifact for replay
         "store.load.validate",   // byte-level artifact validation

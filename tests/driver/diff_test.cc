@@ -13,6 +13,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "driver/certified.hh"
 #include "driver/diff.hh"
@@ -244,32 +245,52 @@ TEST(Diff, CertifiedStoreRunsCompareCleanAndConfigFlipExplains)
     }
 }
 
-TEST(Diff, VerifyStoreProvenanceFlagsTornPairs)
+TEST(Diff, VerifyStoreProvenanceFlagsBadArtifacts)
 {
     const std::string dir =
         evaluateInto(freshDir("diff-verify"), true);
     std::ostringstream quiet;
     EXPECT_EQ(verifyStoreProvenance(quiet, dir), 0);
 
-    // Deleting one sidecar breaks the contract for exactly that
-    // artifact.
-    std::string firstSidecar;
+    // Every trace is one .trc file carrying its own provenance.
+    std::vector<std::string> artifacts;
     for (const auto &entry : fs::recursive_directory_iterator(
              fs::path(dir) / "objects")) {
-        const std::string path = entry.path().string();
-        if (entry.is_regular_file() &&
-            path.size() > 10 &&
-            path.compare(path.size() - 10, 10, ".prov.json") == 0) {
-            firstSidecar = path;
-            break;
+        if (entry.is_regular_file()) {
+            EXPECT_EQ(entry.path().extension(), ".trc");
+            artifacts.push_back(entry.path().string());
         }
     }
-    ASSERT_FALSE(firstSidecar.empty());
-    fs::remove(firstSidecar);
+    ASSERT_FALSE(artifacts.empty());
+
+    // An artifact saved without provenance breaks the contract...
+    ArtifactStore store(dir, StoreMode::ReadWrite);
+    auto trace = store.load(fs::path(artifacts[0]).stem().string());
+    ASSERT_NE(trace, nullptr);
+    ASSERT_TRUE(
+        store.save(ArtifactStore::keyFor("bare", "cell"), *trace));
     std::ostringstream out;
     EXPECT_EQ(verifyStoreProvenance(out, dir), 1);
-    EXPECT_NE(out.str().find("missing or torn sidecar"),
+    EXPECT_NE(out.str().find("artifact without provenance"),
               std::string::npos);
+
+    // ...and so does one whose payload no longer matches its
+    // checksum.
+    trace.reset();
+    {
+        std::fstream f(artifacts[0], std::ios::in | std::ios::out |
+                                         std::ios::binary);
+        ASSERT_TRUE(f.good());
+        const auto middle = static_cast<std::streamoff>(
+            fs::file_size(artifacts[0]) / 2);
+        f.seekg(middle);
+        const char byte = static_cast<char>(f.get() ^ 0x5a);
+        f.seekp(middle);
+        f.put(byte);
+        ASSERT_TRUE(f.good());
+    }
+    EXPECT_EQ(verifyStoreProvenance(out, dir), 2);
+    EXPECT_NE(out.str().find("corrupt artifact"), std::string::npos);
 
     // A corrupted certified record is a violation too.
     std::string firstRecord;
@@ -282,7 +303,7 @@ TEST(Diff, VerifyStoreProvenanceFlagsTornPairs)
     }
     ASSERT_FALSE(firstRecord.empty());
     writeFile(firstRecord, "{\"schema\": \"predilp-cert-v1\"}\n");
-    EXPECT_EQ(verifyStoreProvenance(out, dir), 2);
+    EXPECT_EQ(verifyStoreProvenance(out, dir), 3);
 }
 
 TEST(Certified, ProvenanceDigestsSeparateTheirInputs)

@@ -3,8 +3,9 @@
  * Artifact-store tests: SHA-256 key derivation, save/load round
  * trips that replay bit-identically out of the mmap'd file,
  * byte-level corruption injection in every file region (magic,
- * header, entry stream, varint stream, checksum) with quarantine +
- * recompute repair, read-only mode, and the SuiteEvaluator's
+ * header, provenance, entry stream, varint stream, checksum) with
+ * quarantine + recompute repair, the embedded provenance section,
+ * format-version rejection, read-only mode, and the SuiteEvaluator's
  * cold/warm second-tier behaviour: a warm evaluator performs zero
  * compiles and zero emulations yet reproduces the cold results
  * exactly.
@@ -343,7 +344,7 @@ TEST(ArtifactStore, DistinctCellKeysDoNotCollide)
     EXPECT_NE(store.load(a), nullptr);
 }
 
-/** Minimal provenance sidecar payload for the tests below. */
+/** Minimal provenance payload for the tests below. */
 const char *const kProvJson =
     "{\"workload\": \"cmp\", \"config_digest\": \"v1:test\"}";
 
@@ -370,155 +371,90 @@ TEST(SealedRecord, SealRoundTripAndTamperDetection)
     EXPECT_FALSE(sealedRecordValid(record));
 }
 
-TEST(ArtifactStore, SidecarIsSealedAndNamesPayloadChecksum)
+TEST(ArtifactStore, ProvenanceRoundTripsInsideTheArtifact)
 {
     auto buffer = captureWorkload("cmp");
-    ArtifactStore store(freshDir("store-sidecar"),
-                        StoreMode::ReadWrite);
-    const std::string key = ArtifactStore::keyFor("src", "cell");
-    ASSERT_TRUE(store.save(key, *buffer, kProvJson));
-
-    const std::string provPath =
-        store.objectPath(key) + ".prov.json";
-    ASSERT_TRUE(fs::exists(provPath));
-    auto sidecar = readSealedJson(provPath);
-    ASSERT_TRUE(sidecar.has_value());
-    const JsonValue *workload = sidecar->find("workload");
-    ASSERT_NE(workload, nullptr);
-    EXPECT_EQ(workload->asString(), "cmp");
-
-    // The sidecar's artifact_checksum matches the artifact header's
-    // payload checksum — the pairing the load path enforces.
-    auto info = inspectArtifact(store.objectPath(key));
-    ASSERT_TRUE(info.has_value());
-    const JsonValue *recorded = sidecar->find("artifact_checksum");
-    ASSERT_NE(recorded, nullptr);
-    EXPECT_EQ(recorded->asString(),
-              artifactChecksumString(info->payloadChecksum));
-    EXPECT_EQ(store.loadProvenance(key),
-              sidecar->dump() + "\n");
-}
-
-TEST(ArtifactStore, QuarantineTakesSidecarAlong)
-{
-    auto buffer = captureWorkload("cmp");
-    const std::string dir = freshDir("store-quarantine-pair");
+    const std::string dir = freshDir("store-provenance");
     ArtifactStore store(dir, StoreMode::ReadWrite);
     const std::string key = ArtifactStore::keyFor("src", "cell");
     ASSERT_TRUE(store.save(key, *buffer, kProvJson));
 
+    // One file per trace: the provenance lives in the artifact.
+    EXPECT_EQ(fileCount(fs::path(dir) / "objects"), 1u);
+    EXPECT_EQ(store.loadProvenance(key), kProvJson);
+    auto info = inspectArtifact(store.objectPath(key));
+    ASSERT_TRUE(info.has_value());
+    EXPECT_EQ(info->provenanceBytes, std::string(kProvJson).size());
+    EXPECT_LT(info->provenanceOffset, info->entriesOffset);
+    EXPECT_NE(store.load(key), nullptr);
+}
+
+TEST(ArtifactStore, FlippedProvenanceByteFailsTheChecksum)
+{
+    auto buffer = captureWorkload("cmp");
+    const std::string dir = freshDir("store-provenance-flip");
+    ArtifactStore store(dir, StoreMode::ReadWrite);
+    const std::string key = ArtifactStore::keyFor("src", "cell");
+    ASSERT_TRUE(store.save(key, *buffer, kProvJson));
     auto info = inspectArtifact(store.objectPath(key));
     ASSERT_TRUE(info.has_value());
     flipByte(store.objectPath(key),
-             info->entriesOffset + info->entriesBytes / 2);
+             info->provenanceOffset + info->provenanceBytes / 2);
 
-    // The corrupt artifact is condemned together with its sidecar:
-    // a stale sidecar must never describe a future recompute.
-    EXPECT_EQ(store.load(key), nullptr);
-    EXPECT_EQ(store.repairs(), 1u);
-    EXPECT_FALSE(fs::exists(store.objectPath(key)));
-    EXPECT_FALSE(
-        fs::exists(store.objectPath(key) + ".prov.json"));
-    EXPECT_EQ(store.loadProvenance(key), "");
-    EXPECT_EQ(fileCount(fs::path(dir) / "quarantine"), 2u);
-
-    // Recompute-and-save restores both halves.
-    ASSERT_TRUE(store.save(key, *buffer, kProvJson));
-    EXPECT_NE(store.load(key), nullptr);
-    EXPECT_NE(store.loadProvenance(key), "");
-}
-
-TEST(ArtifactStore, TornSidecarCondemnsThePairAndHeals)
-{
-    faultpoints::resetForTest();
-    auto buffer = captureWorkload("cmp");
-    const std::string dir = freshDir("store-torn-sidecar");
-    ArtifactStore store(dir, StoreMode::ReadWrite);
-    const std::string key = ArtifactStore::keyFor("src", "cell");
-
-    // A short write tears the sidecar mid-publish; the artifact
-    // itself still lands.
-    faultpoints::armFromSpec("store.publish.prov=once:short-write");
-    ASSERT_TRUE(store.save(key, *buffer, kProvJson));
-    faultpoints::resetForTest();
-    ASSERT_TRUE(fs::exists(store.objectPath(key)));
-    ASSERT_TRUE(
-        fs::exists(store.objectPath(key) + ".prov.json"));
-
-    // Torn provenance is never served, and the artifact it fails to
-    // describe is not served either — the pair is quarantined...
+    // Torn provenance is a corrupt artifact: never served, exactly
+    // one file quarantined, the lookup reported as a miss.
     EXPECT_EQ(store.loadProvenance(key), "");
     EXPECT_EQ(store.load(key), nullptr);
+    EXPECT_EQ(store.misses(), 1u);
     EXPECT_EQ(store.repairs(), 1u);
     EXPECT_FALSE(fs::exists(store.objectPath(key)));
-    EXPECT_EQ(fileCount(fs::path(dir) / "quarantine"), 2u);
+    EXPECT_EQ(fileCount(fs::path(dir) / "quarantine"), 1u);
 
-    // ...and a clean republish self-heals.
+    // Recompute-and-save restores trace and provenance together.
     ASSERT_TRUE(store.save(key, *buffer, kProvJson));
     EXPECT_NE(store.load(key), nullptr);
-    EXPECT_NE(store.loadProvenance(key), "");
+    EXPECT_EQ(store.loadProvenance(key), kProvJson);
 }
 
-TEST(ArtifactStore, SidecarPublishFailureAbortsTheArtifact)
+TEST(ArtifactStore, EmptyProvenanceStillLoads)
 {
-    faultpoints::resetForTest();
     auto buffer = captureWorkload("cmp");
-    ArtifactStore store(freshDir("store-sidecar-abort"),
+    ArtifactStore store(freshDir("store-provenance-empty"),
                         StoreMode::ReadWrite);
     const std::string key = ArtifactStore::keyFor("src", "cell");
-
-    // Sidecar-first ordering: if provenance cannot be made durable,
-    // the artifact must not be published at all.
-    faultpoints::armFromSpec("store.publish.prov=once");
-    EXPECT_FALSE(store.save(key, *buffer, kProvJson));
-    faultpoints::resetForTest();
-    EXPECT_FALSE(fs::exists(store.objectPath(key)));
-    EXPECT_FALSE(
-        fs::exists(store.objectPath(key) + ".prov.json"));
-
-    ASSERT_TRUE(store.save(key, *buffer, kProvJson));
+    ASSERT_TRUE(store.save(key, *buffer));
     EXPECT_NE(store.load(key), nullptr);
+    EXPECT_EQ(store.loadProvenance(key), "");
+    auto info = inspectArtifact(store.objectPath(key));
+    ASSERT_TRUE(info.has_value());
+    EXPECT_EQ(info->provenanceBytes, 0u);
 }
 
-TEST(ArtifactStore, StaleSidecarIsRejected)
+TEST(ArtifactStore, FormatVersionOneHeaderIsRejected)
 {
     auto buffer = captureWorkload("cmp");
-    const std::string dir = freshDir("store-stale-sidecar");
+    const std::string dir = freshDir("store-version-one");
     ArtifactStore store(dir, StoreMode::ReadWrite);
     const std::string key = ArtifactStore::keyFor("src", "cell");
     ASSERT_TRUE(store.save(key, *buffer, kProvJson));
 
-    // Forge a correctly sealed sidecar whose artifact_checksum names
-    // a different payload: the seal alone is not enough — it must
-    // pair with *this* artifact.
-    std::vector<std::pair<std::string, JsonValue>> forged;
-    forged.emplace_back("workload", JsonValue::makeString("cmp"));
-    forged.emplace_back(
-        "artifact_checksum",
-        JsonValue::makeString(artifactChecksumString(0xdeadbeef)));
-    std::ofstream out(store.objectPath(key) + ".prov.json",
-                      std::ios::trunc);
-    out << sealRecord(JsonValue::makeObject(std::move(forged)))
-               .dump()
-        << "\n";
-    out.close();
-
+    // Rewrite the header's u32 version (offset 8, little-endian) to
+    // 1. The checksum covers only the payload, so the version check
+    // alone must refuse the pre-provenance layout.
+    {
+        std::fstream f(store.objectPath(key), std::ios::in |
+                                                  std::ios::out |
+                                                  std::ios::binary);
+        ASSERT_TRUE(f.good());
+        f.seekp(8);
+        const char versionOne[4] = {1, 0, 0, 0};
+        f.write(versionOne, 4);
+        ASSERT_TRUE(f.good());
+    }
+    EXPECT_FALSE(inspectArtifact(store.objectPath(key)).has_value());
     EXPECT_EQ(store.loadProvenance(key), "");
     EXPECT_EQ(store.load(key), nullptr);
     EXPECT_EQ(store.repairs(), 1u);
-    EXPECT_EQ(fileCount(fs::path(dir) / "quarantine"), 2u);
-}
-
-TEST(ArtifactStore, OrphanSidecarIsNeverServed)
-{
-    auto buffer = captureWorkload("cmp");
-    ArtifactStore store(freshDir("store-orphan-sidecar"),
-                        StoreMode::ReadWrite);
-    const std::string key = ArtifactStore::keyFor("src", "cell");
-    ASSERT_TRUE(store.save(key, *buffer, kProvJson));
-    fs::remove(store.objectPath(key));
-    EXPECT_EQ(store.loadProvenance(key), "");
-    EXPECT_EQ(store.load(key), nullptr);
 }
 
 TEST(ArtifactStore, CertifiedResultRecordsRoundTripSealed)

@@ -34,8 +34,9 @@ usage(int code)
            "store directories of certified records) and classifies\n"
            "every cell as identical, explained (a provenance digest\n"
            "changed), or unexplained drift (same provenance,\n"
-           "different figures). --verify checks a store's\n"
-           "artifact/sidecar/record provenance contract instead.\n"
+           "different figures). --verify checks instead that every\n"
+           "store artifact validates and embeds its provenance, and\n"
+           "that every certified record is sealed.\n"
            "\n"
            "exit status: 0 no unexplained drift (or store clean),\n"
            "             1 unexplained drift / violations, 2 usage\n";
