@@ -10,9 +10,9 @@
  *  - Tables 2 and 3 are read straight out of Figure 8's results
  *    (result-cache hits, no new work at all).
  *
- * Compare the phase timing printed here against running the four
- * bench_fig* binaries separately to see the trace-once/replay-many
- * savings.
+ * The `-- cache:` line printed here shows the trace-once/replay-many
+ * savings: 150 compiles where pricing each figure on its own would
+ * compile 240 times.
  */
 
 #include <iostream>

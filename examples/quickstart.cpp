@@ -87,6 +87,7 @@ main()
     sim.machine = issue8Branch1();
 
     std::int64_t reference = 0;
+    bool agree = true;
     for (Model model :
          {Model::Superblock, Model::FullPred, Model::CondMove}) {
         CompileOptions opts;
@@ -103,11 +104,15 @@ main()
                   << " branches=" << result.branches
                   << " nullified=" << result.nullified
                   << " exit=" << result.exitValue << "\n\n";
-        if (model == Model::Superblock)
+        if (model == Model::Superblock) {
             reference = result.exitValue;
-        else if (result.exitValue != reference)
+        } else if (result.exitValue != reference) {
             std::cout << "!! models disagree\n";
+            agree = false;
+        }
     }
+    if (!agree)
+        return 1;
     std::cout << "All three models computed the same result.\n";
     return 0;
 }

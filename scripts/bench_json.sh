@@ -23,9 +23,9 @@
 # threaded-vs-interp emulation drift the unit suite might miss.
 #
 # Usage: scripts/bench_json.sh [bench-binary...]; defaults to the
-# Figure 8 benchmark plus the replay-, batched-replay-, and
-# capture-kernel microbenchmarks. Assumes scripts/tier1.sh already
-# built.
+# figures benchmark (Figures 8-11, Tables 2-3) plus the replay-,
+# batched-replay-, and capture-kernel microbenchmarks. Assumes
+# scripts/tier1.sh already built.
 # PREDILP_STORE overrides the store location (default
 # bench-out/store).
 set -euo pipefail
@@ -33,7 +33,7 @@ cd "$(dirname "$0")/.."
 
 benches=("$@")
 if [ "${#benches[@]}" -eq 0 ]; then
-    benches=(bench_fig08_issue8_br1 bench_replay_hot bench_replay_batch bench_capture_hot)
+    benches=(bench_figures_all bench_replay_hot bench_replay_batch bench_capture_hot)
 fi
 
 mkdir -p bench-out

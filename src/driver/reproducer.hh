@@ -49,7 +49,7 @@ std::string renderReproducer(const ReproducerSpec &spec);
 /**
  * Write @p spec under @p dir (created if absent) as
  * `<title>-<kind>.ilc`, slugged to filesystem-safe characters.
- * @return the path written, or "" if the filesystem refused — a
+ * @return the path written, or "" if the write failed — a
  * reproducer must never turn a survivable failure into a fatal one.
  */
 std::string writeReproducer(const std::string &dir,

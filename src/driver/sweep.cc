@@ -22,6 +22,7 @@
 #include "support/env.hh"
 #include "support/faultpoint.hh"
 #include "support/logging.hh"
+#include "support/thread_pool.hh"
 
 namespace predilp
 {
@@ -879,6 +880,8 @@ runSweep(const SweepSpec &spec, int workers,
     SweepOutcome outcome;
     outcome.cells = cells.size();
     outcome.workers = effectiveWorkers;
+    // Every shard's evaluator sizes its pool with resolveThreadCount(0).
+    outcome.threads = effectiveWorkers * resolveThreadCount(0);
     outcome.workerRetries = workerRetries;
     outcome.degradedCells = degradedCells;
     outcome.timing = timing;
@@ -904,8 +907,7 @@ runSweep(const SweepSpec &spec, int workers,
            << "  \"worker_retries\": " << workerRetries << ",\n"
            << "  \"degraded_cells\": " << degradedCells << ",\n"
            << "  \"timing\": "
-           << timingSnapshot(timing, wallSeconds,
-                             effectiveWorkers)
+           << timingSnapshot(timing, wallSeconds, outcome.threads)
                   .toJson(2)
            << ",\n"
            << "  \"crossover\": "

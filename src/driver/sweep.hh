@@ -141,6 +141,8 @@ struct SweepOutcome
 {
     std::size_t cells = 0;
     int workers = 1;
+    /** Pool threads over all workers: what phase seconds sum over. */
+    int threads = 1;
     /** Worker re-forks performed by the healing supervisor. */
     int workerRetries = 0;
     /** Cells rendered as degraded records (shards that never

@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "ir/reg.hh"
-#include "trace/trace.hh"
 
 namespace predilp
 {
@@ -35,18 +34,9 @@ namespace predilp
 class RegScoreboard
 {
   public:
-    /** Size every class's table from @p index's register bounds. */
-    explicit RegScoreboard(const StaticIndex &index)
-        : RegScoreboard(std::array<int, 3>{
-              index.regBound(RegClass::Int),
-              index.regBound(RegClass::Float),
-              index.regBound(RegClass::Pred)})
-    {}
-
     /**
-     * Size every class's table from explicit per-class bounds (Int,
-     * Float, Pred order) — the batched-replay path, where bounds
-     * travel with the shared ReplayTable instead of the index.
+     * Size every class's table from per-class register bounds (Int,
+     * Float, Pred order), as carried by the shared ReplayTable.
      */
     explicit RegScoreboard(const std::array<int, 3> &regBounds)
     {

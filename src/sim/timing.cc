@@ -9,6 +9,10 @@
 namespace predilp
 {
 
+namespace
+{
+
+/** Bake the pricing row of one interned static op. */
 StaticOpRow
 makeStaticOpRow(const StaticOp &op)
 {
@@ -28,20 +32,6 @@ makeStaticOpRow(const StaticOp &op)
     return row;
 }
 
-ReplayTable::ReplayTable(const StaticIndex &index)
-    : regPool_(index.regPool().data()),
-      regBounds_{index.regBound(RegClass::Int),
-                 index.regBound(RegClass::Float),
-                 index.regBound(RegClass::Pred)}
-{
-    rows_.reserve(index.size());
-    for (const StaticOp &op : index.ops())
-        rows_.push_back(makeStaticOpRow(op));
-}
-
-namespace
-{
-
 /** Bake a SimConfig's per-LatencyClass latency table. */
 std::array<int, 9>
 bakeLatencies(const MachineConfig &machine)
@@ -56,22 +46,15 @@ bakeLatencies(const MachineConfig &machine)
 
 } // namespace
 
-CycleModel::CycleModel(const StaticIndex &index,
-                       const SimConfig &config)
-    : index_(&index), config_(config),
-      latByClass_(bakeLatencies(config.machine)),
-      icache_(config.cacheSizeBytes, config.cacheLineBytes,
-              config.cacheAssociativity),
-      dcache_(config.cacheSizeBytes, config.cacheLineBytes,
-              config.cacheAssociativity),
-      btb_(config.btbEntries, config.btbAssociativity,
-           config.predictor),
-      scoreboard_(index)
+ReplayTable::ReplayTable(const StaticIndex &index)
+    : regPool_(index.regPool().data()),
+      regBounds_{index.regBound(RegClass::Int),
+                 index.regBound(RegClass::Float),
+                 index.regBound(RegClass::Pred)}
 {
-    // Bake everything interned so far up front; the fused path
-    // extends on demand as new static instructions appear.
-    if (index.size() > 0)
-        extendRows(index.size() - 1);
+    rows_.reserve(index.size());
+    for (const StaticOp &op : index.ops())
+        rows_.push_back(makeStaticOpRow(op));
 }
 
 CycleModel::CycleModel(const ReplayTable &table,
@@ -87,24 +70,6 @@ CycleModel::CycleModel(const ReplayTable &table,
            config.predictor),
       scoreboard_(table.regBounds())
 {}
-
-void
-CycleModel::extendRows(std::uint32_t staticId)
-{
-    panicIf(index_ == nullptr,
-            "static id ", staticId,
-            " outside the shared ReplayTable (", rowCount_,
-            " rows): replay-mode models cannot bake new rows");
-    while (ownedRows_.size() <= staticId) {
-        ownedRows_.push_back(makeStaticOpRow(index_->op(
-            static_cast<std::uint32_t>(ownedRows_.size()))));
-    }
-    rows_ = ownedRows_.data();
-    rowCount_ = ownedRows_.size();
-    // Interning may have grown (reallocated) the index's register
-    // pool since the last bake; re-anchor the base pointer.
-    regPool_ = index_->regPool().data();
-}
 
 inline void
 CycleModel::priceRecord(const StaticOpRow &row, std::uint32_t flags,
@@ -181,13 +146,6 @@ CycleModel::priceRecord(const StaticOpRow &row, std::uint32_t flags,
     // --- control ---
     if (!nullified && isBranch)
         handleControl(row, (flags & traceTaken) != 0);
-}
-
-void
-CycleModel::onRecord(std::uint32_t staticId, std::uint32_t flags,
-                     std::int64_t memAddr)
-{
-    priceRecord(row(staticId), flags, memAddr);
 }
 
 void
@@ -340,32 +298,6 @@ CycleModel::handleControl(const StaticOpRow &row, bool taken)
 namespace
 {
 
-/** Fused producer: interns each emulator record and prices it. */
-class InlineSink : public TraceSink
-{
-  public:
-    InlineSink(const Program &prog, const SimConfig &config)
-        : index_(prog), model_(index_, config)
-    {}
-
-    void
-    onInstr(const DynRecord &record) override
-    {
-        std::uint32_t id = index_.intern(record.fn, record.instr);
-        model_.onRecord(id, traceFlagsOf(record), record.memAddr);
-    }
-
-    SimResult
-    finish(const RunResult &run)
-    {
-        return model_.finish(run.exitValue, run.output);
-    }
-
-  private:
-    StaticIndex index_;
-    CycleModel model_;
-};
-
 /**
  * Price one lane of configs with a single pass over the trace. The
  * address side stream is decoded only when some lane member models
@@ -404,13 +336,7 @@ SimResult
 simulate(const Program &prog, const std::string &input,
          const SimConfig &config)
 {
-    InlineSink sink(prog, config);
-    EmuOptions opts;
-    opts.sink = &sink;
-    opts.maxDynInstrs = config.maxDynInstrs;
-    Emulator emu(prog);
-    RunResult run = emu.run(input, opts);
-    return sink.finish(run);
+    return replay(*capture(prog, input, config.maxDynInstrs), config);
 }
 
 SimResult

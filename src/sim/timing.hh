@@ -6,19 +6,19 @@
  * 1K-entry 2-bit BTB with a 2-cycle misprediction penalty, and
  * optional 64K direct-mapped instruction/data caches.
  *
- * The cycle model (CycleModel) consumes an abstract record stream —
- * an interned static-instruction id plus per-record dynamic flags —
- * so "produce trace" and "price trace" are fully separated. Two
- * producers exist: simulate() fuses emulation and pricing in one
- * pass (no trace materialized), and replay() (trace/replay.hh)
- * prices a previously captured TraceBuffer. Both yield bit-identical
- * SimResults for the same program, input, and configuration.
+ * There is one pricing path. capture() (trace/trace.hh) records the
+ * dynamic instruction stream once into a TraceBuffer — an interned
+ * static-instruction id plus dynamic flags per record — and the
+ * cycle model (CycleModel) prices that buffer chunk by chunk.
+ * replay() (trace/replay.hh) prices one configuration; simulate() is
+ * exactly capture() followed by replay(), so a one-off run prices
+ * the same records every figure does.
  *
- * Replay additionally batches: replayBatch() streams each trace
- * chunk once and advances N independent CycleModels against it, so
- * the chunk walk, the varint address-side-stream decode, and the
- * trace's memory traffic are paid once per trace instead of once per
- * configuration. All replay models share one ReplayTable — a packed,
+ * replayBatch() streams each trace chunk once and advances N
+ * independent CycleModels against it, so the chunk walk, the varint
+ * address-side-stream decode, and the trace's memory traffic are
+ * paid once per trace instead of once per configuration. All models
+ * of a trace share one ReplayTable — a packed,
  * machine-independent static-op metadata table baked from the
  * StaticIndex — and price latencies through a 9-entry per-class
  * table, so the per-record hot path touches exactly one row.
@@ -37,6 +37,7 @@
 #include "sim/cache.hh"
 #include "sim/config.hh"
 #include "sim/scoreboard.hh"
+#include "support/logging.hh"
 #include "support/stats_registry.hh"
 #include "trace/trace.hh"
 
@@ -67,7 +68,8 @@ struct SimResult
      * (sim.btb.*), cold/conflict-split cache misses (sim.icache.*,
      * sim.dcache.*), and issue-slot stall cycles by cause
      * (sim.slots.*). Fully determined by the record stream and
-     * configuration, so replays agree bit-for-bit with fused runs.
+     * configuration, so every replay of one trace under one
+     * configuration agrees bit-for-bit.
      */
     StatsSnapshot stats;
 
@@ -112,9 +114,6 @@ struct StaticOpRow
     std::uint8_t traits = 0; ///< rowIs* bits.
 };
 
-/** Bake the pricing row of one interned static op. */
-StaticOpRow makeStaticOpRow(const StaticOp &op);
-
 /**
  * Pre-baked static-op metadata for replay: the packed row array, the
  * register-operand pool, and the per-class register bounds, built
@@ -144,40 +143,25 @@ class ReplayTable
 };
 
 /**
- * The in-order pipeline pricing model. Stateless about *how* records
- * are produced: feed it interned records via onRecord() — from the
- * live emulator (simulate()) or a captured buffer (replay()) — then
- * collect the SimResult with finish().
+ * The in-order pipeline pricing model. Feed it a captured trace one
+ * chunk at a time via onChunk(), then collect the SimResult with
+ * finish().
  *
- * Decode information is read from packed StaticOpRows. The replay
- * constructor borrows them from a shared ReplayTable (complete up
- * front, zero per-model bake cost); the fused constructor bakes an
- * owned copy that extends on demand as simulate() interns new static
- * instructions. Per-machine latencies live in a 9-entry per-class
- * table, so the per-record path performs no map lookups and never
- * touches IR data structures.
+ * Decode information is read from packed StaticOpRows borrowed from
+ * a shared ReplayTable (complete up front, zero per-model bake
+ * cost). Per-machine latencies live in a 9-entry per-class table, so
+ * the per-record path performs no map lookups and never touches IR
+ * data structures.
  */
 class CycleModel
 {
   public:
     /**
-     * Fused-pipeline mode. @p index may still be growing (the fused
-     * simulate() path interns lazily), so the owned row table
-     * extends on demand as new static ids appear.
-     */
-    CycleModel(const StaticIndex &index, const SimConfig &config);
-
-    /**
-     * Replay mode: rows come from @p table, shared read-only across
-     * every model of a batch. The table must cover all ids the trace
-     * replays (always true for a table baked from the trace's own
-     * index) and must outlive the model.
+     * Rows come from @p table, shared read-only across every model
+     * of a batch; the table must outlive the model. A record whose
+     * static id lies outside the table panics.
      */
     CycleModel(const ReplayTable &table, const SimConfig &config);
-
-    /** Price one dynamic record. */
-    void onRecord(std::uint32_t staticId, std::uint32_t flags,
-                  std::int64_t memAddr);
 
     /**
      * Price a span of packed trace entries in one call — the chunked
@@ -187,8 +171,7 @@ class CycleModel
      * When this model never reads addresses (perfect caches), pass
      * addrs == nullptr to skip the address-run walk; flagged entries
      * then price with a zero address, which such configs never
-     * observe. Behaviour is record-for-record identical to calling
-     * onRecord.
+     * observe.
      */
     void onChunk(const TraceEntry *entries, std::size_t count,
                  const std::int64_t *addrs);
@@ -200,16 +183,22 @@ class CycleModel
     SimResult finish(std::int64_t exitValue, std::string output);
 
   private:
-    /** Row of @p staticId, baking fused-mode rows on demand. */
+    /**
+     * Row of @p staticId. Range-checked because a trace loaded from
+     * the artifact store is outside input: its entry ids are never
+     * checked against its ops table on load.
+     */
     const StaticOpRow &
-    row(std::uint32_t staticId)
+    row(std::uint32_t staticId) const
     {
-        if (staticId >= rowCount_) [[unlikely]]
-            extendRows(staticId);
+        if (staticId >= rowCount_) [[unlikely]] {
+            panic("static id ", staticId,
+                  " outside the shared ReplayTable (", rowCount_,
+                  " rows): replay-mode models cannot bake new rows");
+        }
         return rows_[staticId];
     }
 
-    void extendRows(std::uint32_t staticId);
     void priceRecord(const StaticOpRow &row, std::uint32_t flags,
                      std::int64_t memAddr);
     void setReady(const StaticOpRow &row, long when);
@@ -219,11 +208,7 @@ class CycleModel
 
     static constexpr std::size_t numLatencyClasses = 9;
 
-    /** Fused mode only: the (possibly growing) interner. */
-    const StaticIndex *index_ = nullptr;
-    /** Fused mode only: owned rows, extended on demand. */
-    std::vector<StaticOpRow> ownedRows_;
-    /** Active row table (owned or borrowed) and its register pool. */
+    /** The shared ReplayTable's rows and register pool. */
     const StaticOpRow *rows_ = nullptr;
     std::size_t rowCount_ = 0;
     const Reg *regPool_ = nullptr;
@@ -252,9 +237,9 @@ class CycleModel
  * The program must be fully compiled (scheduled + laid out) for the
  * cycle counts to be meaningful, but any executable program works.
  *
- * Emulation and pricing run fused in a single pass; use capture() +
- * replay() instead when the same program will be priced under more
- * than one configuration.
+ * Exactly replay(*capture(prog, input, config.maxDynInstrs), config);
+ * call the two directly instead when the same program will be priced
+ * under more than one configuration.
  */
 SimResult simulate(const Program &prog, const std::string &input,
                    const SimConfig &config);

@@ -506,7 +506,7 @@ mapFile(const std::string &path, bool &exists)
     if (faultpoints::poll("store.load.mmap") !=
         faultpoints::FaultAction::None) {
         // Injected mapping failure: behave exactly as if the kernel
-        // refused the mmap — present-but-unmappable, which the
+        // rejected the mmap — present-but-unmappable, which the
         // caller quarantines and recomputes.
         ::close(fd);
         return nullptr;

@@ -2,11 +2,9 @@
  * @file
  * The replay half of trace-once/replay-many: price a captured
  * TraceBuffer under a SimConfig without re-running the emulator.
- * replay() produces a SimResult bit-identical to what simulate()
- * returns for the same program/input/config — both drive the same
- * CycleModel; replay merely feeds it from the buffer instead of the
- * live emulator. The implementation lives with the cycle model in
- * src/sim/timing.cc.
+ * This is the only way a trace is priced — simulate() is capture()
+ * followed by replay(). The implementation lives with the cycle
+ * model in src/sim/timing.cc.
  */
 
 #ifndef PREDILP_TRACE_REPLAY_HH

@@ -116,9 +116,8 @@ struct StaticOp
 
 /**
  * Dense interner of (function, instruction) pairs. Mutable only
- * while a capture (or inline simulation) is producing records;
- * read-only — and therefore safely shareable across threads — once
- * the trace is complete.
+ * while a capture is producing records; read-only — and therefore
+ * safely shareable across threads — once the trace is complete.
  */
 class StaticIndex
 {

@@ -178,6 +178,20 @@ TEST(Sweep, ReportFileHasTheDocumentedShape)
     EXPECT_TRUE(report.at("timing").isObject());
     EXPECT_TRUE(report.at("crossover").isArray());
 
+    // Phase seconds sum over every pool thread of every worker, so
+    // `threads` must count those threads: no thread can spend more
+    // than the sweep's wall time in its phases.
+    const JsonValue &timing = report.at("timing");
+    double phaseSeconds = 0.0;
+    for (const auto &[name, seconds] : timing.at("phases").members())
+        phaseSeconds += seconds.asDouble();
+    EXPECT_GT(phaseSeconds, 0.0);
+    EXPECT_LE(phaseSeconds,
+              timing.at("elapsed_seconds").asDouble() *
+                      static_cast<double>(
+                          timing.at("threads").asInt()) +
+                  1e-6);
+
     const auto &cells = report.at("cells").items();
     ASSERT_EQ(cells.size(), 4u);
     for (std::size_t i = 0; i < cells.size(); ++i) {

@@ -249,9 +249,7 @@ TEST(Timing, FullPredNullifiedConsumeSlots)
 
 TEST(Scoreboard, EpochWraparoundHardResetsStaleTags)
 {
-    // A read-only index is enough to size the boards.
-    StaticIndex index({}, {}, {16, 0, 16});
-    RegScoreboard board(index);
+    RegScoreboard board(std::array<int, 3>{16, 0, 16});
     board.setDest(intReg(3), 42);
     EXPECT_EQ(board.readyAt(intReg(3)), 42);
 

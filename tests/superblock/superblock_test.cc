@@ -186,7 +186,7 @@ TEST(Superblock, RetargetEdgesRewritesAllForms)
 TEST(Superblock, RespectsMaxInstrs)
 {
     SuperblockOptions opts;
-    opts.maxInstrs = 4; // absurdly small: merging mostly refused.
+    opts.maxInstrs = 4; // absurdly small: merging mostly rejected.
     auto prog = compileSource(R"(
         int main() {
             int s = 0;

@@ -1,14 +1,14 @@
 /**
  * @file
- * Trace capture/replay tests: replay(capture(prog)) must be
- * bit-for-bit identical to the fused simulate() path — cycles, every
- * headline counter, and the full sim.* stats snapshot — for every
- * model, replaying one buffer twice must agree, one buffer must be
- * replayable under many SimConfigs, and the chunked storage must
- * survive chunk-boundary rollover in both streams. The packed
- * 4-byte entry format and the zigzag-varint memory side stream get
- * direct edge-case coverage: negative deltas, >32-bit addresses,
- * and static ids beyond the 29-bit packing limit.
+ * Trace capture/replay tests: capture() under either backend must
+ * record exactly what the interpreter streams — fetch address,
+ * dynamic flags, and memory address, record for record — for every
+ * model; replaying one buffer must be repeatable and must not touch
+ * the IR; and the chunked storage must survive chunk-boundary
+ * rollover in both streams. The packed 4-byte entry format and the
+ * zigzag-varint memory side stream get direct edge-case coverage:
+ * negative deltas, >32-bit addresses, and static ids beyond the
+ * 29-bit packing limit or outside the trace's own index.
  */
 
 #include <gtest/gtest.h>
@@ -55,8 +55,40 @@ compiledWorkload(const Workload &workload, Model model,
     return compileForModel(workload.source, opts);
 }
 
-TEST(Replay, MatchesInlineSimulateEveryModel)
+/** One interpreter record, expressed the way a trace stores it. */
+struct ExpectedRecord
 {
+    std::int64_t addr = 0;
+    std::uint32_t flags = 0;
+    std::int64_t memAddr = 0;
+};
+
+/** Records every interpreter record as an ExpectedRecord. */
+class RecordingSink : public TraceSink
+{
+  public:
+    explicit RecordingSink(const Program &prog) : addresses_(prog) {}
+
+    void
+    onInstr(const DynRecord &record) override
+    {
+        records.push_back(
+            {addresses_.addressOf(record.fn, record.instr),
+             traceFlagsOf(record), record.memAddr});
+    }
+
+    std::vector<ExpectedRecord> records;
+
+  private:
+    AddressMap addresses_;
+};
+
+TEST(Capture, MatchesInterpreterRecordForRecord)
+{
+    // The trace is all pricing ever sees, so each record must carry
+    // what the interpreter streamed for it: the instruction's fetch
+    // address (the I-cache and BTB key), the dynamic flags, and the
+    // memory address (the D-cache key).
     for (const char *name : {"cmp", "wc"}) {
         const Workload *workload = findWorkload(name);
         ASSERT_NE(workload, nullptr);
@@ -64,80 +96,42 @@ TEST(Replay, MatchesInlineSimulateEveryModel)
         for (Model model : {Model::Superblock, Model::CondMove,
                             Model::FullPred}) {
             auto prog = compiledWorkload(*workload, model, input);
-            SimConfig sim;
-            sim.machine = issue8Branch1();
-            SimResult inlined = simulate(*prog, input, sim);
-            auto buffer = capture(*prog, input);
-            SimResult replayed = replay(*buffer, sim);
-            SCOPED_TRACE(workload->name + "/" + modelName(model));
-            expectSimEq(inlined, replayed);
+            RecordingSink sink(*prog);
+            EmuOptions opts;
+            opts.sink = &sink;
+            opts.backend = EmuBackend::Interp;
+            RunResult run = Emulator(*prog).run(input, opts);
+            for (EmuBackend backend :
+                 {EmuBackend::Interp, EmuBackend::Threaded}) {
+                SCOPED_TRACE(workload->name + "/" + modelName(model) +
+                             "/" + emuBackendName(backend));
+                auto buffer =
+                    capture(*prog, input, opts.maxDynInstrs, backend);
+                EXPECT_EQ(buffer->run().exitValue, run.exitValue);
+                EXPECT_EQ(buffer->run().output, run.output);
+                ASSERT_EQ(buffer->size(), sink.records.size());
+                const StaticIndex &index = buffer->index();
+                TraceBuffer::Cursor cursor(*buffer);
+                TraceEntry entry;
+                std::int64_t memAddr = 0;
+                for (std::size_t i = 0; i < sink.records.size(); ++i) {
+                    const ExpectedRecord &want = sink.records[i];
+                    ASSERT_TRUE(cursor.next(entry, memAddr));
+                    ASSERT_LT(entry.staticId(), index.size());
+                    ASSERT_EQ(index.op(entry.staticId()).addr,
+                              want.addr)
+                        << "record " << i;
+                    ASSERT_EQ(entry.flags(), want.flags)
+                        << "record " << i;
+                    if ((want.flags & traceHasMemAddr) != 0) {
+                        ASSERT_EQ(memAddr, want.memAddr)
+                            << "record " << i;
+                    }
+                }
+                EXPECT_FALSE(cursor.next(entry, memAddr));
+            }
         }
     }
-}
-
-TEST(Replay, MatchesInlineSimulateRealCachesEveryModel)
-{
-    // Real caches exercise the varint address stream on the pricing
-    // path (the d-cache sees every decoded address), so the packed
-    // side stream must reproduce each address exactly.
-    for (const char *name : {"cmp", "wc"}) {
-        const Workload *workload = findWorkload(name);
-        ASSERT_NE(workload, nullptr);
-        std::string input = workload->makeInput(1);
-        for (Model model : {Model::Superblock, Model::CondMove,
-                            Model::FullPred}) {
-            auto prog = compiledWorkload(*workload, model, input);
-            SimConfig sim;
-            sim.machine = issue8Branch1();
-            sim.perfectCaches = false;
-            SimResult inlined = simulate(*prog, input, sim);
-            auto buffer = capture(*prog, input);
-            SimResult replayed = replay(*buffer, sim);
-            SCOPED_TRACE(workload->name + "/" + modelName(model));
-            expectSimEq(inlined, replayed);
-        }
-    }
-}
-
-TEST(Replay, SameBufferTwiceAgrees)
-{
-    const Workload *workload = findWorkload("qsort");
-    ASSERT_NE(workload, nullptr);
-    std::string input = workload->makeInput(1);
-    auto prog =
-        compiledWorkload(*workload, Model::FullPred, input);
-    auto buffer = capture(*prog, input);
-    SimConfig sim;
-    sim.machine = issue8Branch1();
-    expectSimEq(replay(*buffer, sim), replay(*buffer, sim));
-}
-
-TEST(Replay, OneBufferManyConfigs)
-{
-    const Workload *workload = findWorkload("cmp");
-    ASSERT_NE(workload, nullptr);
-    std::string input = workload->makeInput(1);
-    auto prog =
-        compiledWorkload(*workload, Model::FullPred, input);
-    auto buffer = capture(*prog, input);
-
-    // The trace stream never depends on the SimConfig: replaying the
-    // one buffer must match a fresh fused simulation per config.
-    SimConfig real;
-    real.machine = issue8Branch1();
-    real.perfectCaches = false;
-    expectSimEq(replay(*buffer, real), simulate(*prog, input, real));
-
-    SimConfig narrow;
-    narrow.machine = issue1();
-    expectSimEq(replay(*buffer, narrow),
-                simulate(*prog, input, narrow));
-
-    SimConfig smallBtb;
-    smallBtb.machine = issue8Branch2();
-    smallBtb.btbEntries = 16;
-    expectSimEq(replay(*buffer, smallBtb),
-                simulate(*prog, input, smallBtb));
 }
 
 TEST(Replay, BufferIsSelfContained)
@@ -149,10 +143,25 @@ TEST(Replay, BufferIsSelfContained)
         compiledWorkload(*workload, Model::Superblock, input);
     SimConfig sim;
     sim.machine = issue8Branch1();
-    SimResult inlined = simulate(*prog, input, sim);
+    sim.perfectCaches = false; // price the address stream too.
     auto buffer = capture(*prog, input);
+    SimResult before = replay(*buffer, sim);
     prog.reset(); // replay must not touch the IR.
-    expectSimEq(inlined, replay(*buffer, sim));
+    expectSimEq(before, replay(*buffer, sim));
+}
+
+TEST(Replay, RejectsStaticIdOutsideIndex)
+{
+    // A trace loaded from the store is outside input: an entry whose
+    // id lies past the trace's own ops table must panic instead of
+    // reading past the row table, for single and batched replay.
+    Program prog;
+    TraceBuffer buffer(prog);
+    buffer.append(7, 0, 0);
+    EXPECT_THROW(replay(buffer, SimConfig{}), PanicError);
+    SimConfig configs[2];
+    configs[1].perfectCaches = false;
+    EXPECT_THROW(replayBatch(buffer, configs), PanicError);
 }
 
 TEST(TraceEntryPacking, RoundTripsIdAndFlags)

@@ -172,7 +172,7 @@ main(int argc, char **argv)
                       << " degraded";
         std::cout << " -> " << outcome.path << "\n";
         printPhaseTiming(std::cout, outcome.timing, wall.seconds(),
-                         outcome.workers);
+                         outcome.threads);
         return 0;
     } catch (const std::exception &e) {
         std::cerr << "predilp_sweep: " << e.what() << "\n";
