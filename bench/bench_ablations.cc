@@ -110,10 +110,10 @@ main()
 
     std::cout << "\nAblations (8-issue, 1-branch, perfect caches)\n";
     table.print(std::cout);
-    BenchTiming timing = evaluator.timing();
-    printPhaseTiming(std::cout, timing, wall.seconds(),
+    const StatsSnapshot stats = evaluator.stats();
+    printPhaseTiming(std::cout, stats, wall.seconds(),
                      evaluator.threadCount());
-    writeBenchJson("ablations", allResults, timing, wall.seconds(),
+    writeBenchJson("ablations", allResults, stats, wall.seconds(),
                    evaluator.threadCount(),
                    evaluator.compileStats());
     return 0;

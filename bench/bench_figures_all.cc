@@ -82,10 +82,10 @@ main()
     addPrefixed("fig10", r10);
     addPrefixed("fig11", r11);
 
-    BenchTiming timing = evaluator.timing();
-    printPhaseTiming(std::cout, timing, wall.seconds(),
+    const StatsSnapshot stats = evaluator.stats();
+    printPhaseTiming(std::cout, stats, wall.seconds(),
                      evaluator.threadCount());
-    writeBenchJson("figures_all", all, timing, wall.seconds(),
+    writeBenchJson("figures_all", all, stats, wall.seconds(),
                    evaluator.threadCount(),
                    evaluator.compileStats());
     return 0;

@@ -212,20 +212,17 @@ for path in sys.argv[1:]:
         continue
     asserted += 1
 
-    counters = timing.get("counters", {})
-    phases = timing.get("phases", {})
-    if store.get("miss", 0) != 0:
-        zero_work_fail(f"{path}: warm run missed the store "
-                       f"({store['miss']} misses)")
-    if counters.get("compiles", 0) != 0:
-        zero_work_fail(f"{path}: warm run compiled "
-                       f"({counters['compiles']} compiles)")
-    if counters.get("captures", 0) != 0:
-        zero_work_fail(f"{path}: warm run emulated "
-                       f"({counters['captures']} captures)")
-    if phases.get("emulate_seconds", 0.0) != 0.0:
-        zero_work_fail(f"{path}: warm run spent "
-                       f"{phases['emulate_seconds']}s in emulation")
+    # A missing leaf fails outright: reading it as 0 would turn the
+    # gate off silently when a counter is renamed.
+    for scope, key in (("store", "miss"), ("counters", "compiles"),
+                       ("counters", "captures"),
+                       ("phases", "emulate_seconds")):
+        value = timing.get(scope, {}).get(key)
+        if value is None:
+            fail(f"{path}: no timing.{scope}.{key}")
+        elif value != 0:
+            zero_work_fail(f"{path}: warm run did work "
+                           f"(timing.{scope}.{key} = {value})")
 
     with open(f"cold/{path}") as f:
         cold = json.load(f)
@@ -276,8 +273,10 @@ for path in sys.argv[1:]:
     asserted += 1
 
     emu = interp["timing"].get("emu", {})
-    threaded_runs = emu.get("backend", {}).get("threaded", 0)
-    if threaded_runs != 0:
+    threaded_runs = emu.get("backend", {}).get("threaded")
+    if threaded_runs is None:
+        fail(f"{path}: no timing.emu.backend.threaded")
+    elif threaded_runs != 0:
         fail(f"{path}: interp pass still used the threaded backend "
              f"({threaded_runs} runs)")
     if emu.get("records", {}).get("interp", 0) == 0:

@@ -155,7 +155,10 @@ path = sys.argv[1]
 with open(path) as f:
     counters = json.load(f)["timing"]["counters"]
 for key in ("compiles", "captures"):
-    if counters.get(key, 0) != 0:
+    # A missing counter fails: read as 0 it would pass silently.
+    if key not in counters:
+        sys.exit(f"error: warm run report has no timing.counters.{key}")
+    if counters[key] != 0:
         sys.exit(f"error: warm run after fault matrix did new work "
                  f"({counters[key]} {key}) — a corrupt artifact "
                  f"survived in the store")

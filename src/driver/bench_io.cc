@@ -9,63 +9,36 @@ namespace predilp
 {
 
 StatsSnapshot
-timingSnapshot(const BenchTiming &timing, double wallSeconds,
+timingSnapshot(const StatsSnapshot &stats, double wallSeconds,
                int threads)
 {
-    StatsSnapshot s;
+    StatsSnapshot s = stats;
     s.setSeconds("elapsed_seconds", wallSeconds);
     s.setCounter("threads", static_cast<std::uint64_t>(threads));
-    s.setSeconds("phases.compile_seconds", timing.compileSeconds);
-    s.setSeconds("phases.emulate_seconds", timing.captureSeconds);
-    s.setSeconds("phases.simulate_seconds", timing.replaySeconds);
-    s.setCounter("counters.compiles", timing.compiles);
-    s.setCounter("counters.prefix_compiles", timing.prefixCompiles);
-    s.setCounter("counters.prefix_cache_hits",
-                 timing.prefixCacheHits);
-    s.setCounter("counters.captures", timing.captures);
-    s.setCounter("counters.replays", timing.replays);
-    s.setCounter("counters.trace_cache_hits", timing.traceCacheHits);
-    s.setCounter("counters.result_cache_hits",
-                 timing.resultCacheHits);
-    s.setCounter("counters.trace_bytes", timing.traceBytes);
-    s.setCounter("counters.trace_peak_bytes", timing.tracePeakBytes);
-    s.setCounter("counters.captured_bytes", timing.capturedBytes);
-    s.setCounter("counters.captured_records",
-                 timing.capturedRecords);
-    s.setCounter("counters.replayed_records",
-                 timing.replayedRecords);
     s.setCounter("emu.backend.threaded",
                  defaultEmuBackend() == EmuBackend::Threaded ? 1
                                                              : 0);
-    s.setSeconds("emu.decode_seconds", timing.decodeSeconds);
-    s.setCounter("emu.decodes", timing.decodes);
-    s.setCounter("emu.decoded_bytes", timing.decodedBytes);
-    s.setCounter("emu.records.threaded", timing.threadedRecords);
-    s.setCounter("emu.records.interp", timing.interpRecords);
-    s.setCounter("emu.backend_fallbacks", timing.backendFallbacks);
-    s.setCounter("counters.batch_fallbacks", timing.batchFallbacks);
-    s.setCounter("store.hit", timing.storeHits);
-    s.setCounter("store.miss", timing.storeMisses);
-    s.setCounter("store.repair", timing.storeRepairs);
-    s.setCounter("store.write", timing.storeWrites);
-    s.setCounter("store.bytes_mapped", timing.storeBytesMapped);
-    if (timing.replaySeconds > 0) {
+    const double replaySeconds = s.seconds("phases.simulate_seconds");
+    if (replaySeconds > 0) {
         s.setSeconds("throughput.replay_records_per_sec",
-                     static_cast<double>(timing.replayedRecords) /
-                         timing.replaySeconds);
+                     static_cast<double>(
+                         s.counter("counters.replayed_records")) /
+                         replaySeconds);
     }
-    if (timing.captureSeconds > 0) {
-        s.setSeconds(
-            "throughput.emulate_records_per_sec",
-            static_cast<double>(timing.threadedRecords +
-                                timing.interpRecords) /
-                timing.captureSeconds);
+    const double captureSeconds = s.seconds("phases.emulate_seconds");
+    if (captureSeconds > 0) {
+        s.setSeconds("throughput.emulate_records_per_sec",
+                     static_cast<double>(
+                         s.counter("emu.records.threaded") +
+                         s.counter("emu.records.interp")) /
+                         captureSeconds);
     }
-    if (timing.capturedRecords > 0) {
+    if (const std::uint64_t records =
+            s.counter("counters.captured_records")) {
         s.setSeconds("throughput.trace_bytes_per_entry",
-                     static_cast<double>(timing.capturedBytes) /
-                         static_cast<double>(
-                             timing.capturedRecords));
+                     static_cast<double>(
+                         s.counter("counters.captured_bytes")) /
+                         static_cast<double>(records));
     }
     return s;
 }
@@ -90,41 +63,41 @@ cellSnapshot(const BenchmarkResult &result, Model model,
 }
 
 void
-printPhaseTiming(std::ostream &os, const BenchTiming &timing,
+printPhaseTiming(std::ostream &os, const StatsSnapshot &stats,
                  double wallSeconds, int threads)
 {
+    auto n = [&stats](const char *name) { return stats.counter(name); };
+    auto seconds = [&stats](const char *name) {
+        return formatFixed(stats.seconds(name), 2);
+    };
     os << "-- timing: wall " << formatFixed(wallSeconds, 2)
        << "s (threads=" << threads << ") | compile "
-       << formatFixed(timing.compileSeconds, 2) << "s | emulate "
-       << formatFixed(timing.captureSeconds, 2) << "s | simulate "
-       << formatFixed(timing.replaySeconds, 2) << "s\n"
-       << "-- cache: " << timing.compiles << " compiles (+"
-       << timing.prefixCompiles << " prefix), "
-       << timing.captures << " emulations, " << timing.replays
-       << " replays, " << timing.traceCacheHits
-       << " trace hits, " << timing.resultCacheHits
-       << " result hits, "
-       << timing.tracePeakBytes / (1024 * 1024)
+       << seconds("phases.compile_seconds") << "s | emulate "
+       << seconds("phases.emulate_seconds") << "s | simulate "
+       << seconds("phases.simulate_seconds") << "s\n"
+       << "-- cache: " << n("counters.compiles") << " compiles (+"
+       << n("counters.prefix_compiles") << " prefix), "
+       << n("counters.captures") << " emulations, "
+       << n("counters.replays") << " replays, "
+       << n("counters.trace_cache_hits") << " trace hits, "
+       << n("counters.result_cache_hits") << " result hits, "
+       << n("counters.trace_peak_bytes") / (1024 * 1024)
        << " MiB traces peak\n";
-    if (timing.decodes + timing.threadedRecords +
-            timing.interpRecords >
+    if (n("emu.decodes") + n("emu.records.threaded") +
+            n("emu.records.interp") >
         0) {
         os << "-- emu: " << emuBackendName(defaultEmuBackend())
-           << " backend | decode "
-           << formatFixed(timing.decodeSeconds, 2) << "s ("
-           << timing.decodes << " decodes, "
-           << timing.decodedBytes / 1024 << " KiB) | records "
-           << timing.threadedRecords << " threaded, "
-           << timing.interpRecords << " interp\n";
+           << " backend | decode " << seconds("emu.decode_seconds")
+           << "s (" << n("emu.decodes") << " decodes, "
+           << n("emu.decoded_bytes") / 1024 << " KiB) | records "
+           << n("emu.records.threaded") << " threaded, "
+           << n("emu.records.interp") << " interp\n";
     }
-    if (timing.storeHits + timing.storeMisses +
-            timing.storeWrites >
-        0) {
-        os << "-- store: " << timing.storeHits << " hits, "
-           << timing.storeMisses << " misses, "
-           << timing.storeWrites << " writes, "
-           << timing.storeRepairs << " repairs, "
-           << timing.storeBytesMapped / (1024 * 1024)
+    if (n("store.hit") + n("store.miss") + n("store.write") > 0) {
+        os << "-- store: " << n("store.hit") << " hits, "
+           << n("store.miss") << " misses, " << n("store.write")
+           << " writes, " << n("store.repair") << " repairs, "
+           << n("store.bytes_mapped") / (1024 * 1024)
            << " MiB mapped\n";
     }
 }
@@ -132,7 +105,7 @@ printPhaseTiming(std::ostream &os, const BenchTiming &timing,
 std::string
 writeBenchJson(const std::string &benchName,
                const std::vector<BenchmarkResult> &results,
-               const BenchTiming &timing, double wallSeconds,
+               const StatsSnapshot &stats, double wallSeconds,
                int threads, const StatsSnapshot &compilerStats)
 {
     std::string path = "BENCH_" + benchName + ".json";
@@ -140,7 +113,7 @@ writeBenchJson(const std::string &benchName,
     panicIf(!os, "cannot write ", path);
     os << "{\n  \"bench\": \"" << benchName << "\",\n"
        << "  \"timing\": "
-       << timingSnapshot(timing, wallSeconds, threads).toJson(2)
+       << timingSnapshot(stats, wallSeconds, threads).toJson(2)
        << ",\n"
        << "  \"compiler\": " << compilerStats.toJson(2) << ",\n"
        << "  \"benchmarks\": [\n";

@@ -19,16 +19,19 @@
 namespace predilp
 {
 
-/** Print compile/emulate/simulate phase totals and cache counters. */
-void printPhaseTiming(std::ostream &os, const BenchTiming &timing,
+/**
+ * Print compile/emulate/simulate phase totals and cache counters from
+ * @p stats, a SuiteEvaluator::stats() (or a merge of several).
+ */
+void printPhaseTiming(std::ostream &os, const StatsSnapshot &stats,
                       double wallSeconds, int threads);
 
 /**
- * The harness timing/cache section of BENCH_*.json as a snapshot:
- * phase seconds, cache counters, emulator-backend counters, store
- * counters, and derived throughput leaves.
+ * The timing section of BENCH_*.json: @p stats plus the wall time,
+ * the thread count, the emulator backend in use, and derived
+ * throughput leaves.
  */
-StatsSnapshot timingSnapshot(const BenchTiming &timing,
+StatsSnapshot timingSnapshot(const StatsSnapshot &stats,
                              double wallSeconds, int threads);
 
 /**
@@ -44,17 +47,17 @@ StatsSnapshot cellSnapshot(const BenchmarkResult &result, Model model,
 /**
  * Write BENCH_<benchName>.json (in the working directory). All
  * numeric payloads are StatsSnapshots rendered by toJson(): the
- * harness timing/cache section, the merged per-pass compiler stats
- * (pass @p compilerStats = SuiteEvaluator::compileStats()), and one
- * snapshot per (benchmark, model) cell combining the headline
- * numbers (cycles, dyn_instrs, speedup, ...) with the simulator's
- * detailed `sim.*` counters.
+ * timing section (timingSnapshot of @p stats), the merged per-pass
+ * compiler stats (pass @p compilerStats =
+ * SuiteEvaluator::compileStats()), and one snapshot per (benchmark,
+ * model) cell combining the headline numbers (cycles, dyn_instrs,
+ * speedup, ...) with the simulator's detailed `sim.*` counters.
  * @return the path written.
  */
 std::string
 writeBenchJson(const std::string &benchName,
                const std::vector<BenchmarkResult> &results,
-               const BenchTiming &timing, double wallSeconds,
+               const StatsSnapshot &stats, double wallSeconds,
                int threads,
                const StatsSnapshot &compilerStats = StatsSnapshot());
 

@@ -1,5 +1,6 @@
 #include "driver/evaluator.hh"
 
+#include <algorithm>
 #include <sstream>
 #include <unordered_set>
 
@@ -118,10 +119,47 @@ publishCertified(ArtifactStore *store, const Workload &workload,
                       certifiedRecord(prov, result));
 }
 
+/**
+ * One unit of work's stats: a prefix compile, a capture, a reference
+ * run, a replay or a batch group. Its handles belong to the thread
+ * running the unit, and the whole registry merges into @p into once,
+ * on scope exit. That includes unwinding, so a unit that fails
+ * part-way still reports the work it finished.
+ */
+class UnitStats : public StatsRegistry
+{
+  public:
+    explicit UnitStats(StatsRegistry &into) : into_(into) {}
+    ~UnitStats() { into_.merge(*this); }
+
+  private:
+    StatsRegistry &into_;
+};
+
 } // namespace
 
 SuiteEvaluator::SuiteEvaluator(int threads) : pool_(threads)
 {
+    // Every stats() leaf exists from the start, so one that no work
+    // reaches (emulate seconds on a warm run) still prints as zero.
+    // The store.* leaves stay zero here; stats() adds the store's.
+    for (const char *name :
+         {"counters.compiles", "counters.prefix_compiles",
+          "counters.prefix_cache_hits", "counters.captures",
+          "counters.replays", "counters.trace_cache_hits",
+          "counters.result_cache_hits",
+          "counters.reference_cache_hits", "counters.captured_bytes",
+          "counters.captured_records", "counters.replayed_records",
+          "counters.batch_fallbacks", "emu.decodes",
+          "emu.decoded_bytes", "emu.records.threaded",
+          "emu.records.interp", "emu.backend_fallbacks", "store.hit",
+          "store.miss", "store.repair", "store.write",
+          "store.bytes_mapped"})
+        stats_.counter(name);
+    for (const char *name :
+         {"phases.compile_seconds", "phases.emulate_seconds",
+          "phases.simulate_seconds", "emu.decode_seconds"})
+        stats_.timer(name);
     // Opt-in persistence without code changes, via the one
     // documented reader of PREDILP_STORE / PREDILP_STORE_MODE
     // (EnvConfig). setPolicy can still override both.
@@ -163,15 +201,16 @@ namespace
  * Exceptions propagate to every waiter already attached, but the
  * failed entry is evicted first, so the cache is never poisoned: a
  * later request for the same key recomputes instead of replaying a
- * stale failure forever.
+ * stale failure forever. A request that finds the key present adds
+ * one to counter @p hitCounter of @p stats.
  */
 template <typename T, typename Fn>
 T
 cachedCompute(
     std::mutex &mutex,
     std::unordered_map<std::string, std::shared_future<T>> &cache,
-    const std::string &key, std::atomic<std::uint64_t> &hits,
-    Fn &&compute)
+    const std::string &key, StatsRegistry &stats,
+    const char *hitCounter, Fn &&compute)
 {
     std::promise<T> promise;
     std::shared_future<T> future;
@@ -185,7 +224,6 @@ cachedCompute(
             owner = true;
         } else {
             future = it->second;
-            hits.fetch_add(1, std::memory_order_relaxed);
         }
     }
     if (owner) {
@@ -201,6 +239,9 @@ cachedCompute(
             }
             promise.set_exception(std::current_exception());
         }
+    } else {
+        UnitStats hit(stats);
+        hit.counter(hitCounter).add();
     }
     return future.get();
 }
@@ -215,16 +256,16 @@ SuiteEvaluator::snapshotFor(const Workload &workload,
     std::string key =
         workload.name + "|prefix|s" + std::to_string(scale);
     return cachedCompute(
-        mutex_, snapshots_, key, prefixCacheHits_,
+        mutex_, snapshots_, key, stats_, "counters.prefix_cache_hits",
         [&]() -> SnapshotPtr {
-            PhaseTimer timer(compileTime_);
+            UnitStats unit(stats_);
+            ScopedTimer timer(unit.timer("phases.compile_seconds"));
             StatsRegistry perPrefix;
             auto snapshot = std::make_shared<FrontendSnapshot>(
                 compilePrefix(workload.source, input, profileFuel,
                               &perPrefix, policy_.verifyEachPass));
             compileStats_.merge(perPrefix);
-            prefixCompiles_.fetch_add(1,
-                                      std::memory_order_relaxed);
+            unit.counter("counters.prefix_compiles").add();
             return snapshot;
         });
 }
@@ -236,16 +277,16 @@ SuiteEvaluator::referenceFor(const Workload &workload,
     std::string key =
         workload.name + "|ref|s" + std::to_string(scale);
     return cachedCompute(
-        mutex_, references_, key, referenceCacheHits_, [&] {
-            PhaseTimer timer(captureTime_);
-            captures_.fetch_add(1, std::memory_order_relaxed);
+        mutex_, references_, key, stats_,
+        "counters.reference_cache_hits", [&] {
+            UnitStats unit(stats_);
+            ScopedTimer timer(unit.timer("phases.emulate_seconds"));
+            unit.counter("counters.captures").add();
             RunResult ref = runReference(workload.source, input);
-            auto &records =
-                defaultEmuBackend() == EmuBackend::Threaded
-                    ? threadedRecords_
-                    : interpRecords_;
-            records.fetch_add(ref.dynInstrs,
-                              std::memory_order_relaxed);
+            unit.counter(defaultEmuBackend() == EmuBackend::Threaded
+                             ? "emu.records.threaded"
+                             : "emu.records.interp")
+                .add(ref.dynInstrs);
             return ref;
         });
 }
@@ -259,7 +300,8 @@ SuiteEvaluator::traceFor(const Workload &workload,
                          const std::string &key)
 {
     return cachedCompute(
-        mutex_, traces_, key, traceCacheHits_, [&]() -> TracePtr {
+        mutex_, traces_, key, stats_, "counters.trace_cache_hits",
+        [&]() -> TracePtr {
             // Second tier: the persistent artifact store. A hit
             // skips compile, capture, and the reference-divergence
             // check entirely — artifacts were verified against the
@@ -281,9 +323,10 @@ SuiteEvaluator::traceFor(const Workload &workload,
             SnapshotPtr snapshot =
                 snapshotFor(workload, input, request.scale,
                             opts.maxProfileInstrs);
+            UnitStats unit(stats_);
             std::unique_ptr<Program> prog;
             {
-                PhaseTimer timer(compileTime_);
+                ScopedTimer timer(unit.timer("phases.compile_seconds"));
                 FAULT_POINT("eval.compile");
                 // Each compile records into its own registry (the
                 // worker owns it, unsynchronized); the additive
@@ -293,7 +336,7 @@ SuiteEvaluator::traceFor(const Workload &workload,
                 prog = compileFromSnapshot(*snapshot, opts,
                                            &perCompile);
                 compileStats_.merge(perCompile);
-                compiles_.fetch_add(1, std::memory_order_relaxed);
+                unit.counter("counters.compiles").add();
             }
             // The threaded backend splits capture into a decode and
             // the engine run; only the latter counts as emulation
@@ -303,16 +346,16 @@ SuiteEvaluator::traceFor(const Workload &workload,
                 defaultEmuBackend() == EmuBackend::Threaded;
             std::unique_ptr<DecodedProgram> decoded;
             if (threaded) {
-                PhaseTimer timer(decodeTime_);
+                ScopedTimer timer(unit.timer("emu.decode_seconds"));
                 decoded = std::make_unique<DecodedProgram>(*prog);
-                decodes_.fetch_add(1, std::memory_order_relaxed);
-                decodedBytes_.fetch_add(decoded->memoryBytes(),
-                                        std::memory_order_relaxed);
+                unit.counter("emu.decodes").add();
+                unit.counter("emu.decoded_bytes")
+                    .add(decoded->memoryBytes());
             }
             std::unique_ptr<TraceBuffer> buffer;
             bool capturedThreaded = threaded;
             {
-                PhaseTimer timer(captureTime_);
+                ScopedTimer timer(unit.timer("phases.emulate_seconds"));
                 if (threaded) {
                     try {
                         buffer = captureDecoded(*decoded, input,
@@ -330,8 +373,7 @@ SuiteEvaluator::traceFor(const Workload &workload,
                                 std::current_exception()),
                             ": ", e.what(),
                             "); retrying on the interpreter"));
-                        backendFallbacks_.fetch_add(
-                            1, std::memory_order_relaxed);
+                        unit.counter("emu.backend_fallbacks").add();
                         capturedThreaded = false;
                         buffer = capture(*prog, input, fuel,
                                          EmuBackend::Interp);
@@ -340,12 +382,11 @@ SuiteEvaluator::traceFor(const Workload &workload,
                     buffer = capture(*prog, input, fuel,
                                      EmuBackend::Interp);
                 }
-                captures_.fetch_add(1, std::memory_order_relaxed);
+                unit.counter("counters.captures").add();
             }
-            auto &backendRecords =
-                capturedThreaded ? threadedRecords_ : interpRecords_;
-            backendRecords.fetch_add(buffer->size(),
-                                     std::memory_order_relaxed);
+            unit.counter(capturedThreaded ? "emu.records.threaded"
+                                          : "emu.records.interp")
+                .add(buffer->size());
             RunResult reference = referenceFor(
                 workload, input, request.scale);
             const RunResult &run = buffer->run();
@@ -401,20 +442,14 @@ SuiteEvaluator::traceFor(const Workload &workload,
                 });
                 store_->save(storeKey, *buffer, prov.dump() + "\n");
             }
-            std::uint64_t bytes = buffer->memoryBytes();
-            capturedBytes_.fetch_add(bytes,
-                                     std::memory_order_relaxed);
-            capturedRecords_.fetch_add(
-                buffer->size(), std::memory_order_relaxed);
-            std::uint64_t resident =
-                traceBytes_.fetch_add(bytes,
-                                      std::memory_order_relaxed) +
-                bytes;
-            std::uint64_t peak =
-                tracePeakBytes_.load(std::memory_order_relaxed);
-            while (resident > peak &&
-                   !tracePeakBytes_.compare_exchange_weak(
-                       peak, resident, std::memory_order_relaxed)) {
+            const std::uint64_t bytes = buffer->memoryBytes();
+            unit.counter("counters.captured_bytes").add(bytes);
+            unit.counter("counters.captured_records")
+                .add(buffer->size());
+            {
+                std::lock_guard<std::mutex> lock(mutex_);
+                traceBytes_ += bytes;
+                tracePeakBytes_ = std::max(tracePeakBytes_, traceBytes_);
             }
             return TracePtr(std::move(buffer));
         });
@@ -435,17 +470,19 @@ SuiteEvaluator::cellResult(const Workload &workload,
     // above is still shared.
     std::string rkey = tkey + "##" + sim.configDigest();
     return cachedCompute(
-        mutex_, results_, rkey, resultCacheHits_, [&] {
+        mutex_, results_, rkey, stats_, "counters.result_cache_hits",
+        [&] {
             TracePtr trace =
                 traceFor(workload, request, model, machine, input,
                          sim.maxDynInstrs, tkey);
             FAULT_POINT("eval.replay");
             SimResult priced;
             {
-                PhaseTimer timer(replayTime_);
-                replays_.fetch_add(1, std::memory_order_relaxed);
-                replayedRecords_.fetch_add(
-                    trace->size(), std::memory_order_relaxed);
+                UnitStats unit(stats_);
+                ScopedTimer timer(unit.timer("phases.simulate_seconds"));
+                unit.counter("counters.replays").add();
+                unit.counter("counters.replayed_records")
+                    .add(trace->size());
                 priced = replay(*trace, sim);
             }
             publishCertified(store_.get(), workload, request, model,
@@ -651,6 +688,7 @@ SuiteEvaluator::evaluateBatch(const std::vector<EvalRequest> &requests)
     // trace once and prices every pending config against it. ---
     auto runGroup = [&](const BatchGroup &group,
                         ThreadPool *lanePool) {
+        UnitStats unit(stats_);
         try {
             FAULT_POINT("eval.replay.batch");
             TracePtr trace = traceFor(
@@ -659,13 +697,12 @@ SuiteEvaluator::evaluateBatch(const std::vector<EvalRequest> &requests)
                 group.configs.front().maxDynInstrs, group.tkey);
             std::vector<SimResult> priced;
             {
-                PhaseTimer timer(replayTime_);
+                ScopedTimer timer(unit.timer("phases.simulate_seconds"));
                 priced = replayBatch(*trace, group.configs, lanePool);
             }
-            replays_.fetch_add(priced.size(),
-                               std::memory_order_relaxed);
-            replayedRecords_.fetch_add(trace->size() * priced.size(),
-                                       std::memory_order_relaxed);
+            unit.counter("counters.replays").add(priced.size());
+            unit.counter("counters.replayed_records")
+                .add(trace->size() * priced.size());
             for (std::size_t i = 0; i < priced.size(); ++i) {
                 // Batched cells certify exactly like unbatched ones:
                 // the record's provenance comes from the config that
@@ -683,7 +720,7 @@ SuiteEvaluator::evaluateBatch(const std::vector<EvalRequest> &requests)
             // exactly as the unbatched path would. Counted and
             // warned so a batch that silently lost its amortization
             // is visible in the merged timing.
-            batchFallbacks_.fetch_add(1, std::memory_order_relaxed);
+            unit.counter("counters.batch_fallbacks").add();
             warn(detail::formatMessage(
                 "batch group for trace '", group.tkey, "' failed (",
                 classifyException(std::current_exception()),
@@ -715,7 +752,7 @@ SuiteEvaluator::releaseTraces()
 {
     std::lock_guard<std::mutex> lock(mutex_);
     traces_.clear();
-    traceBytes_.store(0, std::memory_order_relaxed);
+    traceBytes_ = 0;
 }
 
 StatsSnapshot
@@ -724,53 +761,32 @@ SuiteEvaluator::compileStats() const
     return compileStats_.snapshot();
 }
 
+StatsSnapshot
+SuiteEvaluator::stats() const
+{
+    StatsSnapshot s = stats_.snapshot();
+    if (store_ != nullptr)
+        s.merge(store_->stats());
+    std::lock_guard<std::mutex> lock(mutex_);
+    s.setCounter("counters.trace_bytes", traceBytes_);
+    s.setCounter("counters.trace_peak_bytes", tracePeakBytes_);
+    return s;
+}
+
 BenchTiming
 SuiteEvaluator::timing() const
 {
+    const StatsSnapshot s = stats();
     BenchTiming timing;
-    timing.compileSeconds = compileTime_.seconds();
-    timing.captureSeconds = captureTime_.seconds();
-    timing.replaySeconds = replayTime_.seconds();
-    timing.compiles = compiles_.load(std::memory_order_relaxed);
-    timing.prefixCompiles =
-        prefixCompiles_.load(std::memory_order_relaxed);
-    timing.prefixCacheHits =
-        prefixCacheHits_.load(std::memory_order_relaxed);
-    timing.captures = captures_.load(std::memory_order_relaxed);
-    timing.replays = replays_.load(std::memory_order_relaxed);
-    timing.traceCacheHits =
-        traceCacheHits_.load(std::memory_order_relaxed);
-    timing.resultCacheHits =
-        resultCacheHits_.load(std::memory_order_relaxed);
-    timing.traceBytes =
-        traceBytes_.load(std::memory_order_relaxed);
-    timing.tracePeakBytes =
-        tracePeakBytes_.load(std::memory_order_relaxed);
-    timing.capturedBytes =
-        capturedBytes_.load(std::memory_order_relaxed);
-    timing.capturedRecords =
-        capturedRecords_.load(std::memory_order_relaxed);
-    timing.replayedRecords =
-        replayedRecords_.load(std::memory_order_relaxed);
-    timing.decodeSeconds = decodeTime_.seconds();
-    timing.decodes = decodes_.load(std::memory_order_relaxed);
-    timing.decodedBytes =
-        decodedBytes_.load(std::memory_order_relaxed);
-    timing.threadedRecords =
-        threadedRecords_.load(std::memory_order_relaxed);
-    timing.interpRecords =
-        interpRecords_.load(std::memory_order_relaxed);
-    timing.backendFallbacks =
-        backendFallbacks_.load(std::memory_order_relaxed);
-    timing.batchFallbacks =
-        batchFallbacks_.load(std::memory_order_relaxed);
-    if (store_ != nullptr) {
-        timing.storeHits = store_->hits();
-        timing.storeMisses = store_->misses();
-        timing.storeRepairs = store_->repairs();
-        timing.storeWrites = store_->writes();
-        timing.storeBytesMapped = store_->bytesMapped();
-    }
+    timing.compiles = s.counter("counters.compiles");
+    timing.prefixCompiles = s.counter("counters.prefix_compiles");
+    timing.captures = s.counter("counters.captures");
+    timing.replays = s.counter("counters.replays");
+    timing.capturedRecords = s.counter("counters.captured_records");
+    timing.replayedRecords = s.counter("counters.replayed_records");
+    timing.storeHits = s.counter("store.hit");
+    timing.storeWrites = s.counter("store.write");
+    timing.resultCacheHits = s.counter("counters.result_cache_hits");
     return timing;
 }
 

@@ -1,29 +1,11 @@
 #include "driver/report.hh"
 
-#include "driver/evaluator.hh"
 #include "support/logging.hh"
 #include "support/stats.hh"
 #include "support/string_utils.hh"
 
 namespace predilp
 {
-
-BenchmarkResult
-evaluateWorkload(const Workload &workload, const SuiteConfig &config)
-{
-    SuiteEvaluator evaluator(config.threads);
-    EvalRequest request = EvalRequest::fromSuiteConfig(config);
-    request.workloads = {workload.name};
-    return evaluator.evaluate(request).results.at(0);
-}
-
-std::vector<BenchmarkResult>
-evaluateSuite(const SuiteConfig &config)
-{
-    SuiteEvaluator evaluator(config.threads);
-    return evaluator.evaluate(EvalRequest::fromSuiteConfig(config))
-        .results;
-}
 
 void
 printSpeedupFigure(std::ostream &os, const std::string &title,

@@ -94,18 +94,6 @@ struct SuiteConfig
 };
 
 /**
- * Evaluate one workload under one suite configuration.
- * Convenience wrapper over SuiteEvaluator (driver/evaluator.hh);
- * construct an evaluator directly to share the compile+trace cache
- * across several configurations.
- */
-BenchmarkResult evaluateWorkload(const Workload &workload,
-                                 const SuiteConfig &config);
-
-/** Evaluate the whole suite. Wrapper over SuiteEvaluator. */
-std::vector<BenchmarkResult> evaluateSuite(const SuiteConfig &config);
-
-/**
  * Print a figure-style speedup table (Figures 8-11): one row per
  * benchmark, columns Superblock / Cond. Move / Full Pred., plus the
  * arithmetic mean row the paper reports.

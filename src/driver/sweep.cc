@@ -14,6 +14,7 @@
 #include <iostream>
 #include <sstream>
 #include <thread>
+#include <tuple>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -31,100 +32,6 @@ namespace
 {
 
 namespace fs = std::filesystem;
-
-// ---- BenchTiming (de)serialization for worker result files ----
-//
-// Member-pointer tables keep the three operations (emit, parse,
-// additive merge) over ~25 fields in lockstep: adding a BenchTiming
-// field means adding one table row.
-
-struct CounterField
-{
-    const char *name;
-    std::uint64_t BenchTiming::*member;
-};
-
-struct SecondsField
-{
-    const char *name;
-    double BenchTiming::*member;
-};
-
-constexpr CounterField counterFields[] = {
-    {"compiles", &BenchTiming::compiles},
-    {"prefix_compiles", &BenchTiming::prefixCompiles},
-    {"prefix_cache_hits", &BenchTiming::prefixCacheHits},
-    {"captures", &BenchTiming::captures},
-    {"replays", &BenchTiming::replays},
-    {"trace_cache_hits", &BenchTiming::traceCacheHits},
-    {"result_cache_hits", &BenchTiming::resultCacheHits},
-    {"trace_bytes", &BenchTiming::traceBytes},
-    {"trace_peak_bytes", &BenchTiming::tracePeakBytes},
-    {"captured_bytes", &BenchTiming::capturedBytes},
-    {"captured_records", &BenchTiming::capturedRecords},
-    {"replayed_records", &BenchTiming::replayedRecords},
-    {"store_hits", &BenchTiming::storeHits},
-    {"store_misses", &BenchTiming::storeMisses},
-    {"store_repairs", &BenchTiming::storeRepairs},
-    {"store_writes", &BenchTiming::storeWrites},
-    {"store_bytes_mapped", &BenchTiming::storeBytesMapped},
-    {"decodes", &BenchTiming::decodes},
-    {"decoded_bytes", &BenchTiming::decodedBytes},
-    {"threaded_records", &BenchTiming::threadedRecords},
-    {"interp_records", &BenchTiming::interpRecords},
-    {"backend_fallbacks", &BenchTiming::backendFallbacks},
-    {"batch_fallbacks", &BenchTiming::batchFallbacks},
-};
-
-constexpr SecondsField secondsFields[] = {
-    {"compile_seconds", &BenchTiming::compileSeconds},
-    {"capture_seconds", &BenchTiming::captureSeconds},
-    {"replay_seconds", &BenchTiming::replaySeconds},
-    {"decode_seconds", &BenchTiming::decodeSeconds},
-};
-
-JsonValue
-timingToJson(const BenchTiming &timing)
-{
-    std::vector<std::pair<std::string, JsonValue>> members;
-    for (const auto &field : counterFields) {
-        members.emplace_back(
-            field.name,
-            JsonValue::makeInt(
-                static_cast<std::int64_t>(timing.*field.member)));
-    }
-    for (const auto &field : secondsFields) {
-        members.emplace_back(
-            field.name, JsonValue::makeDouble(timing.*field.member));
-    }
-    return JsonValue::makeObject(std::move(members));
-}
-
-BenchTiming
-timingFromJson(const JsonValue &json)
-{
-    BenchTiming timing;
-    for (const auto &field : counterFields) {
-        if (const JsonValue *v = json.find(field.name)) {
-            timing.*field.member =
-                static_cast<std::uint64_t>(v->asInt());
-        }
-    }
-    for (const auto &field : secondsFields) {
-        if (const JsonValue *v = json.find(field.name))
-            timing.*field.member = v->asDouble();
-    }
-    return timing;
-}
-
-void
-mergeTiming(BenchTiming &into, const BenchTiming &from)
-{
-    for (const auto &field : counterFields)
-        into.*field.member += from.*field.member;
-    for (const auto &field : secondsFields)
-        into.*field.member += from.*field.member;
-}
 
 // ---- Axis application ----
 
@@ -363,13 +270,11 @@ shardAssignment(const std::vector<SweepCell> &cells, int stride)
     return shardOf;
 }
 
-/** Evaluate one shard's cells in grid order. With @p batch the whole
- * shard is priced by one evaluateBatch call (each trace streamed
- * once for all configs that replay it); without, cells are evaluated
- * one request at a time. Both produce identical cell objects. */
-std::pair<std::vector<JsonValue>, BenchTiming>
-runShard(const std::vector<SweepCell> &cells, int shard, int stride,
-         bool batch)
+/** Evaluate one shard's cells in grid order with one evaluateBatch
+ * call: each trace is streamed once for all configs that replay it.
+ * @return the rendered cells and the evaluator's stats(). */
+std::pair<std::vector<JsonValue>, StatsSnapshot>
+runShard(const std::vector<SweepCell> &cells, int shard, int stride)
 {
     const std::vector<int> shardOf = shardAssignment(cells, stride);
     std::vector<const SweepCell *> mine;
@@ -377,26 +282,18 @@ runShard(const std::vector<SweepCell> &cells, int shard, int stride,
         if (shardOf[cell.index] == shard)
             mine.push_back(&cell);
     }
+    std::vector<EvalRequest> requests;
+    requests.reserve(mine.size());
+    for (const SweepCell *cell : mine)
+        requests.push_back(cell->request);
     SuiteEvaluator evaluator;
+    std::vector<EvalResponse> responses =
+        evaluator.evaluateBatch(requests);
     std::vector<JsonValue> rendered;
     rendered.reserve(mine.size());
-    if (batch) {
-        std::vector<EvalRequest> requests;
-        requests.reserve(mine.size());
-        for (const SweepCell *cell : mine)
-            requests.push_back(cell->request);
-        std::vector<EvalResponse> responses =
-            evaluator.evaluateBatch(requests);
-        for (std::size_t i = 0; i < mine.size(); ++i)
-            rendered.push_back(cellToJson(*mine[i], responses[i]));
-    } else {
-        for (const SweepCell *cell : mine) {
-            rendered.push_back(
-                cellToJson(*cell,
-                           evaluator.evaluate(cell->request)));
-        }
-    }
-    return {std::move(rendered), evaluator.timing()};
+    for (std::size_t i = 0; i < mine.size(); ++i)
+        rendered.push_back(cellToJson(*mine[i], responses[i]));
+    return {std::move(rendered), evaluator.stats()};
 }
 
 std::string
@@ -408,15 +305,14 @@ workerFilePath(const std::string &dir, int worker)
 /** Child-process body: evaluate the shard, write the result file. */
 [[noreturn]] void
 runWorkerChild(const std::vector<SweepCell> &cells, int worker,
-               int workers, bool batch, const std::string &dir)
+               int workers, const std::string &dir)
 {
     try {
         FAULT_POINT("sweep.worker.start");
-        auto [rendered, timing] =
-            runShard(cells, worker, workers, batch);
+        auto [rendered, stats] = runShard(cells, worker, workers);
         JsonValue doc = JsonValue::makeObject({
             {"worker", JsonValue::makeInt(worker)},
-            {"timing", timingToJson(timing)},
+            {"timing", JsonValue::parse(stats.toJson())},
             {"cells",
              JsonValue::makeArray(std::move(rendered))},
         });
@@ -651,8 +547,7 @@ SweepSpec::expandGrid() const
 
 SweepOutcome
 runSweep(const SweepSpec &spec, int workers,
-         const std::string &outPath, bool batch,
-         const SweepHealPolicy &heal)
+         const std::string &outPath, const SweepHealPolicy &heal)
 {
     // Arm PREDILP_FAULTS here, before any fork: the fire-state page
     // is MAP_SHARED, so "once" spans the whole worker tree and a
@@ -662,7 +557,7 @@ runSweep(const SweepSpec &spec, int workers,
     const std::vector<SweepCell> cells = spec.expandGrid();
 
     std::vector<JsonValue> rendered;
-    BenchTiming timing;
+    StatsSnapshot timing;
     int workerRetries = 0;
     std::size_t degradedCells = 0;
     int effectiveWorkers = std::max(1, workers);
@@ -673,10 +568,7 @@ runSweep(const SweepSpec &spec, int workers,
     }
 
     if (effectiveWorkers == 1) {
-        auto [cellsJson, shardTiming] =
-            runShard(cells, 0, 1, batch);
-        rendered = std::move(cellsJson);
-        timing = shardTiming;
+        std::tie(rendered, timing) = runShard(cells, 0, 1);
     } else {
         // Shard across forked workers sharing the flock-safe
         // artifact store (each child opens it independently via the
@@ -743,8 +635,7 @@ runSweep(const SweepSpec &spec, int workers,
                                  std::strerror(errno));
             }
             if (pid == 0) {
-                runWorkerChild(cells, w, effectiveWorkers, batch,
-                               dir);
+                runWorkerChild(cells, w, effectiveWorkers, dir);
             }
             s.pid = pid;
             s.attempts += 1;
@@ -856,7 +747,8 @@ runSweep(const SweepSpec &spec, int workers,
         for (const ShardState &s : shards) {
             if (!s.done)
                 continue;
-            mergeTiming(timing, timingFromJson(s.doc.at("timing")));
+            timing.merge(
+                StatsSnapshot::fromJson(s.doc.at("timing").dump()));
             for (const JsonValue &cell : s.doc.at("cells").items())
                 byIndex[static_cast<std::size_t>(
                     cell.at("index").asInt())] = &cell;

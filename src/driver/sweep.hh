@@ -1,6 +1,6 @@
 /**
  * @file
- * Sharded scenario-sweep grid driver (ROADMAP item 3). A declarative
+ * Sharded scenario-sweep grid driver. A declarative
  * SweepSpec — a base EvalRequest plus ordered value lists for the
  * paper's hardware axes (issue width, BTB entries/associativity/
  * predictor, cache size/line/associativity/penalty, perfect-vs-real
@@ -15,14 +15,13 @@
  * workers, so no two workers ever capture or replay the same trace.
  * Each worker prices its whole shard with one
  * SuiteEvaluator::evaluateBatch call — every trace is streamed once
- * for all of the shard's configs (pass batch=false to evaluate cell
- * by cell instead; the output is identical). Every worker opens the
- * same flock-safe ArtifactStore (via PREDILP_STORE), so captured
- * traces are shared across the fleet and a warm re-run of the same
- * grid performs zero compiles and zero captures. Workers report
- * per-cell JSON plus their BenchTiming through temp files; the
+ * for all of the shard's configs. Every worker opens the same
+ * flock-safe ArtifactStore (via PREDILP_STORE), so captured traces
+ * are shared across the fleet and a warm re-run of the same grid
+ * performs zero compiles and zero captures. Workers report per-cell
+ * JSON plus their SuiteEvaluator::stats() through temp files; the
  * parent validates completeness (no duplicate, no missing cells),
- * merges timing additively, and emits one consolidated
+ * merges the stats additively, and emits one consolidated
  * BENCH_sweep.json with the cells in grid order plus a per-axis
  * crossover summary (where full predication's mean speedup overtakes
  * the partial-predication Cond. Move model).
@@ -148,9 +147,9 @@ struct SweepOutcome
     /** Cells rendered as degraded records (shards that never
      * produced a valid result file within their attempt budget). */
     std::size_t degradedCells = 0;
-    /** Timing merged additively across all workers (or the one
-     * sequential evaluator). */
-    BenchTiming timing;
+    /** SuiteEvaluator::stats() merged additively across all workers
+     * (or the one sequential evaluator's). */
+    StatsSnapshot timing;
     /**
      * The dumped "cells" array — the determinism surface: equal for
      * sequential and any worker count on the same grid and tree.
@@ -163,19 +162,16 @@ struct SweepOutcome
 /**
  * Execute @p spec with @p workers processes (<= 1 = sequential,
  * in-process) and write the consolidated report to @p outPath
- * ("" skips the file). @p batch prices each shard with one
- * evaluateBatch call (one streaming pass per trace for all its
- * configs) instead of cell-by-cell evaluate; both modes produce a
- * byte-identical cells array. Worker failures are retried per
- * @p heal; a duplicate, missing, or out-of-range cell in a worker's
- * result file counts as that worker's failure and is attributed to
- * it (pid, exit status, shard file). Arms PREDILP_FAULTS (once per
- * process) before forking, so armed fault state is shared with every
- * worker.
+ * ("" skips the file). Each shard is priced by one evaluateBatch
+ * call (one streaming pass per trace for all its configs). Worker
+ * failures are retried per @p heal; a duplicate, missing, or
+ * out-of-range cell in a worker's result file counts as that
+ * worker's failure and is attributed to it (pid, exit status, shard
+ * file). Arms PREDILP_FAULTS (once per process) before forking, so
+ * armed fault state is shared with every worker.
  */
 SweepOutcome runSweep(const SweepSpec &spec, int workers,
                       const std::string &outPath,
-                      bool batch = true,
                       const SweepHealPolicy &heal = {});
 
 } // namespace predilp

@@ -14,8 +14,8 @@
  *    tags tracked for stats only); with higher associativity it
  *    becomes a tagged, LRU-replaced table that predicts not-taken on
  *    a tag miss. The per-entry predictor is selectable (2-bit
- *    saturating, 1-bit last-outcome, or static) — the sweep axes of
- *    ROADMAP item 3.
+ *    saturating, 1-bit last-outcome, or static) — the btb_* and
+ *    predictor axes of the sweep grid (driver/sweep.hh).
  */
 
 #ifndef PREDILP_SIM_CACHE_HH

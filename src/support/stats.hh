@@ -1,51 +1,19 @@
 /**
  * @file
- * Lightweight statistics helpers: named counters and a plain-text
- * table printer used by the benchmark harness to render the paper's
- * tables and figure data.
+ * Lightweight statistics helpers: a plain-text table printer and a
+ * mean, used by the benchmark harness to render the paper's tables
+ * and figure data. Named counters live in support/stats_registry.hh.
  */
 
 #ifndef PREDILP_SUPPORT_STATS_HH
 #define PREDILP_SUPPORT_STATS_HH
 
-#include <cstdint>
-#include <map>
 #include <ostream>
 #include <string>
 #include <vector>
 
 namespace predilp
 {
-
-/**
- * A named bag of 64-bit counters with merge support. Every component
- * of the simulator exposes its statistics through one of these so the
- * harness can aggregate and print them uniformly.
- */
-class StatSet
-{
-  public:
-    /** Add @p delta to counter @p name, creating it at zero. */
-    void add(const std::string &name, std::uint64_t delta = 1);
-
-    /** Overwrite counter @p name with @p value. */
-    void set(const std::string &name, std::uint64_t value);
-
-    /** @return the value of counter @p name, or 0 if absent. */
-    std::uint64_t get(const std::string &name) const;
-
-    /** Merge all counters of @p other into this set. */
-    void merge(const StatSet &other);
-
-    /** @return all counters in name order. */
-    const std::map<std::string, std::uint64_t> &counters() const
-    {
-        return counters_;
-    }
-
-  private:
-    std::map<std::string, std::uint64_t> counters_;
-};
 
 /**
  * Monospace table printer. Collects rows of strings and renders them

@@ -17,8 +17,8 @@
  * StatsSnapshot is the frozen, serializable view: counters plus
  * timers, rendered by toJson() as one nested JSON object grouped by
  * scope, and parseable back with fromJson() (round-trip exact).
- * Every bench binary emits its per-pass and per-simulator numbers
- * through this one seam.
+ * Every bench binary emits its harness, per-pass and per-simulator
+ * numbers through this one seam.
  */
 
 #ifndef PREDILP_SUPPORT_STATS_REGISTRY_HH

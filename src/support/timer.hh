@@ -1,13 +1,12 @@
 /**
  * @file
- * Wall-clock timing helpers for the bench harness and the suite
- * evaluator's per-phase instrumentation.
+ * Wall-clock timing helper for the bench harness. Phase totals that
+ * sum across threads are TimerTotals in a StatsRegistry.
  */
 
 #ifndef PREDILP_SUPPORT_TIMER_HH
 #define PREDILP_SUPPORT_TIMER_HH
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 
@@ -43,47 +42,6 @@ class WallTimer
 
   private:
     std::chrono::steady_clock::time_point start_;
-};
-
-/**
- * Thread-safe accumulator of wall-clock nanoseconds, for summing one
- * phase's time across concurrent evaluator tasks.
- */
-class PhaseAccumulator
-{
-  public:
-    /** Add @p nanos to the total. */
-    void
-    add(std::uint64_t nanos)
-    {
-        nanos_.fetch_add(nanos, std::memory_order_relaxed);
-    }
-
-    double
-    seconds() const
-    {
-        return static_cast<double>(
-                   nanos_.load(std::memory_order_relaxed)) *
-               1e-9;
-    }
-
-  private:
-    std::atomic<std::uint64_t> nanos_{0};
-};
-
-/** RAII guard: adds its scope's duration to a PhaseAccumulator. */
-class PhaseTimer
-{
-  public:
-    explicit PhaseTimer(PhaseAccumulator &acc) : acc_(acc) {}
-    ~PhaseTimer() { acc_.add(timer_.nanoseconds()); }
-
-    PhaseTimer(const PhaseTimer &) = delete;
-    PhaseTimer &operator=(const PhaseTimer &) = delete;
-
-  private:
-    PhaseAccumulator &acc_;
-    WallTimer timer_;
 };
 
 } // namespace predilp

@@ -2,8 +2,7 @@
  * @file
  * EvalRequest tests: the serializable request surface round-trips
  * through canonical JSON, rejects unknown keys, digests stably, and
- * evaluate(EvalRequest) produces exactly what the report.hh
- * SuiteConfig convenience wrappers produce for equivalent inputs.
+ * evaluate(EvalRequest) answers with the request's digest.
  */
 
 #include <gtest/gtest.h>
@@ -29,28 +28,6 @@ nonDefaultRequest()
     request.ablation.orTree = false;
     request.scale = 2;
     return request;
-}
-
-void
-expectResultsEq(const std::vector<BenchmarkResult> &a,
-                const std::vector<BenchmarkResult> &b)
-{
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].name, b[i].name);
-        EXPECT_EQ(a[i].baseCycles, b[i].baseCycles);
-        ASSERT_EQ(a[i].models.size(), b[i].models.size());
-        for (const auto &[model, sim] : a[i].models) {
-            const SimResult &other = b[i].models.at(model);
-            EXPECT_EQ(sim.cycles, other.cycles);
-            EXPECT_EQ(sim.dynInstrs, other.dynInstrs);
-            EXPECT_EQ(sim.mispredicts, other.mispredicts);
-            EXPECT_EQ(sim.icacheMisses, other.icacheMisses);
-            EXPECT_EQ(sim.dcacheMisses, other.dcacheMisses);
-            EXPECT_EQ(sim.exitValue, other.exitValue);
-            EXPECT_EQ(sim.output, other.output);
-        }
-    }
 }
 
 TEST(EvalRequest, JsonRoundTripIsExact)
@@ -128,24 +105,17 @@ TEST(EvalRequest, FromSuiteConfigMapsEveryField)
     EXPECT_TRUE(request.models.empty());
 }
 
-TEST(EvalRequest, EvaluateMatchesSuiteConfigWrappers)
+TEST(EvalRequest, ResponseCarriesRequestDigest)
 {
     SuiteConfig config;
     config.machine = issue8Branch1();
     config.threads = 1;
 
-    SuiteEvaluator modern(1);
+    SuiteEvaluator evaluator(1);
     EvalRequest request = EvalRequest::fromSuiteConfig(config);
     request.workloads = {"cmp"};
-    EvalResponse response = modern.evaluate(request);
+    EvalResponse response = evaluator.evaluate(request);
     EXPECT_EQ(response.requestDigest, request.requestDigest());
-
-    // The report.hh convenience wrappers go through the same entry
-    // point and must agree cell for cell.
-    const Workload *workload = findWorkload("cmp");
-    ASSERT_NE(workload, nullptr);
-    expectResultsEq({response.results.at(0)},
-                    {evaluateWorkload(*workload, config)});
 }
 
 TEST(EvalRequest, UnknownWorkloadThrows)

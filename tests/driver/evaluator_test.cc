@@ -100,24 +100,59 @@ TEST(SuiteEvaluator, ThreadCountDoesNotChangeResults)
         EXPECT_EQ(a[i].name, subset[i]);
 }
 
+TEST(SuiteEvaluator, StatsPrintEveryLeafFromConstruction)
+{
+    // A leaf no work reaches still prints, as zero: the warm-run
+    // gates read phases.emulate_seconds and store.miss by name.
+    SuiteEvaluator evaluator(1);
+    const StatsSnapshot stats = evaluator.stats();
+    EXPECT_EQ(stats.counters().size(), 24u);
+    EXPECT_EQ(stats.timers().size(), 4u);
+    for (const auto &[name, value] : stats.counters())
+        EXPECT_EQ(value, 0u) << name;
+    EXPECT_EQ(stats.timers().count("phases.emulate_seconds"), 1u);
+    EXPECT_EQ(stats.counters().count("store.miss"), 1u);
+    EXPECT_EQ(stats.counters().count("counters.trace_peak_bytes"), 1u);
+}
+
 TEST(SuiteEvaluator, RepeatHitsResultCache)
 {
     SuiteConfig config = smallConfig();
     SuiteEvaluator evaluator(1);
     auto first = evalSuite(evaluator, config, subset);
-    BenchTiming cold = evaluator.timing();
-    EXPECT_GT(cold.compiles, 0u);
-    EXPECT_EQ(cold.resultCacheHits, 0u);
+    const StatsSnapshot cold = evaluator.stats();
+    EXPECT_GT(cold.counter("counters.compiles"), 0u);
+    EXPECT_EQ(cold.counter("counters.result_cache_hits"), 0u);
+    // Per workload, the four trace captures share one reference run.
+    EXPECT_EQ(cold.counter("counters.reference_cache_hits"),
+              3 * subset.size());
 
     auto second = evalSuite(evaluator, config, subset);
-    BenchTiming warm = evaluator.timing();
+    const StatsSnapshot warm = evaluator.stats();
     expectResultsEq(first, second);
     // The repeat did no new work: every cell was a result-cache hit.
-    EXPECT_EQ(warm.compiles, cold.compiles);
-    EXPECT_EQ(warm.captures, cold.captures);
-    EXPECT_EQ(warm.replays, cold.replays);
-    EXPECT_EQ(warm.resultCacheHits,
-              cold.resultCacheHits + 4 * subset.size());
+    EXPECT_EQ(warm.counter("counters.compiles"),
+              cold.counter("counters.compiles"));
+    EXPECT_EQ(warm.counter("counters.captures"),
+              cold.counter("counters.captures"));
+    EXPECT_EQ(warm.counter("counters.replays"),
+              cold.counter("counters.replays"));
+    EXPECT_EQ(warm.counter("counters.result_cache_hits"),
+              4 * subset.size());
+
+    // timing() is a view of the same leaves.
+    const BenchTiming timing = evaluator.timing();
+    EXPECT_EQ(timing.compiles, warm.counter("counters.compiles"));
+    EXPECT_EQ(timing.prefixCompiles,
+              warm.counter("counters.prefix_compiles"));
+    EXPECT_EQ(timing.captures, warm.counter("counters.captures"));
+    EXPECT_EQ(timing.replays, warm.counter("counters.replays"));
+    EXPECT_EQ(timing.capturedRecords,
+              warm.counter("counters.captured_records"));
+    EXPECT_EQ(timing.replayedRecords,
+              warm.counter("counters.replayed_records"));
+    EXPECT_EQ(timing.resultCacheHits,
+              warm.counter("counters.result_cache_hits"));
 }
 
 TEST(SuiteEvaluator, TracesReusedAcrossSimConfigs)
@@ -128,17 +163,21 @@ TEST(SuiteEvaluator, TracesReusedAcrossSimConfigs)
 
     SuiteEvaluator evaluator(1);
     evalSuite(evaluator, perfect, subset);
-    BenchTiming cold = evaluator.timing();
+    const StatsSnapshot cold = evaluator.stats();
 
     evalSuite(evaluator, real, subset);
-    BenchTiming warm = evaluator.timing();
+    const StatsSnapshot warm = evaluator.stats();
     // Real caches change only the pricing: no recompilation or
     // re-emulation, every cell replayed from the cached trace.
-    EXPECT_EQ(warm.compiles, cold.compiles);
-    EXPECT_EQ(warm.captures, cold.captures);
-    EXPECT_EQ(warm.traceCacheHits,
-              cold.traceCacheHits + 4 * subset.size());
-    EXPECT_EQ(warm.replays, cold.replays + 4 * subset.size());
+    EXPECT_EQ(warm.counter("counters.compiles"),
+              cold.counter("counters.compiles"));
+    EXPECT_EQ(warm.counter("counters.captures"),
+              cold.counter("counters.captures"));
+    EXPECT_EQ(warm.counter("counters.trace_cache_hits"),
+              cold.counter("counters.trace_cache_hits") +
+                  4 * subset.size());
+    EXPECT_EQ(warm.counter("counters.replays"),
+              cold.counter("counters.replays") + 4 * subset.size());
 }
 
 TEST(SuiteEvaluator, ModelSubsetEvaluatesOnlyThatModel)
@@ -153,7 +192,7 @@ TEST(SuiteEvaluator, ModelSubsetEvaluatesOnlyThatModel)
     EXPECT_GT(r.baseCycles, 0u);
     EXPECT_GT(r.speedup(Model::FullPred), 0.0);
     // Baseline + one model: exactly two compiles.
-    EXPECT_EQ(evaluator.timing().compiles, 2u);
+    EXPECT_EQ(evaluator.stats().counter("counters.compiles"), 2u);
 }
 
 TEST(SuiteEvaluator, ReleaseTracesKeepsResults)
@@ -161,14 +200,19 @@ TEST(SuiteEvaluator, ReleaseTracesKeepsResults)
     SuiteConfig config = smallConfig();
     SuiteEvaluator evaluator(1);
     auto first = evalSuite(evaluator, config, subset);
-    EXPECT_GT(evaluator.timing().traceBytes, 0u);
+    const std::uint64_t peak =
+        evaluator.stats().counter("counters.trace_peak_bytes");
+    EXPECT_GT(evaluator.stats().counter("counters.trace_bytes"), 0u);
     evaluator.releaseTraces();
-    EXPECT_EQ(evaluator.timing().traceBytes, 0u);
+    EXPECT_EQ(evaluator.stats().counter("counters.trace_bytes"), 0u);
+    EXPECT_EQ(evaluator.stats().counter("counters.trace_peak_bytes"),
+              peak);
     // Priced results survive the trace drop.
     auto second = evalSuite(evaluator, config, subset);
     expectResultsEq(first, second);
     // Per workload: 4 capturing emulations + 1 reference run.
-    EXPECT_EQ(evaluator.timing().captures, first.size() * 5);
+    EXPECT_EQ(evaluator.stats().counter("counters.captures"),
+              first.size() * 5);
 }
 
 TEST(SuiteEvaluator, UnknownWorkloadPanics)
@@ -215,14 +259,16 @@ TEST(SuiteEvaluator, FailedComputationIsEvictedForRetry)
     // The model compile lands before the capture traps, so a real
     // retry recompiles; a poisoned cache would instead resolve the
     // retry as a trace-cache hit with no new compile.
-    const BenchTiming cold = evaluator.timing();
-    EXPECT_GT(cold.compiles, 0u);
+    const StatsSnapshot cold = evaluator.stats();
+    EXPECT_GT(cold.counter("counters.compiles"), 0u);
     EXPECT_THROW(
         evalOne(evaluator, *workload, tiny, {Model::FullPred}),
         EmuTrap);
-    const BenchTiming warm = evaluator.timing();
-    EXPECT_GT(warm.compiles, cold.compiles);
-    EXPECT_EQ(warm.traceCacheHits, cold.traceCacheHits);
+    const StatsSnapshot warm = evaluator.stats();
+    EXPECT_GT(warm.counter("counters.compiles"),
+              cold.counter("counters.compiles"));
+    EXPECT_EQ(warm.counter("counters.trace_cache_hits"),
+              cold.counter("counters.trace_cache_hits"));
 }
 
 TEST(SuiteEvaluator, IsolatedTrapCellDegradesToErrorAndReproducer)
@@ -343,9 +389,9 @@ TEST(SuiteEvaluator, EvaluateBatchMatchesSequentialEvaluation)
     // Trace-once across the whole batch: the four configurations
     // share one set of captures (4 capturing cells + 1 reference
     // per workload), and every cell was replayed exactly once.
-    BenchTiming timing = batched.timing();
-    EXPECT_EQ(timing.captures, subset.size() * 5);
-    EXPECT_EQ(timing.replays,
+    const StatsSnapshot stats = batched.stats();
+    EXPECT_EQ(stats.counter("counters.captures"), subset.size() * 5);
+    EXPECT_EQ(stats.counter("counters.replays"),
               requests.size() * subset.size() * 4);
 }
 
@@ -361,10 +407,11 @@ TEST(SuiteEvaluator, EvaluateBatchSeedsResultCache)
 
     SuiteEvaluator evaluator(1);
     evaluator.evaluateBatch(requests);
-    BenchTiming timing = evaluator.timing();
-    EXPECT_EQ(timing.resultCacheHits,
+    const StatsSnapshot stats = evaluator.stats();
+    EXPECT_EQ(stats.counter("counters.result_cache_hits"),
               requests.size() * subset.size() * 4);
-    EXPECT_EQ(timing.replays, requests.size() * subset.size() * 4);
+    EXPECT_EQ(stats.counter("counters.replays"),
+              requests.size() * subset.size() * 4);
 }
 
 TEST(SuiteEvaluator, VerifyEachPassPolicyMatchesDefaultResults)

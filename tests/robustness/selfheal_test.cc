@@ -121,10 +121,10 @@ TEST_F(SelfHeal, ThreadedCaptureTrapFallsBackToInterpreter)
     faultpoints::armFromSpec("emu.threaded.capture=once");
     SuiteEvaluator healed(2);
     EXPECT_EQ(fingerprint(healed.evaluate(request)), expected);
-    BenchTiming timing = healed.timing();
-    EXPECT_EQ(timing.backendFallbacks, 1u);
+    const StatsSnapshot stats = healed.stats();
+    EXPECT_EQ(stats.counter("emu.backend_fallbacks"), 1u);
     // The fallback capture ran on the interpreter.
-    EXPECT_GT(timing.interpRecords, 0u);
+    EXPECT_GT(stats.counter("emu.records.interp"), 0u);
 }
 
 TEST_F(SelfHeal, FailedBatchGroupRecomputesSequentially)
@@ -142,7 +142,7 @@ TEST_F(SelfHeal, FailedBatchGroupRecomputesSequentially)
     ASSERT_EQ(responses.size(), 2u);
     EXPECT_EQ(fingerprint(responses[0]), expectedA);
     EXPECT_EQ(fingerprint(responses[1]), expectedB);
-    EXPECT_GE(healed.timing().batchFallbacks, 1u);
+    EXPECT_GE(healed.stats().counter("counters.batch_fallbacks"), 1u);
 }
 
 TEST_F(SelfHeal, IsolatedCellRecordsInjectedFaultKind)
@@ -186,7 +186,7 @@ TEST_F(SelfHeal, ValidateFaultQuarantinesAndRecomputes)
     SuiteEvaluator first(2);
     first.setPolicy(storePolicy(dir));
     const std::string expected = fingerprint(first.evaluate(request));
-    ASSERT_GT(first.timing().storeWrites, 0u);
+    ASSERT_GT(first.stats().counter("store.write"), 0u);
 
     // Every artifact load in this evaluator's cold pass fails
     // validation once; the store must quarantine and recompute.
@@ -194,16 +194,15 @@ TEST_F(SelfHeal, ValidateFaultQuarantinesAndRecomputes)
     SuiteEvaluator second(2);
     second.setPolicy(storePolicy(dir));
     EXPECT_EQ(fingerprint(second.evaluate(request)), expected);
-    BenchTiming timing = second.timing();
-    EXPECT_GE(timing.storeRepairs, 1u);
+    EXPECT_GE(second.stats().counter("store.repair"), 1u);
     // The recomputed artifact was republished: a third, disarmed
     // evaluator loads it clean with zero emulation.
     faultpoints::resetForTest();
     SuiteEvaluator third(2);
     third.setPolicy(storePolicy(dir));
     EXPECT_EQ(fingerprint(third.evaluate(request)), expected);
-    EXPECT_EQ(third.timing().captures, 0u);
-    EXPECT_GT(third.timing().storeHits, 0u);
+    EXPECT_EQ(third.stats().counter("counters.captures"), 0u);
+    EXPECT_GT(third.stats().counter("store.hit"), 0u);
 }
 
 TEST_F(SelfHeal, MmapFaultDegradesToRecompute)
@@ -218,7 +217,7 @@ TEST_F(SelfHeal, MmapFaultDegradesToRecompute)
     SuiteEvaluator second(2);
     second.setPolicy(storePolicy(dir));
     EXPECT_EQ(fingerprint(second.evaluate(request)), expected);
-    EXPECT_GE(second.timing().storeRepairs, 1u);
+    EXPECT_GE(second.stats().counter("store.repair"), 1u);
 }
 
 TEST_F(SelfHeal, RacingEvaluatorsBothRecoverFromCorruption)

@@ -105,8 +105,8 @@ TEST_F(SweepHeal, StorePublishCrashConvergesWithSharedStore)
     // still merges to the clean bytes.
     SweepOutcome warm = runSweep(tinySpec(), 2, "");
     ASSERT_EQ(unsetenv("PREDILP_STORE"), 0);
-    EXPECT_EQ(warm.timing.captures, 0u);
-    EXPECT_GT(warm.timing.storeHits, 0u);
+    EXPECT_EQ(warm.timing.counter("counters.captures"), 0u);
+    EXPECT_GT(warm.timing.counter("store.hit"), 0u);
     EXPECT_EQ(warm.cellsJson, cleanCells());
 }
 
@@ -119,7 +119,7 @@ TEST_F(SweepHeal, WatchdogKillsHungWorkerAndRetries)
     faultpoints::armFromSpec("sweep.worker.start=nth:1:delay:30000");
     SweepHealPolicy heal;
     heal.watchdogSec = 2.0;
-    SweepOutcome outcome = runSweep(tinySpec(), 2, "", true, heal);
+    SweepOutcome outcome = runSweep(tinySpec(), 2, "", heal);
     EXPECT_GE(outcome.workerRetries, 1);
     EXPECT_EQ(outcome.degradedCells, 0u);
     EXPECT_EQ(outcome.cellsJson, expected);
@@ -141,7 +141,7 @@ TEST_F(SweepHeal, ExhaustedShardDegradesWithAttribution)
     heal.maxAttempts = 2;
     heal.backoffSec = 0.01;
     SweepOutcome outcome =
-        runSweep(tinySpec(), 2, report, true, heal);
+        runSweep(tinySpec(), 2, report, heal);
     EXPECT_EQ(outcome.degradedCells, 2u);
     EXPECT_EQ(outcome.workerRetries, 2);
 
@@ -176,7 +176,7 @@ TEST_F(SweepHeal, NoDegradeFailsTheSweepWithAttribution)
     heal.maxAttempts = 1;
     heal.degradeCells = false;
     try {
-        runSweep(tinySpec(), 2, "", true, heal);
+        runSweep(tinySpec(), 2, "", heal);
         FAIL() << "expected FatalError";
     } catch (const FatalError &e) {
         const std::string message = e.what();

@@ -301,12 +301,13 @@ TEST(ArtifactStore, WarmEvaluatorSkipsAllCompileAndEmulation)
     EvalRequest request = EvalRequest::fromSuiteConfig(config);
     request.workloads = {workload->name};
     BenchmarkResult first = cold.evaluate(request).results.at(0);
-    BenchTiming coldTiming = cold.timing();
-    EXPECT_GT(coldTiming.compiles, 0u);
-    EXPECT_GT(coldTiming.captures, 0u);
-    EXPECT_EQ(coldTiming.storeHits, 0u);
-    EXPECT_EQ(coldTiming.storeMisses, coldTiming.storeWrites);
-    EXPECT_GT(coldTiming.storeWrites, 0u);
+    const StatsSnapshot coldStats = cold.stats();
+    EXPECT_GT(coldStats.counter("counters.compiles"), 0u);
+    EXPECT_GT(coldStats.counter("counters.captures"), 0u);
+    EXPECT_EQ(coldStats.counter("store.hit"), 0u);
+    EXPECT_EQ(coldStats.counter("store.miss"),
+              coldStats.counter("store.write"));
+    EXPECT_GT(coldStats.counter("store.write"), 0u);
 
     // Warm process (a fresh evaluator on the same store): every
     // cell loads from disk — no compiles, no emulation at all (the
@@ -316,13 +317,14 @@ TEST(ArtifactStore, WarmEvaluatorSkipsAllCompileAndEmulation)
     warm.setPolicy(policy);
     BenchmarkResult second =
         warm.evaluate(request).results.at(0);
-    BenchTiming warmTiming = warm.timing();
-    EXPECT_EQ(warmTiming.compiles, 0u);
-    EXPECT_EQ(warmTiming.prefixCompiles, 0u);
-    EXPECT_EQ(warmTiming.captures, 0u);
-    EXPECT_EQ(warmTiming.storeMisses, 0u);
-    EXPECT_EQ(warmTiming.storeHits, coldTiming.storeWrites);
-    EXPECT_GT(warmTiming.storeBytesMapped, 0u);
+    const StatsSnapshot warmStats = warm.stats();
+    EXPECT_EQ(warmStats.counter("counters.compiles"), 0u);
+    EXPECT_EQ(warmStats.counter("counters.prefix_compiles"), 0u);
+    EXPECT_EQ(warmStats.counter("counters.captures"), 0u);
+    EXPECT_EQ(warmStats.counter("store.miss"), 0u);
+    EXPECT_EQ(warmStats.counter("store.hit"),
+              coldStats.counter("store.write"));
+    EXPECT_GT(warmStats.counter("store.bytes_mapped"), 0u);
 
     EXPECT_EQ(first.baseCycles, second.baseCycles);
     ASSERT_EQ(first.models.size(), second.models.size());

@@ -46,7 +46,7 @@ int
 usage(std::ostream &os, int code)
 {
     os << "usage: predilp_sweep --spec FILE [--workers N] "
-          "[--out FILE] [--no-batch]\n"
+          "[--out FILE]\n"
           "                     [--retries N] [--watchdog-sec S] "
           "[--no-degrade]\n"
           "       predilp_sweep --print-spec | "
@@ -57,10 +57,6 @@ usage(std::ostream &os, int code)
           "sequential)\n"
           "  --out FILE     consolidated report path (default "
           "BENCH_sweep.json)\n"
-          "  --no-batch     evaluate cell by cell instead of one "
-          "batched replay\n"
-          "                 pass per trace (identical output; for "
-          "comparison/CI)\n"
           "  --retries N    retry a failed shard up to N times on "
           "fresh workers\n"
           "                 (default 2; 0 disables retry)\n"
@@ -94,7 +90,6 @@ main(int argc, char **argv)
     std::string specPath;
     std::string outPath = "BENCH_sweep.json";
     int workers = 1;
-    bool batch = true;
     SweepHealPolicy heal;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -121,8 +116,6 @@ main(int argc, char **argv)
             }
         } else if (arg == "--out" && i + 1 < argc) {
             outPath = argv[++i];
-        } else if (arg == "--no-batch") {
-            batch = false;
         } else if (arg == "--retries" && i + 1 < argc) {
             int retries = std::atoi(argv[++i]);
             if (retries < 0) {
@@ -161,7 +154,7 @@ main(int argc, char **argv)
             SweepSpec::fromJson(JsonValue::parse(text.str()));
 
         SweepOutcome outcome =
-            runSweep(spec, workers, outPath, batch, heal);
+            runSweep(spec, workers, outPath, heal);
         std::cout << "-- sweep: " << outcome.cells << " cells, "
                   << outcome.workers << " workers";
         if (outcome.workerRetries > 0)
