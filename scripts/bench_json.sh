@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Run each bench binary twice against a persistent artifact store and
-# validate every BENCH_*.json it emits (the StatsSnapshot-serialized
-# observability payload) with a strict JSON parser.
+# Run each bench binary cold, then warm twice, against a persistent
+# artifact store and validate every BENCH_*.json it emits (the
+# StatsSnapshot-serialized observability payload) with a strict JSON
+# parser.
 #
 # Cold pass: enforces the packed-trace size contract — the throughput
 # counters must be present and bytes-per-capture / bytes-per-entry
@@ -11,11 +12,18 @@
 # rates depend on the machine, so perfbench/ judges them against the
 # parent commit's runs instead.
 #
-# Warm pass: reruns the same binaries against the store populated by
-# the cold pass and enforces the store contract — every
-# evaluator-driven bench (store.hit > 0) must report zero compiles,
-# zero captures, zero emulation seconds, and figure output
-# bit-identical to the cold run.
+# Served warm pass: reruns the same binaries against the store
+# populated by the cold pass and enforces the result-tier contract —
+# every evaluator-driven bench (store.result_hit > 0) must serve its
+# cells from their certified records: zero compiles, zero captures,
+# zero replays, zero emulation seconds, zero record writes, and
+# figure output bit-identical to the cold run.
+#
+# Trace-tier warm pass: removes the certified records and reruns, so
+# every cell maps its trace from the store — every evaluator-driven
+# bench (store.hit > 0) must report zero compiles, zero captures,
+# zero emulation seconds, and figure output bit-identical to the
+# cold run. It republishes the records it replays.
 #
 # Interp-backend pass: reruns everything with PREDILP_EMU=interp
 # against a separate (cold) store and requires figure output
@@ -56,12 +64,14 @@ run_benches() {
     done
 }
 
-# Archive the previous run's certified result records (if any) before
-# this run republishes over them, so the drift gate below can compare
-# the two runs cell by cell.
+# Move the previous run's certified result records (if any) out of
+# the store, so the drift gate below can compare the two runs cell by
+# cell. Moved, not copied: with the records in place the cold pass
+# would serve every cell from them, and the gate would compare those
+# records with themselves.
 rm -rf results-before
 if [ -d "${PREDILP_STORE}/results" ]; then
-    cp -r "${PREDILP_STORE}/results" results-before
+    mv "${PREDILP_STORE}/results" results-before
 fi
 
 echo "== cold pass (store: ${PREDILP_STORE}) =="
@@ -169,18 +179,33 @@ for json in "${jsons[@]}"; do
     cp "${json}" "cold/${json}"
 done
 
-echo "== warm pass =="
-run_benches
-
-python3 - "${jsons[@]}" <<'EOF'
+# warm_gate MODE JSON...: the zero-work and warm == cold checks of a
+# warm pass. MODE "served" expects every cell from its certified
+# record; "traces" expects every trace mapped from the store.
+warm_gate() {
+    python3 - "$@" <<'EOF'
 import json
 import os
 import sys
+
+mode, paths = sys.argv[1], sys.argv[2:]
 
 # Injected faults legitimately break the warm zero-work contract
 # (quarantine-and-recompute re-emulates on purpose); the figure
 # bit-identity contract below still binds.
 ZERO_WORK = not os.environ.get("PREDILP_FAULTS")
+
+# The leaf that marks an evaluator-driven bench in this mode, and the
+# leaves such a bench must leave at zero.
+if mode == "served":
+    HIT = "result_hit"
+    ZERO = (("store", "miss"), ("store", "result_write"),
+            ("counters", "compiles"), ("counters", "captures"),
+            ("counters", "replays"), ("phases", "emulate_seconds"))
+else:
+    HIT = "hit"
+    ZERO = (("store", "miss"), ("counters", "compiles"),
+            ("counters", "captures"), ("phases", "emulate_seconds"))
 
 failed = False
 
@@ -199,43 +224,51 @@ def zero_work_fail(msg):
 
 
 asserted = 0
-for path in sys.argv[1:]:
+for path in paths:
     with open(path) as f:
         warm = json.load(f)
     timing = warm["timing"]
     store = timing.get("store", {})
-    if store.get("hit", 0) == 0:
+    if store.get(HIT, 0) == 0:
         # Not evaluator-driven (e.g. the replay-kernel
         # microbenchmark bypasses the cache tiers): no store
         # contract to enforce.
-        print(f"skip: {path} (no store hits)")
+        print(f"skip: {path} (no store.{HIT})")
         continue
     asserted += 1
 
     # A missing leaf fails outright: reading it as 0 would turn the
     # gate off silently when a counter is renamed.
-    for scope, key in (("store", "miss"), ("counters", "compiles"),
-                       ("counters", "captures"),
-                       ("phases", "emulate_seconds")):
+    for scope, key in ZERO:
         value = timing.get(scope, {}).get(key)
         if value is None:
             fail(f"{path}: no timing.{scope}.{key}")
         elif value != 0:
-            zero_work_fail(f"{path}: warm run did work "
+            zero_work_fail(f"{path}: {mode} warm run did work "
                            f"(timing.{scope}.{key} = {value})")
 
     with open(f"cold/{path}") as f:
         cold = json.load(f)
     if warm["benchmarks"] != cold["benchmarks"]:
-        fail(f"{path}: warm figure output differs from cold run")
+        fail(f"{path}: {mode} warm figure output differs from cold run")
     else:
-        print(f"ok: {path} warm == cold "
-              f"({store['hit']} store hits, 0 emulations)")
+        print(f"ok: {path} {mode} warm == cold "
+              f"({store[HIT]} store.{HIT}, 0 emulations)")
 
 if asserted == 0:
-    fail("no bench exercised the artifact store")
+    fail(f"no bench exercised the artifact store ({mode} warm pass)")
 sys.exit(1 if failed else 0)
 EOF
+}
+
+echo "== served warm pass =="
+run_benches
+warm_gate served "${jsons[@]}"
+
+echo "== trace-tier warm pass (certified records removed) =="
+rm -rf "${PREDILP_STORE}/results"
+run_benches
+warm_gate traces "${jsons[@]}"
 
 # Interp-backend pass: force the interpreter backend against a
 # separate, empty store so every evaluator bench actually re-captures

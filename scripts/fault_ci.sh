@@ -19,11 +19,19 @@
 # file / truncated artifact), and a `delay` hang reaped by the
 # supervisor watchdog.
 #
+# Load-side points (store.load.*) run against the warm store and must
+# show their repair in the report: store.repair for the artifact
+# points, which run with the certified records removed so every trace
+# is mapped and validated, and store.result_repair for the record
+# read.
+#
 # Serve-no-corruption pass: after the whole matrix has battered the
 # shared store, one disarmed healing run republishes anything a torn
 # publish left behind, then a warm run must do zero compiles and zero
-# captures and still merge to the baseline bytes — proving no corrupt
-# artifact was ever served as truth.
+# captures and still merge to the baseline bytes — once served from
+# the certified records, once with them removed so every artifact is
+# mapped and validated — proving no corrupt artifact or record was
+# ever served as truth.
 #
 # Usage: scripts/fault_ci.sh. Assumes scripts/tier1.sh already built.
 set -euo pipefail
@@ -84,15 +92,58 @@ run_case() {
     echo "ok: ${name} converged to baseline cells"
 }
 
+# expect_repair REPORT LEAF: the report's timing.store.LEAF is >= 1,
+# so the armed load-side point really bit.
+expect_repair() {
+    python3 - "$@" <<'PYEOF'
+import json
+import sys
+
+report_path, leaf = sys.argv[1:3]
+with open(report_path) as f:
+    store = json.load(f)["timing"]["store"]
+if leaf not in store:
+    sys.exit(f"error: {report_path}: no timing.store.{leaf}")
+if store[leaf] < 1:
+    sys.exit(f"error: {report_path}: timing.store.{leaf} = "
+             f"{store[leaf]}; the armed load point never bit")
+print(f"ok: timing.store.{leaf} = {store[leaf]}")
+PYEOF
+}
+
+# expect_no_new_work REPORT: the warm run compiled and captured nothing.
+expect_no_new_work() {
+    python3 - "$@" <<'PYEOF'
+import json
+import sys
+
+path = sys.argv[1]
+with open(path) as f:
+    counters = json.load(f)["timing"]["counters"]
+for key in ("compiles", "captures"):
+    # A missing counter fails: read as 0 it would pass silently.
+    if key not in counters:
+        sys.exit(f"error: warm run report has no timing.counters.{key}")
+    if counters[key] != 0:
+        sys.exit(f"error: warm run after fault matrix did new work "
+                 f"({counters[key]} {key}) — a corrupt artifact "
+                 f"survived in the store")
+print("ok: warm store serves only validated artifacts "
+      "(0 compiles, 0 captures)")
+PYEOF
+}
+
 echo "== baseline pass (store: ${PREDILP_STORE}) =="
 "${SWEEP}" --spec "${OUT}/grid.json" --workers 2 \
     --out "${OUT}/baseline.json"
 extract_cells "${OUT}/baseline.json" "${OUT}/baseline_cells.json"
 
 # Every registered point, armed one at a time. The load-side points
-# need the warm store (they fire on real artifact loads); everything
-# else gets a cold store so compile/capture/publish actually run and
-# the armed point genuinely bites.
+# need the warm store (they fire on real loads): the artifact points
+# with the certified records removed, since a served cell maps no
+# trace; the record point with them in place. Everything else gets a
+# cold store so compile/capture/publish actually run and the armed
+# point genuinely bites.
 points=$("${SWEEP}" --list-fault-points)
 if [ -z "${points}" ]; then
     echo "error: --list-fault-points returned nothing" >&2
@@ -101,10 +152,16 @@ fi
 echo "== matrix pass ($(echo "${points}" | wc -l) registered points) =="
 while IFS= read -r point; do
     case "${point}" in
-        store.load.*) ;;
+        store.load.result) ;;
+        store.load.*) rm -rf "${PREDILP_STORE}/results" ;;
         *) rm -rf "${PREDILP_STORE}" ;;
     esac
     run_case "throw ${point}" "${point}=once" 0
+    case "${point}" in
+        store.load.result)
+            expect_repair "${OUT}/report.json" result_repair ;;
+        store.load.*) expect_repair "${OUT}/report.json" repair ;;
+    esac
 done <<< "${points}"
 
 echo "== kill pass =="
@@ -144,27 +201,16 @@ echo "== serve-no-corruption pass =="
 # A torn publish may still be sitting in the store; one disarmed run
 # is allowed to quarantine and recompute it...
 run_case "healing run" "" 0
-# ...after which the warm run must find only good artifacts: zero
-# compiles, zero captures, baseline bytes.
+# ...after which the warm run must find only good records and
+# artifacts: zero compiles, zero captures, baseline bytes. Once served
+# from the certified records...
 run_case "warm run" "" 0
-python3 - "${OUT}/report.json" <<'PYEOF'
-import json
-import sys
-
-path = sys.argv[1]
-with open(path) as f:
-    counters = json.load(f)["timing"]["counters"]
-for key in ("compiles", "captures"):
-    # A missing counter fails: read as 0 it would pass silently.
-    if key not in counters:
-        sys.exit(f"error: warm run report has no timing.counters.{key}")
-    if counters[key] != 0:
-        sys.exit(f"error: warm run after fault matrix did new work "
-                 f"({counters[key]} {key}) — a corrupt artifact "
-                 f"survived in the store")
-print("ok: warm store serves only validated artifacts "
-      "(0 compiles, 0 captures)")
-PYEOF
+expect_no_new_work "${OUT}/report.json"
+# ...and once with the records removed, so every artifact is mapped
+# and validated (the run republishes the records).
+rm -rf "${PREDILP_STORE}/results"
+run_case "warm run (traces only)" "" 0
+expect_no_new_work "${OUT}/report.json"
 
 # ...and the whole store must pass the provenance contract: every
 # artifact validates and carries a non-empty provenance section,

@@ -14,8 +14,8 @@
 # the sharded run's — the sweep's merge contract.
 #
 # Warm pass: re-runs the sharded sweep against the store the cold
-# pass populated and requires zero compiles and zero captures: every
-# trace must come off disk.
+# pass populated and requires zero compiles, zero captures and zero
+# replays: every cell must be served from its certified record.
 #
 # Usage: scripts/sweep_ci.sh. Assumes scripts/tier1.sh already built.
 # PREDILP_STORE overrides the store location (default
@@ -166,14 +166,14 @@ timing = warm.get("timing", {})
 counters = timing.get("counters", {})
 store = timing.get("store", {})
 # A missing counter fails: read as 0 it would pass the gate silently.
-for key in ("compiles", "captures"):
+for key in ("compiles", "captures", "replays"):
     if key not in counters:
         fail(f"{warm_path}: no timing.counters.{key}")
     elif counters[key] != 0:
         fail(f"{warm_path}: warm sweep did new work "
              f"({counters[key]} {key})")
-if store.get("hit", 0) == 0:
-    fail(f"{warm_path}: warm sweep never hit the store")
+if store.get("result_hit", 0) == 0:
+    fail(f"{warm_path}: warm sweep served no certified record")
 
 with open(cold_path) as f:
     cold = json.load(f)
@@ -182,7 +182,7 @@ if warm["cells"] != cold["cells"]:
 
 if not failed:
     print(f"ok: warm sweep did no new work "
-          f"({store.get('hit', 0)} store hits, 0 compiles, "
-          f"0 captures)")
+          f"({store.get('result_hit', 0)} record hits, 0 compiles, "
+          f"0 captures, 0 replays)")
 sys.exit(1 if failed else 0)
 EOF

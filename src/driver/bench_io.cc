@@ -93,12 +93,20 @@ printPhaseTiming(std::ostream &os, const StatsSnapshot &stats,
            << n("emu.records.threaded") << " threaded, "
            << n("emu.records.interp") << " interp\n";
     }
-    if (n("store.hit") + n("store.miss") + n("store.write") > 0) {
-        os << "-- store: " << n("store.hit") << " hits, "
+    // A fully served warm run touches only the result tier, so
+    // either tier's traffic prints the line.
+    if (n("store.hit") + n("store.miss") + n("store.write") +
+            n("store.result_hit") + n("store.result_miss") +
+            n("store.result_write") >
+        0) {
+        os << "-- store: traces " << n("store.hit") << " hits, "
            << n("store.miss") << " misses, " << n("store.write")
            << " writes, " << n("store.repair") << " repairs, "
            << n("store.bytes_mapped") / (1024 * 1024)
-           << " MiB mapped\n";
+           << " MiB mapped | results " << n("store.result_hit")
+           << " hits, " << n("store.result_miss") << " misses, "
+           << n("store.result_write") << " writes, "
+           << n("store.result_repair") << " repairs\n";
     }
 }
 

@@ -2,7 +2,9 @@
  * @file
  * Certified result records: the provenance identity of one priced
  * bench/sweep cell and its sealed, schema-tagged JSON record
- * (DESIGN.md §6k).
+ * (DESIGN.md §6k). This file and certified.cc are the only code that
+ * knows the record layout: certifiedRecord() writes it and
+ * decodeCertifiedRecord() reads it back.
  *
  * The paper's headline claims are figure deltas, so the system of
  * record must make "did this number change, and why?" answerable
@@ -15,30 +17,47 @@
  * sets of these records by provenance identity and classifies every
  * figure delta as identical, explained by a named digest change, or
  * unexplained drift.
+ *
+ * The records are also the store's result tier: a warm evaluator
+ * serves a cell straight from its record (decoded to the exact
+ * SimResult that was published) without mapping or replaying its
+ * trace.
  */
 
 #ifndef PREDILP_DRIVER_CERTIFIED_HH
 #define PREDILP_DRIVER_CERTIFIED_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "driver/pipeline.hh"
+#include "sim/timing.hh"
 #include "support/json.hh"
 
 namespace predilp
 {
-
-struct SimResult;
 
 /**
  * Schema tag carried by every certified record and hashed into its
  * store key. Bump it on any intended change to record shape or
  * figure semantics: old and new records then live under different
  * keys, so the change surfaces in predilp_diff as added/removed
- * cells instead of unexplained drift.
+ * cells instead of unexplained drift, and a warm store never serves
+ * figures the current pricing code would not produce.
  */
-inline constexpr const char *certSchemaTag = "predilp-cert-v1";
+inline constexpr const char *certSchemaTag = "predilp-cert-v2";
+
+/**
+ * sha256 over the certifiedFigures() dumps of a fixed set of cells
+ * whose figures depend only on the emulator and CycleModel
+ * (Certified.FiguresPinnedToSchemaTag). A record's key names the
+ * source, pass list, config and trace but no pricing code, so a
+ * change that moves these figures must bump certSchemaTag and
+ * re-pin this digest.
+ */
+inline constexpr const char *certFiguresPin =
+    "1f26844f69d73c24663add4d0a5512d5f122d6d5e96292b7a72c45003e6c5077";
 
 /**
  * Everything that identifies one priced cell and everything that can
@@ -66,6 +85,8 @@ struct CellProvenance
     /** Join key for cross-run matching: the identity members only,
      * so two runs of the same cell compare even when digests moved. */
     std::string identityKey() const;
+
+    bool operator==(const CellProvenance &) const = default;
 };
 
 /**
@@ -97,10 +118,29 @@ std::string certifiedResultKey(const CellProvenance &prov);
 JsonValue certifiedFigures(const SimResult &sim);
 
 /** The full (unsealed) certified record for one priced cell:
- * { schema, provenance, figures }. Seal and publish via
+ * { schema, provenance, figures, run }, where run holds the
+ * program's exit_value and output. Seal and publish via
  * ArtifactStore::saveResult. */
 JsonValue certifiedRecord(const CellProvenance &prov,
                           const SimResult &sim);
+
+/** A certified record read back: the cell it names and its result. */
+struct CertifiedCell
+{
+    CellProvenance provenance;
+    /** Equal field for field to the SimResult that was published. */
+    SimResult result;
+};
+
+/**
+ * Decode a certified record whose seal the caller has checked
+ * (readSealedJson). nullopt unless the schema tag is certSchemaTag,
+ * every provenance member is present with its type, every headline
+ * figure is present, every figure is a non-negative integer, and the
+ * run member holds an integer exit_value and a string output.
+ */
+std::optional<CertifiedCell>
+decodeCertifiedRecord(const JsonValue &record);
 
 } // namespace predilp
 

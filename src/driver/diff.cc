@@ -132,55 +132,25 @@ addBenchDoc(const JsonValue &doc, const std::string &origin,
         addBenchmarks(*benchmarks, benchName, origin, set);
 }
 
-/** The identity half of a certified record's provenance object,
- * rendered exactly as CellProvenance::identityKey(). */
-std::string
-certIdentity(const JsonValue &prov)
-{
-    auto str = [&prov](const char *key) -> std::string {
-        const JsonValue *value = prov.find(key);
-        return value != nullptr &&
-                       value->kind() == JsonValue::Kind::String
-                   ? value->asString()
-                   : "?";
-    };
-    auto num = [&prov](const char *key) -> std::string {
-        const JsonValue *value = prov.find(key);
-        return value != nullptr && value->isNumber()
-                   ? value->dump()
-                   : "?";
-    };
-    std::ostringstream os;
-    os << str("workload") << '|' << str("model") << "|s"
-       << num("scale") << "|a" << str("ablation") << "|f"
-       << num("fuel") << "|m" << str("machine");
-    return os.str();
-}
-
+/** One certified record: a cell keyed by its provenance identity.
+ * Shape is checked by the decoder the evaluator serves through. */
 void
 addCertRecord(const std::string &path, ResultSet &set)
 {
     std::optional<JsonValue> record = readSealedJson(path);
-    if (!record) {
-        set.invalidRecords++;
-        return;
-    }
-    const JsonValue *schema = record->find("schema");
-    const JsonValue *prov = record->find("provenance");
-    const JsonValue *figures = record->find("figures");
-    if (schema == nullptr ||
-        schema->kind() != JsonValue::Kind::String ||
-        schema->asString() != certSchemaTag || prov == nullptr ||
-        !prov->isObject() || figures == nullptr ||
-        !figures->isObject()) {
+    std::optional<CertifiedCell> decoded;
+    if (record)
+        decoded = decodeCertifiedRecord(*record);
+    if (!decoded) {
         set.invalidRecords++;
         return;
     }
     DiffCell cell;
-    cell.identity = certIdentity(*prov);
-    cell.evidence = evidenceFrom(*prov);
+    cell.identity = decoded->provenance.identityKey();
+    cell.evidence = evidenceFrom(decoded->provenance.toJson());
     cell.origin = path;
-    flattenFigures(*figures, "", cell.figures);
+    flattenFigures(certifiedFigures(decoded->result), "",
+                   cell.figures);
     set.cells.push_back(std::move(cell));
 }
 
@@ -513,7 +483,8 @@ verifyStoreProvenance(std::ostream &os, const std::string &storeDir)
         for (const std::string &path :
              sortedFiles(results.string(), true, ".cert.json",
                          "")) {
-            if (!readSealedJson(path)) {
+            std::optional<JsonValue> record = readSealedJson(path);
+            if (!record || !decodeCertifiedRecord(*record)) {
                 os << "violation: invalid certified record " << path
                    << '\n';
                 ++violations;

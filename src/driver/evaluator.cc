@@ -102,24 +102,6 @@ cellProvenance(const Workload &workload, const EvalRequest &request,
 }
 
 /**
- * Publish the certified record for one freshly priced cell.
- * Best-effort like save(): a refusal degrades to a thinner result
- * DB, never a failed evaluation.
- */
-void
-publishCertified(ArtifactStore *store, const Workload &workload,
-                 const EvalRequest &request, Model model,
-                 const SimConfig &sim, const SimResult &result)
-{
-    if (store == nullptr || store->mode() != StoreMode::ReadWrite)
-        return;
-    CellProvenance prov =
-        cellProvenance(workload, request, model, sim);
-    store->saveResult(certifiedResultKey(prov),
-                      certifiedRecord(prov, result));
-}
-
-/**
  * One unit of work's stats: a prefix compile, a capture, a reference
  * run, a replay or a batch group. Its handles belong to the thread
  * running the unit, and the whole registry merges into @p into once,
@@ -142,7 +124,8 @@ SuiteEvaluator::SuiteEvaluator(int threads) : pool_(threads)
 {
     // Every stats() leaf exists from the start, so one that no work
     // reaches (emulate seconds on a warm run) still prints as zero.
-    // The store.* leaves stay zero here; stats() adds the store's.
+    // The trace tier's store.* leaves stay zero here (stats() adds
+    // the store's); the result tier's store.result_* count here.
     for (const char *name :
          {"counters.compiles", "counters.prefix_compiles",
           "counters.prefix_cache_hits", "counters.captures",
@@ -154,7 +137,8 @@ SuiteEvaluator::SuiteEvaluator(int threads) : pool_(threads)
           "emu.decoded_bytes", "emu.records.threaded",
           "emu.records.interp", "emu.backend_fallbacks", "store.hit",
           "store.miss", "store.repair", "store.write",
-          "store.bytes_mapped"})
+          "store.bytes_mapped", "store.result_hit", "store.result_miss",
+          "store.result_repair", "store.result_write"})
         stats_.counter(name);
     for (const char *name :
          {"phases.compile_seconds", "phases.emulate_seconds",
@@ -455,6 +439,41 @@ SuiteEvaluator::traceFor(const Workload &workload,
         });
 }
 
+std::optional<SimResult>
+SuiteEvaluator::servedResult(const CellProvenance &prov)
+{
+    UnitStats unit(stats_);
+    bool present = false;
+    if (std::optional<JsonValue> record =
+            store_->loadResult(certifiedResultKey(prov), &present)) {
+        std::optional<CertifiedCell> cell =
+            decodeCertifiedRecord(*record);
+        if (cell && cell->provenance == prov) {
+            unit.counter("store.result_hit").add();
+            return std::move(cell->result);
+        }
+    }
+    unit.counter("store.result_miss").add();
+    if (present)
+        unit.counter("store.result_repair").add();
+    return std::nullopt;
+}
+
+void
+SuiteEvaluator::publishCertified(const CellProvenance &prov,
+                                 const SimResult &result)
+{
+    if (store_->mode() != StoreMode::ReadWrite)
+        return;
+    // Best-effort like save(): a refusal degrades to a thinner
+    // result tier, never a failed evaluation.
+    if (store_->saveResult(certifiedResultKey(prov),
+                           certifiedRecord(prov, result))) {
+        UnitStats unit(stats_);
+        unit.counter("store.result_write").add();
+    }
+}
+
 SimResult
 SuiteEvaluator::cellResult(const Workload &workload,
                            const EvalRequest &request, Model model,
@@ -472,6 +491,15 @@ SuiteEvaluator::cellResult(const Workload &workload,
     return cachedCompute(
         mutex_, results_, rkey, stats_, "counters.result_cache_hits",
         [&] {
+            // Second tier: the cell's certified record. A served
+            // cell maps no trace, replays nothing and is not
+            // republished.
+            std::optional<CellProvenance> prov;
+            if (store_ != nullptr) {
+                prov = cellProvenance(workload, request, model, sim);
+                if (std::optional<SimResult> served = servedResult(*prov))
+                    return std::move(*served);
+            }
             TracePtr trace =
                 traceFor(workload, request, model, machine, input,
                          sim.maxDynInstrs, tkey);
@@ -485,8 +513,8 @@ SuiteEvaluator::cellResult(const Workload &workload,
                     .add(trace->size());
                 priced = replay(*trace, sim);
             }
-            publishCertified(store_.get(), workload, request, model,
-                             sim, priced);
+            if (prov)
+                publishCertified(*prov, priced);
             return priced;
         });
 }
@@ -627,6 +655,8 @@ SuiteEvaluator::evaluateBatch(const std::vector<EvalRequest> &requests)
         std::string tkey;
         std::vector<std::string> rkeys;
         std::vector<SimConfig> configs;
+        /** Each config's cell provenance (store on only). */
+        std::vector<CellProvenance> provs;
     };
 
     // --- plan: enumerate cells, dedup by result key, group by
@@ -670,16 +700,28 @@ SuiteEvaluator::evaluateBatch(const std::vector<EvalRequest> &requests)
                     if (results_.find(rkey) != results_.end())
                         continue;
                 }
+                std::optional<CellProvenance> prov;
+                if (store_ != nullptr) {
+                    prov =
+                        cellProvenance(*workload, request, model, sim);
+                    if (std::optional<SimResult> served =
+                            servedResult(*prov)) {
+                        seedResult(rkey, std::move(*served));
+                        continue;
+                    }
+                }
                 auto [it, inserted] =
                     groupIndex.emplace(tkey, groups.size());
                 if (inserted) {
                     groups.push_back(BatchGroup{
                         workload, &request, model, sim.machine,
-                        input, std::move(tkey), {}, {}});
+                        input, std::move(tkey), {}, {}, {}});
                 }
                 BatchGroup &group = groups[it->second];
                 group.rkeys.push_back(std::move(rkey));
                 group.configs.push_back(sim);
+                if (prov)
+                    group.provs.push_back(std::move(*prov));
             }
         }
     }
@@ -707,9 +749,8 @@ SuiteEvaluator::evaluateBatch(const std::vector<EvalRequest> &requests)
                 // Batched cells certify exactly like unbatched ones:
                 // the record's provenance comes from the config that
                 // keyed the cell, not from the group.
-                publishCertified(store_.get(), *group.workload,
-                                 *group.request, group.model,
-                                 group.configs[i], priced[i]);
+                if (store_ != nullptr)
+                    publishCertified(group.provs[i], priced[i]);
                 seedResult(group.rkeys[i], std::move(priced[i]));
             }
         } catch (...) {

@@ -12,6 +12,11 @@
  * sively. Reference (oracle) runs and priced SimResults are cached
  * too.
  *
+ * With the store on, each in-process cache has a persistent second
+ * tier: `.trc` artifacts under the trace cache, and the sealed
+ * certified records under the result cache. A cell whose record is
+ * valid is served from it without mapping or replaying its trace.
+ *
  * Compilation itself is split: the model-independent front end
  * (parse + classical opt + primary profiling) is computed once per
  * (workload, scale) as a FrontendSnapshot and deep-cloned per model,
@@ -34,10 +39,12 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "driver/certified.hh"
 #include "driver/eval_request.hh"
 #include "driver/report.hh"
 #include "store/store.hh"
@@ -85,9 +92,9 @@ struct EvalPolicy
     /** Directory for reproducer files ("" = don't write any). */
     std::string reproducerDir;
     /**
-     * Persistent artifact-store tier (second level under the
-     * in-process trace cache). Off by default; the SuiteEvaluator
-     * constructor seeds these from PREDILP_STORE /
+     * Persistent artifact-store tiers (second level under the
+     * in-process trace and result caches). Off by default; the
+     * SuiteEvaluator constructor seeds these from PREDILP_STORE /
      * PREDILP_STORE_MODE so benches and CI opt in without code
      * changes, and setPolicy can override both afterwards.
      */
@@ -127,8 +134,9 @@ class SuiteEvaluator
     EvalResponse evaluate(const EvalRequest &request);
 
     /**
-     * Batched evaluation of many requests: plan every cell up front,
-     * group the pending work by trace key — trace keys are
+     * Batched evaluation of many requests: plan every cell up front
+     * (with the store on, serving what it can from the certified
+     * records), group the pending work by trace key — trace keys are
      * machine-only by design, so cells that vary only cache/BTB/
      * predictor axes share a group, as do the 1-issue baseline
      * denominators of a whole sweep — then dispatch trace-major
@@ -155,9 +163,9 @@ class SuiteEvaluator
      * Harness counters and phase timers so far, under the leaf names
      * of the "timing" section of BENCH_*.json: counters.* (work done,
      * cache hits, trace bytes), phases.*_seconds, emu.* (decode and
-     * per-backend records) and the store's store.* counters. Every
-     * leaf is present from construction, zero until work lands on
-     * it. Seconds are summed over pool threads.
+     * per-backend records) and the store.* counters of both store
+     * tiers. Every leaf is present from construction, zero until
+     * work lands on it. Seconds are summed over pool threads.
      */
     StatsSnapshot stats() const;
 
@@ -208,6 +216,20 @@ class SuiteEvaluator
                          const MachineConfig &machine,
                          const SimConfig &sim,
                          const std::string &input);
+
+    /**
+     * The result tier (store on only): @p prov's certified record,
+     * decoded, when it is sealed, carries certSchemaTag and names
+     * exactly this cell. Anything else counts store.result_miss —
+     * plus store.result_repair when a record was there but refused —
+     * and returns nullopt, so the caller replays and republishes.
+     */
+    std::optional<SimResult> servedResult(const CellProvenance &prov);
+
+    /** Publish @p prov's certified record (read-write store only),
+     * counting store.result_write. */
+    void publishCertified(const CellProvenance &prov,
+                          const SimResult &result);
 
     /**
      * Publish a batch-priced result under @p rkey as an

@@ -677,9 +677,11 @@ sealedRecordValid(const JsonValue &record)
 }
 
 std::optional<JsonValue>
-readSealedJson(const std::string &path)
+readSealedJson(const std::string &path, bool *present)
 {
     std::ifstream in(path, std::ios::binary);
+    if (present != nullptr)
+        *present = static_cast<bool>(in);
     if (!in)
         return std::nullopt;
     std::ostringstream text;
@@ -906,12 +908,21 @@ ArtifactStore::saveResult(const std::string &key,
         publishBytes);
 }
 
-std::string
-ArtifactStore::loadResult(const std::string &key) const
+std::optional<JsonValue>
+ArtifactStore::loadResult(const std::string &key, bool *present) const
 {
+    bool found = false;
     std::optional<JsonValue> record =
-        readSealedJson(resultPath(key));
-    return record ? record->dump() + "\n" : "";
+        readSealedJson(resultPath(key), &found);
+    if (present != nullptr)
+        *present = found;
+    // An injected fault refuses a readable record, so the caller's
+    // replay-and-republish path runs against a perfect record on
+    // demand.
+    if (found && faultpoints::poll("store.load.result") !=
+                     faultpoints::FaultAction::None)
+        return std::nullopt;
+    return record;
 }
 
 StatsSnapshot

@@ -34,12 +34,15 @@
  * artifact, quarantined and recomputed like any other.
  *
  * The store also keeps certified result records (saveResult /
- * loadResult): sealed JSON under `results/`, one per priced cell,
- * which `predilp_diff` joins across runs to classify figure drift.
+ * loadResult): sealed JSON under `results/`, one per priced cell.
+ * They are the second tier under the evaluator's result cache, the
+ * way artifacts are the second tier under its trace cache, and
+ * `predilp_diff` joins them across runs to classify figure drift.
  *
  * Counters (store.hit / store.miss / store.repair /
- * store.bytes_mapped / store.write) export as a StatsSnapshot
- * through the same observability seam as everything else.
+ * store.bytes_mapped / store.write) count the trace tier and export
+ * as a StatsSnapshot through the same observability seam as
+ * everything else; the evaluator counts the result tier.
  */
 
 #ifndef PREDILP_STORE_STORE_HH
@@ -150,16 +153,21 @@ class ArtifactStore
      * Publish @p record as a sealed certified-result record at
      * resultPath(key) via the staged write→fsync→rename path.
      * Read-write mode only. Records are overwritten idempotently —
-     * every evaluation republishes its cells, which self-heals any
-     * torn record left by a crash.
+     * an evaluation that refuses a torn or stale record replays the
+     * cell and republishes it, which self-heals the record.
      */
     bool saveResult(const std::string &key, const JsonValue &record);
 
     /**
-     * The sealed certified record at resultPath(key) as one JSON
-     * line, or "" when absent or failing seal validation.
+     * The sealed certified record at resultPath(key), or nullopt
+     * when absent or failing seal validation. An armed
+     * store.load.result fault point refuses a present record as if
+     * it were torn. @p present, when given, reports whether a record
+     * file was there, so a caller can tell a cold miss from a
+     * refused record.
      */
-    std::string loadResult(const std::string &key) const;
+    std::optional<JsonValue> loadResult(const std::string &key,
+                                        bool *present = nullptr) const;
 
     /** Final on-disk path of @p key's artifact (for tests/GC). */
     std::string objectPath(const std::string &key) const;
@@ -213,8 +221,10 @@ bool sealedRecordValid(const JsonValue &record);
  * Read and parse @p path, returning the document only when it is a
  * valid sealed record; nullopt on missing file, parse error, or seal
  * mismatch. The one gate every sealed-record consumer goes through.
+ * @p present, when given, reports whether the file could be opened.
  */
-std::optional<JsonValue> readSealedJson(const std::string &path);
+std::optional<JsonValue> readSealedJson(const std::string &path,
+                                        bool *present = nullptr);
 
 } // namespace predilp
 

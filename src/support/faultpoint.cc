@@ -373,6 +373,7 @@ knownPoints()
         "store.publish.result",  // certified result record publish
         "store.load.mmap",       // mapping an artifact for replay
         "store.load.validate",   // byte-level artifact validation
+        "store.load.result",     // reading a certified result record
         "emu.threaded.capture",  // threaded-backend capture entry
         "eval.compile",          // model compilation in traceFor
         "eval.replay",           // single-config replay in cellResult

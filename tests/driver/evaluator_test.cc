@@ -103,15 +103,19 @@ TEST(SuiteEvaluator, ThreadCountDoesNotChangeResults)
 TEST(SuiteEvaluator, StatsPrintEveryLeafFromConstruction)
 {
     // A leaf no work reaches still prints, as zero: the warm-run
-    // gates read phases.emulate_seconds and store.miss by name.
+    // gates read phases.emulate_seconds, store.miss and the result
+    // tier's store.result_* by name.
     SuiteEvaluator evaluator(1);
     const StatsSnapshot stats = evaluator.stats();
-    EXPECT_EQ(stats.counters().size(), 24u);
+    EXPECT_EQ(stats.counters().size(), 28u);
     EXPECT_EQ(stats.timers().size(), 4u);
     for (const auto &[name, value] : stats.counters())
         EXPECT_EQ(value, 0u) << name;
     EXPECT_EQ(stats.timers().count("phases.emulate_seconds"), 1u);
     EXPECT_EQ(stats.counters().count("store.miss"), 1u);
+    for (const char *leaf : {"store.result_hit", "store.result_miss",
+                             "store.result_repair", "store.result_write"})
+        EXPECT_EQ(stats.counters().count(leaf), 1u) << leaf;
     EXPECT_EQ(stats.counters().count("counters.trace_peak_bytes"), 1u);
 }
 

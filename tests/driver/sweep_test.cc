@@ -225,9 +225,18 @@ TEST(Sweep, ConcurrentSweepsShareOneStore)
         EXPECT_EQ(WEXITSTATUS(status), 0);
     }
 
-    // A warm sweep over the populated store does no new work — every
-    // trace comes off disk — and still merges to the same bytes as a
-    // cold sequential run with no store at all.
+    // A warm sweep over the populated store is served from the
+    // certified records: no compile, capture or replay.
+    SweepOutcome served = runSweep(spec, 2, "");
+    EXPECT_EQ(served.timing.counter("counters.compiles"), 0u);
+    EXPECT_EQ(served.timing.counter("counters.captures"), 0u);
+    EXPECT_EQ(served.timing.counter("counters.replays"), 0u);
+    EXPECT_GT(served.timing.counter("store.result_hit"), 0u);
+
+    // Without the records, a warm sweep still does no new work —
+    // every trace comes off disk — and still merges to the same
+    // bytes as a cold sequential run with no store at all.
+    fs::remove_all(fs::path(dir) / "results");
     SweepOutcome warm = runSweep(spec, 2, "");
     EXPECT_EQ(warm.timing.counter("counters.compiles"), 0u);
     EXPECT_EQ(warm.timing.counter("counters.captures"), 0u);
@@ -235,6 +244,7 @@ TEST(Sweep, ConcurrentSweepsShareOneStore)
     ASSERT_EQ(unsetenv("PREDILP_STORE"), 0);
     SweepOutcome cold = runSweep(spec, 1, "");
     EXPECT_EQ(warm.cellsJson, cold.cellsJson);
+    EXPECT_EQ(served.cellsJson, cold.cellsJson);
 }
 
 TEST(Sweep, ShardedRunRespectsTmpdir)

@@ -75,6 +75,17 @@ fingerprint(const EvalResponse &response)
     return os.str();
 }
 
+/**
+ * Drop the certified records under @p dir, so the next evaluator
+ * reaches every cell through the trace tier: a warm run that can
+ * serve its records never maps (or validates) a trace.
+ */
+void
+dropResultRecords(const std::string &dir)
+{
+    fs::remove_all(fs::path(dir) / "results");
+}
+
 EvalPolicy
 storePolicy(const std::string &dir)
 {
@@ -190,6 +201,7 @@ TEST_F(SelfHeal, ValidateFaultQuarantinesAndRecomputes)
 
     // Every artifact load in this evaluator's cold pass fails
     // validation once; the store must quarantine and recompute.
+    dropResultRecords(dir);
     faultpoints::armFromSpec("store.load.validate=nth:1");
     SuiteEvaluator second(2);
     second.setPolicy(storePolicy(dir));
@@ -198,6 +210,7 @@ TEST_F(SelfHeal, ValidateFaultQuarantinesAndRecomputes)
     // The recomputed artifact was republished: a third, disarmed
     // evaluator loads it clean with zero emulation.
     faultpoints::resetForTest();
+    dropResultRecords(dir);
     SuiteEvaluator third(2);
     third.setPolicy(storePolicy(dir));
     EXPECT_EQ(fingerprint(third.evaluate(request)), expected);
@@ -213,6 +226,7 @@ TEST_F(SelfHeal, MmapFaultDegradesToRecompute)
     first.setPolicy(storePolicy(dir));
     const std::string expected = fingerprint(first.evaluate(request));
 
+    dropResultRecords(dir);
     faultpoints::armFromSpec("store.load.mmap=once");
     SuiteEvaluator second(2);
     second.setPolicy(storePolicy(dir));
@@ -235,6 +249,7 @@ TEST_F(SelfHeal, RacingEvaluatorsBothRecoverFromCorruption)
     // recomputes; neither may serve corrupt bytes or trip over the
     // other's quarantine rename.
     corruptEveryArtifact(dir);
+    dropResultRecords(dir);
 
     const std::string outA = dir + "/race_a.txt";
     const std::string outB = dir + "/race_b.txt";

@@ -102,7 +102,9 @@ TEST_F(SweepHeal, StorePublishCrashConvergesWithSharedStore)
     // No corrupt artifact was published: a warm sweep over the
     // healed store does zero emulation (a poisoned artifact would
     // force a quarantine-and-recompute, i.e. captures > 0) and
-    // still merges to the clean bytes.
+    // still merges to the clean bytes. The certified records are
+    // dropped first so the warm sweep maps every trace.
+    fs::remove_all(dir / "results");
     SweepOutcome warm = runSweep(tinySpec(), 2, "");
     ASSERT_EQ(unsetenv("PREDILP_STORE"), 0);
     EXPECT_EQ(warm.timing.counter("counters.captures"), 0u);

@@ -6,9 +6,10 @@
  * header, provenance, entry stream, varint stream, checksum) with
  * quarantine + recompute repair, the embedded provenance section,
  * format-version rejection, read-only mode, and the SuiteEvaluator's
- * cold/warm second-tier behaviour: a warm evaluator performs zero
- * compiles and zero emulations yet reproduces the cold results
- * exactly.
+ * cold/warm trace tier: with the certified records removed, a warm
+ * evaluator performs zero compiles and zero emulations yet
+ * reproduces the cold results exactly. The result tier is tested in
+ * tests/driver/certified_test.cc.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -84,9 +86,11 @@ expectSimEq(const SimResult &a, const SimResult &b)
     EXPECT_EQ(a.dynInstrs, b.dynInstrs);
     EXPECT_EQ(a.nullified, b.nullified);
     EXPECT_EQ(a.branches, b.branches);
+    EXPECT_EQ(a.condBranches, b.condBranches);
     EXPECT_EQ(a.mispredicts, b.mispredicts);
     EXPECT_EQ(a.loads, b.loads);
     EXPECT_EQ(a.stores, b.stores);
+    EXPECT_EQ(a.icacheMisses, b.icacheMisses);
     EXPECT_EQ(a.dcacheMisses, b.dcacheMisses);
     EXPECT_EQ(a.exitValue, b.exitValue);
     EXPECT_EQ(a.output, b.output);
@@ -312,7 +316,9 @@ TEST(ArtifactStore, WarmEvaluatorSkipsAllCompileAndEmulation)
     // Warm process (a fresh evaluator on the same store): every
     // cell loads from disk — no compiles, no emulation at all (the
     // divergence check was already paid at publish time) — and the
-    // results are bit-identical.
+    // results are bit-identical. Without the certified records every
+    // trace is mapped, so this exercises the trace tier.
+    fs::remove_all(fs::path(dir) / "results");
     SuiteEvaluator warm(1);
     warm.setPolicy(policy);
     BenchmarkResult second =
@@ -469,20 +475,25 @@ TEST(ArtifactStore, CertifiedResultRecordsRoundTripSealed)
         "{\"schema\": \"predilp-cert-v1\", \"figures\":"
         " {\"cycles\": 42}}");
 
-    EXPECT_EQ(store.loadResult(key), "");
+    bool present = true;
+    EXPECT_FALSE(store.loadResult(key, &present).has_value());
+    EXPECT_FALSE(present);
     ASSERT_TRUE(store.saveResult(key, record));
-    const std::string line = store.loadResult(key);
-    ASSERT_NE(line, "");
+    std::optional<JsonValue> loaded = store.loadResult(key, &present);
+    ASSERT_TRUE(loaded.has_value());
+    EXPECT_TRUE(present);
     auto sealed = readSealedJson(store.resultPath(key));
     ASSERT_TRUE(sealed.has_value());
-    EXPECT_EQ(line, sealed->dump() + "\n");
+    EXPECT_EQ(loaded->dump(), sealed->dump());
+    EXPECT_TRUE(sealedRecordValid(*loaded));
 
     // A flipped byte breaks the seal; the record is not served. A
     // republish (idempotent by design) heals it.
     flipByte(store.resultPath(key), 10);
-    EXPECT_EQ(store.loadResult(key), "");
+    EXPECT_FALSE(store.loadResult(key, &present).has_value());
+    EXPECT_TRUE(present);
     ASSERT_TRUE(store.saveResult(key, record));
-    EXPECT_NE(store.loadResult(key), "");
+    EXPECT_TRUE(store.loadResult(key).has_value());
 
     // A torn publish (short write at the fault point) is likewise
     // rejected on read and healed by republish.
@@ -490,9 +501,16 @@ TEST(ArtifactStore, CertifiedResultRecordsRoundTripSealed)
         "store.publish.result=once:short-write");
     ASSERT_TRUE(store.saveResult(key, record));
     faultpoints::resetForTest();
-    EXPECT_EQ(store.loadResult(key), "");
+    EXPECT_FALSE(store.loadResult(key).has_value());
     ASSERT_TRUE(store.saveResult(key, record));
-    EXPECT_NE(store.loadResult(key), "");
+    EXPECT_TRUE(store.loadResult(key).has_value());
+
+    // An injected read fault refuses a perfectly good record once.
+    faultpoints::armFromSpec("store.load.result=once");
+    EXPECT_FALSE(store.loadResult(key, &present).has_value());
+    EXPECT_TRUE(present);
+    EXPECT_TRUE(store.loadResult(key).has_value());
+    faultpoints::resetForTest();
 
     // Read-only stores refuse to publish records.
     ArtifactStore readOnly(freshDir("store-results-ro"),
@@ -546,7 +564,14 @@ TEST(ArtifactStore, EvaluatorPublishesCertifiedRecords)
     ArtifactStore store(dir, StoreMode::ReadOnly);
     for (const auto &[model, prov] : result.provenance) {
         SCOPED_TRACE(modelName(model));
-        EXPECT_NE(store.loadResult(certifiedResultKey(prov)), "");
+        std::optional<JsonValue> record =
+            store.loadResult(certifiedResultKey(prov));
+        ASSERT_TRUE(record.has_value());
+        std::optional<CertifiedCell> cell =
+            decodeCertifiedRecord(*record);
+        ASSERT_TRUE(cell.has_value());
+        EXPECT_TRUE(cell->provenance == prov);
+        expectSimEq(cell->result, result.models.at(model));
     }
 }
 
