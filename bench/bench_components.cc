@@ -120,7 +120,7 @@ BENCHMARK(BM_TimingSimulator);
 void
 BM_DirectMappedCache(benchmark::State &state)
 {
-    DirectMappedCache cache(64 * 1024, 64);
+    SetAssocCache cache(64 * 1024, 64, 1);
     std::int64_t addr = 0;
     for (auto _ : state) {
         benchmark::DoNotOptimize(cache.access(addr));
@@ -136,8 +136,7 @@ BM_BranchTargetBuffer(benchmark::State &state)
     std::int64_t addr = 0;
     for (auto _ : state) {
         bool taken = (addr & 3) != 0;
-        benchmark::DoNotOptimize(btb.predictTaken(addr));
-        btb.update(addr, taken);
+        benchmark::DoNotOptimize(btb.predictAndTrain(addr, taken));
         addr += 4;
     }
 }

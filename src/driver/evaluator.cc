@@ -153,6 +153,10 @@ SuiteEvaluator::SuiteEvaluator(int threads) : pool_(threads)
         policy_.storeMode = env.storeReadOnly ? StoreMode::ReadOnly
                                               : StoreMode::ReadWrite;
     }
+    // PREDILP_FAULTS arms here too, so every evaluator-driven binary
+    // honours it. The arm is latched once per process: a sweep that
+    // armed before forking its workers is not re-armed.
+    faultpoints::armFromEnv();
     openStore();
 }
 

@@ -505,6 +505,7 @@ SweepSpec::fromJson(const JsonValue &json)
                 for (const JsonValue &v : values.items()) {
                     SimConfig scratch;
                     applyAxis(scratch, axis, v);
+                    scratch.checkGeometry();
                 }
                 spec.axes.push_back(SweepAxis{axis, values.items()});
             }

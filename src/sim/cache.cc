@@ -1,6 +1,7 @@
 #include "sim/cache.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "support/diag.hh"
 #include "support/logging.hh"
@@ -41,119 +42,123 @@ predictorFromName(const std::string &name)
 
 SetAssocCache::SetAssocCache(std::int64_t sizeBytes,
                              std::int64_t lineBytes, int ways)
-    : lineBytes_(lineBytes), ways_(static_cast<std::size_t>(ways))
+    : numWays_(static_cast<std::size_t>(ways))
 {
-    panicIf(lineBytes <= 0 || (lineBytes & (lineBytes - 1)) != 0,
+    panicIf(lineBytes <= 0 || !std::has_single_bit(
+                                  static_cast<std::uint64_t>(lineBytes)),
             "cache line size must be a power of two");
     panicIf(ways <= 0, "cache associativity must be positive");
     std::size_t numLines =
         static_cast<std::size_t>(sizeBytes / lineBytes);
     panicIf(numLines == 0, "cache has no lines");
-    panicIf(numLines % ways_ != 0,
+    panicIf(numLines % numWays_ != 0,
             "cache associativity must divide the line count");
-    numSets_ = numLines / ways_;
-    tags_.assign(numLines, 0);
-    valid_.assign(numLines, false);
-    lastUse_.assign(numLines, 0);
+    const std::size_t numSets = numLines / numWays_;
+    panicIf(!std::has_single_bit(numSets),
+            "cache set count must be a power of two");
+    lineMask_ = lineBytes - 1;
+    lineShift_ = std::countr_zero(static_cast<std::uint64_t>(lineBytes));
+    setMask_ = numSets - 1;
+    setShift_ = std::countr_zero(numSets);
+    ways_.assign(numLines, Way{});
 }
 
 std::size_t
-SetAssocCache::setOf(std::int64_t addr) const
+SetAssocCache::setBase(std::int64_t line) const
 {
-    return static_cast<std::size_t>(addr / lineBytes_) % numSets_;
+    return (static_cast<std::uint64_t>(line) & setMask_) * numWays_;
 }
 
 std::int64_t
-SetAssocCache::tagOf(std::int64_t addr) const
+SetAssocCache::tagOf(std::int64_t line) const
 {
-    return (addr / lineBytes_) / static_cast<std::int64_t>(numSets_);
-}
-
-int
-SetAssocCache::findWay(std::size_t set, std::int64_t tag) const
-{
-    std::size_t base = set * ways_;
-    for (std::size_t way = 0; way < ways_; ++way) {
-        if (valid_[base + way] && tags_[base + way] == tag)
-            return static_cast<int>(way);
-    }
-    return -1;
+    return (line + ((line >> 63) &
+                    static_cast<std::int64_t>(setMask_))) >>
+           setShift_;
 }
 
 void
-SetAssocCache::touch(std::size_t set, int way)
+SetAssocCache::touch(Way &way, std::int64_t line)
 {
-    lastUse_[set * ways_ + static_cast<std::size_t>(way)] = ++tick_;
+    way.stamp = ++tick_;
+    lastLine_ = line;
+    haveLastLine_ = true;
 }
 
 void
-SetAssocCache::classifyMiss(std::size_t set)
+SetAssocCache::countMiss(bool cold)
 {
     misses_ += 1;
-    std::size_t base = set * ways_;
-    for (std::size_t way = 0; way < ways_; ++way) {
-        if (!valid_[base + way]) {
-            coldMisses_ += 1;
-            return;
-        }
+    if (cold)
+        coldMisses_ += 1;
+    else
+        conflictMisses_ += 1;
+}
+
+std::size_t
+SetAssocCache::find(std::size_t base, std::int64_t tag) const
+{
+    for (std::size_t slot = base; slot < base + numWays_; ++slot) {
+        if (ways_[slot].stamp != 0 && ways_[slot].tag == tag)
+            return slot;
     }
-    conflictMisses_ += 1;
+    return absent;
 }
 
 bool
-SetAssocCache::access(std::int64_t addr)
+SetAssocCache::readLine(std::int64_t line)
 {
-    std::size_t set = setOf(addr);
-    std::int64_t tag = tagOf(addr);
-    if (int way = findWay(set, tag); way >= 0) {
+    const std::size_t base = setBase(line);
+    const std::int64_t tag = tagOf(line);
+    if (const std::size_t slot = find(base, tag); slot != absent) {
         hits_ += 1;
-        touch(set, way);
+        touch(ways_[slot], line);
         return true;
     }
-    classifyMiss(set);
-    // Fill: an invalid way if the set has one, else the LRU way.
-    std::size_t base = set * ways_;
-    std::size_t victim = 0;
-    for (std::size_t way = 0; way < ways_; ++way) {
-        if (!valid_[base + way]) {
-            victim = way;
-            break;
-        }
-        if (lastUse_[base + way] < lastUse_[base + victim])
-            victim = way;
-    }
-    valid_[base + victim] = true;
-    tags_[base + victim] = tag;
-    touch(set, static_cast<int>(victim));
+    // Fill the first least-stamped way: invalid ways carry stamp 0,
+    // so that is the first invalid way when the set has one, else
+    // the LRU way.
+    Way *set = ways_.data() + base;
+    Way *victim = std::min_element(
+        set, set + numWays_,
+        [](const Way &a, const Way &b) { return a.stamp < b.stamp; });
+    countMiss(victim->stamp == 0);
+    victim->tag = tag;
+    touch(*victim, line);
     return false;
 }
 
 bool
-SetAssocCache::writeAccess(std::int64_t addr)
+SetAssocCache::writeLine(std::int64_t line)
 {
-    std::size_t set = setOf(addr);
-    if (int way = findWay(set, tagOf(addr)); way >= 0) {
+    const std::size_t base = setBase(line);
+    if (const std::size_t slot = find(base, tagOf(line));
+        slot != absent) {
         hits_ += 1;
-        touch(set, way);
+        touch(ways_[slot], line);
         return true;
     }
     // Write-through, no write-allocate: the line is not filled.
-    classifyMiss(set);
+    const Way *set = ways_.data() + base;
+    countMiss(std::any_of(set, set + numWays_, [](const Way &way) {
+        return way.stamp == 0;
+    }));
     return false;
 }
 
 bool
 SetAssocCache::present(std::int64_t addr) const
 {
-    return findWay(setOf(addr), tagOf(addr)) >= 0;
+    const std::int64_t line = lineOf(addr);
+    return find(setBase(line), tagOf(line)) != absent;
 }
 
 void
 SetAssocCache::reset()
 {
-    std::fill(valid_.begin(), valid_.end(), false);
-    std::fill(lastUse_.begin(), lastUse_.end(), 0);
+    std::fill(ways_.begin(), ways_.end(), Way{});
     tick_ = 0;
+    haveLastLine_ = false;
     hits_ = 0;
     misses_ = 0;
     coldMisses_ = 0;
@@ -168,17 +173,14 @@ BranchTargetBuffer::BranchTargetBuffer(std::size_t entries, int ways,
     panicIf(ways <= 0, "BTB associativity must be positive");
     panicIf(entries % ways_ != 0,
             "BTB associativity must divide the entry count");
-    numSets_ = entries / ways_;
+    const std::size_t numSets = entries / ways_;
+    panicIf(!std::has_single_bit(numSets),
+            "BTB set count must be a power of two");
+    setMask_ = numSets - 1;
     counters_.assign(entries, initialCounter());
     owners_.assign(entries, 0);
-    ownerValid_.assign(entries, false);
+    ownerValid_.assign(entries, 0);
     lastUse_.assign(entries, 0);
-}
-
-std::size_t
-BranchTargetBuffer::setOf(std::int64_t addr) const
-{
-    return static_cast<std::size_t>(addr >> 2) % numSets_;
 }
 
 std::uint8_t
@@ -228,41 +230,25 @@ BranchTargetBuffer::train(std::uint8_t &counter, bool taken) const
 }
 
 bool
-BranchTargetBuffer::predictTaken(std::int64_t addr) const
-{
-    if (predictor_ == BranchPredictor::StaticTaken)
-        return true;
-    if (predictor_ == BranchPredictor::StaticNotTaken)
-        return false;
-    std::size_t base = setOf(addr) * ways_;
-    if (ways_ == 1) {
-        // Tagless table: whatever counter the address aliases to.
-        return counterPredictsTaken(counters_[base]);
-    }
-    for (std::size_t way = 0; way < ways_; ++way) {
-        if (ownerValid_[base + way] && owners_[base + way] == addr)
-            return counterPredictsTaken(counters_[base + way]);
-    }
-    return false; // tag miss: default not-taken.
-}
-
-void
-BranchTargetBuffer::update(std::int64_t addr, bool taken)
+BranchTargetBuffer::predictAndTrain(std::int64_t addr, bool taken)
 {
     lookups_ += 1;
-    std::size_t base = setOf(addr) * ways_;
+    const std::size_t base =
+        (static_cast<std::size_t>(addr >> 2) & setMask_) * ways_;
     if (ways_ == 1) {
-        // Tagless: the counter is shared between aliasing branches;
-        // the owner tag only feeds the replacements statistic.
+        // Tagless: the counter is shared between aliasing branches
+        // and predicts whatever the last owner trained; the owner
+        // tag only feeds the replacements statistic.
+        const bool predicted = counterPredictsTaken(counters_[base]);
         if (!ownerValid_[base]) {
-            ownerValid_[base] = true;
+            ownerValid_[base] = 1;
             owners_[base] = addr;
         } else if (owners_[base] != addr) {
             replacements_ += 1;
             owners_[base] = addr;
         }
         train(counters_[base], taken);
-        return;
+        return predicted;
     }
     std::size_t victim = 0;
     bool found = false;
@@ -273,7 +259,13 @@ BranchTargetBuffer::update(std::int64_t addr, bool taken)
             break;
         }
     }
-    if (!found) {
+    bool predicted = false;
+    if (found) {
+        predicted = counterPredictsTaken(counters_[base + victim]);
+    } else {
+        // Tag miss: predict not-taken (a static-taken policy still
+        // says taken), then allocate an invalid way, else the LRU.
+        predicted = predictor_ == BranchPredictor::StaticTaken;
         bool evicting = true;
         for (std::size_t way = 0; way < ways_; ++way) {
             if (!ownerValid_[base + way]) {
@@ -286,19 +278,20 @@ BranchTargetBuffer::update(std::int64_t addr, bool taken)
         }
         if (evicting)
             replacements_ += 1;
-        ownerValid_[base + victim] = true;
+        ownerValid_[base + victim] = 1;
         owners_[base + victim] = addr;
         counters_[base + victim] = initialCounter();
     }
     train(counters_[base + victim], taken);
     lastUse_[base + victim] = ++tick_;
+    return predicted;
 }
 
 void
 BranchTargetBuffer::reset()
 {
     std::fill(counters_.begin(), counters_.end(), initialCounter());
-    std::fill(ownerValid_.begin(), ownerValid_.end(), false);
+    std::fill(ownerValid_.begin(), ownerValid_.end(), 0);
     std::fill(lastUse_.begin(), lastUse_.end(), 0);
     tick_ = 0;
     lookups_ = 0;

@@ -16,11 +16,17 @@
  *    a tag miss. The per-entry predictor is selectable (2-bit
  *    saturating, 1-bit last-outcome, or static) — the btb_* and
  *    predictor axes of the sweep grid (driver/sweep.hh).
+ *
+ * Both models require a power-of-two set count (and the cache a
+ * power-of-two line), so no index or tag computation divides;
+ * SimConfig and the sweep's axis parser reject other geometries
+ * before any model is built.
  */
 
 #ifndef PREDILP_SIM_CACHE_HH
 #define PREDILP_SIM_CACHE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -45,14 +51,27 @@ const char *predictorName(BranchPredictor predictor);
  */
 BranchPredictor predictorFromName(const std::string &name);
 
-/** A tag-only set-associative cache model; see file comment. */
+/**
+ * A tag-only set-associative cache model; see file comment.
+ *
+ * The line size and set count are powers of two, so a line number
+ * is a shift of the address, the set index a mask of the line, and
+ * the tag a shift of the line. The cache also remembers the last
+ * line it touched (a read hit, a read fill or a write hit): that
+ * line is present and holds the newest LRU stamp in the whole cache,
+ * so a repeat access to it is a hit that needs no lookup, and
+ * skipping its re-stamp leaves the LRU order of every set unchanged.
+ * access() and writeAccess() test that line inline and fall back to
+ * the set lookup only when the line changes.
+ */
 class SetAssocCache
 {
   public:
     /**
      * @param sizeBytes total capacity.
      * @param lineBytes block size (power of two).
-     * @param ways associativity; must divide the line count.
+     * @param ways associativity; must divide the line count, and the
+     *        resulting set count must be a power of two.
      */
     SetAssocCache(std::int64_t sizeBytes, std::int64_t lineBytes,
                   int ways = 1);
@@ -61,13 +80,23 @@ class SetAssocCache
      * Read access: @return true on hit. Misses allocate the line
      * (filling an invalid way first, else evicting the LRU way).
      */
-    bool access(std::int64_t addr);
+    bool
+    access(std::int64_t addr)
+    {
+        const std::int64_t line = lineOf(addr);
+        return repeatHit(line) || readLine(line);
+    }
 
     /**
      * Write access with no-write-allocate semantics: @return true on
      * hit (line updated); misses do not allocate.
      */
-    bool writeAccess(std::int64_t addr);
+    bool
+    writeAccess(std::int64_t addr)
+    {
+        const std::int64_t line = lineOf(addr);
+        return repeatHit(line) || writeLine(line);
+    }
 
     /** @return true if the line holding @p addr is present. */
     bool present(std::int64_t addr) const;
@@ -89,38 +118,76 @@ class SetAssocCache
     void reset();
 
   private:
-    /** Way index of @p addr within its set, or -1 when absent. */
-    int findWay(std::size_t set, std::int64_t tag) const;
-    std::size_t setOf(std::int64_t addr) const;
-    std::int64_t tagOf(std::int64_t addr) const;
-    void touch(std::size_t set, int way);
-    void classifyMiss(std::size_t set);
+    /** One way of a set: its tag and LRU stamp (0 = invalid). */
+    struct Way
+    {
+        std::int64_t tag = 0;
+        std::uint64_t stamp = 0;
+    };
 
-    std::int64_t lineBytes_;
-    std::size_t ways_;
-    std::size_t numSets_;
-    std::vector<std::int64_t> tags_;    ///< set-major, ways per set.
-    std::vector<bool> valid_;
-    std::vector<std::uint64_t> lastUse_; ///< LRU ticks, set-major.
-    std::uint64_t tick_ = 0;
+    /**
+     * Line number of @p addr: `addr / lineBytes`, rounded toward zero
+     * as the division rounds, because a faulting speculative load can
+     * record a negative address and must map as the division maps it.
+     */
+    std::int64_t
+    lineOf(std::int64_t addr) const
+    {
+        return (addr + ((addr >> 63) & lineMask_)) >> lineShift_;
+    }
+
+    /** Count a hit when @p line is the remembered line. */
+    bool
+    repeatHit(std::int64_t line)
+    {
+        if (line != lastLine_ || !haveLastLine_)
+            return false;
+        hits_ += 1;
+        return true;
+    }
+
+    /** Index in ways_ of the first way of @p line's set. */
+    std::size_t setBase(std::int64_t line) const;
+    /**
+     * Index in ways_ of the valid way holding @p tag in the set that
+     * starts at @p base, or `absent`.
+     */
+    std::size_t find(std::size_t base, std::int64_t tag) const;
+    static constexpr std::size_t absent = ~std::size_t{0};
+    /** Tag of @p line: `line / numSets`, rounded toward zero. */
+    std::int64_t tagOf(std::int64_t line) const;
+    bool readLine(std::int64_t line);
+    bool writeLine(std::int64_t line);
+    /** Stamp @p way as most recently used and remember @p line. */
+    void touch(Way &way, std::int64_t line);
+    void countMiss(bool cold);
+
+    std::int64_t lineMask_;   ///< lineBytes - 1.
+    int lineShift_;           ///< log2(lineBytes).
+    std::uint64_t setMask_;   ///< numSets - 1.
+    int setShift_;            ///< log2(numSets).
+    std::size_t numWays_;
+    std::vector<Way> ways_;   ///< set-major, numWays_ per set.
+    std::uint64_t tick_ = 0;  ///< last LRU stamp handed out.
+    /**
+     * The remembered line, valid while haveLastLine_. A flag, not a
+     * sentinel line: with 1-byte lines every int64 is some line.
+     */
+    std::int64_t lastLine_ = 0;
+    bool haveLastLine_ = false;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
     std::uint64_t coldMisses_ = 0;
     std::uint64_t conflictMisses_ = 0;
 };
 
-/**
- * Deprecated alias for the 1-way default; new code should name
- * SetAssocCache (and its associativity) explicitly.
- */
-using DirectMappedCache = SetAssocCache;
-
 /** Branch target buffer; see file comment. */
 class BranchTargetBuffer
 {
   public:
     /**
-     * @param entries total predictor entries.
+     * @param entries total predictor entries; entries / ways must be
+     *        a power of two.
      * @param ways associativity; 1 = the paper's tagless table.
      * @param predictor per-entry prediction policy.
      */
@@ -128,11 +195,12 @@ class BranchTargetBuffer
         std::size_t entries = 1024, int ways = 1,
         BranchPredictor predictor = BranchPredictor::TwoBit);
 
-    /** @return the taken/not-taken prediction for @p addr. */
-    bool predictTaken(std::int64_t addr) const;
-
-    /** Train with the actual outcome. */
-    void update(std::int64_t addr, bool taken);
+    /**
+     * One executed conditional branch at @p addr: predict it, then
+     * train its entry with the actual outcome @p taken, probing the
+     * set once. @return the prediction made before training.
+     */
+    bool predictAndTrain(std::int64_t addr, bool taken);
 
     /** Branches trained (one per executed conditional branch). */
     std::uint64_t lookups() const { return lookups_; }
@@ -149,17 +217,16 @@ class BranchTargetBuffer
     void reset();
 
   private:
-    std::size_t setOf(std::int64_t addr) const;
     bool counterPredictsTaken(std::uint8_t counter) const;
     std::uint8_t initialCounter() const;
     void train(std::uint8_t &counter, bool taken) const;
 
     BranchPredictor predictor_;
     std::size_t ways_;
-    std::size_t numSets_;
+    std::size_t setMask_; ///< numSets - 1.
     std::vector<std::uint8_t> counters_;
     std::vector<std::int64_t> owners_; ///< stats-only when 1-way.
-    std::vector<bool> ownerValid_;
+    std::vector<std::uint8_t> ownerValid_;
     std::vector<std::uint64_t> lastUse_;
     std::uint64_t tick_ = 0;
     std::uint64_t lookups_ = 0;

@@ -1,5 +1,8 @@
 #include "sim/config.hh"
 
+#include <bit>
+#include <utility>
+
 #include "store/sha256.hh"
 #include "support/diag.hh"
 
@@ -149,7 +152,27 @@ SimConfig::fromJson(const JsonValue &json)
     if (const JsonValue *v = json.find("predictor"))
         config.predictor = predictorFromName(v->asString());
     readPositive(json, "max_dyn_instrs", config.maxDynInstrs);
+    config.checkGeometry();
     return config;
+}
+
+void
+SimConfig::checkGeometry() const
+{
+    const std::pair<const char *, std::int64_t> fields[] = {
+        {"cache_size_bytes", cacheSizeBytes},
+        {"cache_line_bytes", cacheLineBytes},
+        {"cache_assoc", cacheAssociativity},
+        {"btb_entries", static_cast<std::int64_t>(btbEntries)},
+        {"btb_assoc", btbAssociativity},
+    };
+    for (const auto &[key, value] : fields) {
+        if (value <= 0 ||
+            !std::has_single_bit(static_cast<std::uint64_t>(value))) {
+            throw FatalError(std::string("'") + key +
+                             "' must be a power of two");
+        }
+    }
 }
 
 std::string

@@ -61,9 +61,18 @@ struct SimConfig
 
     /**
      * Parse a config object. Absent keys keep their defaults;
-     * unknown keys (top level or in "machine") throw FatalError.
+     * unknown keys (top level or in "machine") and a geometry that
+     * fails checkGeometry() throw FatalError.
      */
     static SimConfig fromJson(const JsonValue &json);
+
+    /**
+     * Throw FatalError unless the cache size, line and
+     * associativity and the BTB entries and associativity are all
+     * powers of two: the cache and BTB models index by shift and
+     * mask.
+     */
+    void checkGeometry() const;
 
     /**
      * Versioned content digest: "v1:" + 32 hex chars of

@@ -270,9 +270,7 @@ CycleModel::handleControl(const StaticOpRow &row, bool taken)
       case StaticOp::Kind::CondBranch: {
         result_.branches += 1;
         result_.condBranches += 1;
-        bool predicted = btb_.predictTaken(row.addr);
-        btb_.update(row.addr, taken);
-        if (predicted != taken) {
+        if (btb_.predictAndTrain(row.addr, taken) != taken) {
             result_.mispredicts += 1;
             advanceTo(cycle_ + 1 + config_.machine.mispredictPenalty);
         } else if (taken) {

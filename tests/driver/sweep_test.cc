@@ -116,6 +116,24 @@ TEST(Sweep, SpecValidatesEagerly)
                  FatalError);
 }
 
+TEST(Sweep, GeometryAxesRequirePowersOfTwo)
+{
+    // The cache and BTB models index by shift and mask, so a
+    // non-power-of-two geometry fails at parse time, not mid-replay.
+    for (const char *axis :
+         {"cache_size_bytes", "cache_line_bytes", "cache_assoc",
+          "btb_entries", "btb_assoc"}) {
+        SCOPED_TRACE(axis);
+        const std::string prefix =
+            std::string("{\"axes\": {\"") + axis + "\": ";
+        EXPECT_THROW(
+            SweepSpec::fromJson(JsonValue::parse(prefix + "[2, 3]}}")),
+            FatalError);
+        EXPECT_NO_THROW(
+            SweepSpec::fromJson(JsonValue::parse(prefix + "[2, 4]}}")));
+    }
+}
+
 TEST(Sweep, ShardedRunMatchesSequentialByteForByte)
 {
     SweepSpec spec = smallSpec();

@@ -37,6 +37,24 @@ class SelfHeal : public ::testing::Test
     void TearDown() override { faultpoints::resetForTest(); }
 };
 
+TEST_F(SelfHeal, EvaluatorArmsFaultsFromEnvironment)
+{
+    // Bench binaries never reach runSweep; constructing the
+    // evaluator is what arms PREDILP_FAULTS for them.
+    ASSERT_EQ(setenv("PREDILP_FAULTS", "store.load.validate=nth:1", 1),
+              0);
+    {
+        SuiteEvaluator evaluator(1);
+    }
+    ASSERT_EQ(unsetenv("PREDILP_FAULTS"), 0);
+    ASSERT_TRUE(faultpoints::armed());
+    EXPECT_EQ(faultpoints::poll("store.load.validate"),
+              faultpoints::FaultAction::Throw);
+    EXPECT_EQ(faultpoints::stats().counter(
+                  "fault.store.load.validate.fired"),
+              1u);
+}
+
 /** Fresh empty directory under the test temp root. */
 std::string
 freshDir(const std::string &name)

@@ -162,27 +162,26 @@ TEST(BranchTargetBuffer, TwoBitHysteresisVsOneBit)
     BranchTargetBuffer twoBit(16, 1, BranchPredictor::TwoBit);
     BranchTargetBuffer oneBit(16, 1, BranchPredictor::OneBit);
     for (int i = 0; i < 3; ++i) {
-        twoBit.update(4, true);
-        oneBit.update(4, true);
+        twoBit.predictAndTrain(4, true);
+        oneBit.predictAndTrain(4, true);
     }
-    EXPECT_TRUE(twoBit.predictTaken(4));
-    EXPECT_TRUE(oneBit.predictTaken(4));
-    // One not-taken blip: the saturating counter keeps predicting
-    // taken (3 -> 2), the last-outcome predictor flips.
-    twoBit.update(4, false);
-    oneBit.update(4, false);
-    EXPECT_TRUE(twoBit.predictTaken(4));
-    EXPECT_FALSE(oneBit.predictTaken(4));
-    EXPECT_EQ(twoBit.lookups(), 4u);
+    // One not-taken blip, predicted taken by both: the saturating
+    // counter keeps predicting taken (3 -> 2), the last-outcome
+    // predictor flips.
+    EXPECT_TRUE(twoBit.predictAndTrain(4, false));
+    EXPECT_TRUE(oneBit.predictAndTrain(4, false));
+    EXPECT_TRUE(twoBit.predictAndTrain(4, true));
+    EXPECT_FALSE(oneBit.predictAndTrain(4, true));
+    EXPECT_EQ(twoBit.lookups(), 5u);
 
     // Statics ignore training entirely.
     BranchTargetBuffer taken(16, 1, BranchPredictor::StaticTaken);
     BranchTargetBuffer notTaken(16, 1,
                                 BranchPredictor::StaticNotTaken);
-    taken.update(4, false);
-    notTaken.update(4, true);
-    EXPECT_TRUE(taken.predictTaken(4));
-    EXPECT_FALSE(notTaken.predictTaken(4));
+    EXPECT_TRUE(taken.predictAndTrain(4, false));
+    EXPECT_FALSE(notTaken.predictAndTrain(4, true));
+    EXPECT_TRUE(taken.predictAndTrain(4, false));
+    EXPECT_FALSE(notTaken.predictAndTrain(4, true));
 }
 
 TEST(BranchTargetBuffer, TaglessTableAliases)
@@ -192,19 +191,20 @@ TEST(BranchTargetBuffer, TaglessTableAliases)
     // the aliasing as replacements.
     BranchTargetBuffer btb(16, 1, BranchPredictor::TwoBit);
     for (int i = 0; i < 4; ++i)
-        btb.update(4, true);
-    EXPECT_TRUE(btb.predictTaken(4 + 16 * 4)); // aliased entry.
+        btb.predictAndTrain(4, true);
     EXPECT_EQ(btb.replacements(), 0u);
-    btb.update(4 + 16 * 4, true); // aliasing owner change.
+    // Aliased entry predicts taken; training it is an owner change.
+    EXPECT_TRUE(btb.predictAndTrain(4 + 16 * 4, true));
     EXPECT_EQ(btb.replacements(), 1u);
 
     // Two-way tagged: the second branch gets its own entry and
     // predicts not-taken on its tag miss.
     BranchTargetBuffer tagged(16, 2, BranchPredictor::TwoBit);
     for (int i = 0; i < 4; ++i)
-        tagged.update(4, true);
-    EXPECT_TRUE(tagged.predictTaken(4));
-    EXPECT_FALSE(tagged.predictTaken(4 + 16 * 4));
+        tagged.predictAndTrain(4, true);
+    EXPECT_TRUE(tagged.predictAndTrain(4, true));
+    EXPECT_FALSE(tagged.predictAndTrain(4 + 16 * 4, true));
+    EXPECT_EQ(tagged.replacements(), 0u);
 }
 
 } // namespace

@@ -26,7 +26,7 @@ namespace
 
 TEST(Cache, HitsAfterFill)
 {
-    DirectMappedCache cache(64 * 1024, 64);
+    SetAssocCache cache(64 * 1024, 64, 1);
     EXPECT_FALSE(cache.access(0));
     EXPECT_TRUE(cache.access(0));
     EXPECT_TRUE(cache.access(63));  // same line.
@@ -37,7 +37,7 @@ TEST(Cache, HitsAfterFill)
 
 TEST(Cache, DirectMappedConflicts)
 {
-    DirectMappedCache cache(64 * 1024, 64);
+    SetAssocCache cache(64 * 1024, 64, 1);
     EXPECT_FALSE(cache.access(0));
     EXPECT_FALSE(cache.access(64 * 1024)); // same index, other tag.
     EXPECT_FALSE(cache.access(0));         // evicted.
@@ -45,7 +45,7 @@ TEST(Cache, DirectMappedConflicts)
 
 TEST(Cache, WriteNoAllocate)
 {
-    DirectMappedCache cache(64 * 1024, 64);
+    SetAssocCache cache(64 * 1024, 64, 1);
     EXPECT_FALSE(cache.writeAccess(128));
     // The write must not have allocated the line.
     EXPECT_FALSE(cache.present(128));
@@ -57,7 +57,7 @@ TEST(Cache, WriteNoAllocate)
 
 TEST(Cache, ResetClears)
 {
-    DirectMappedCache cache(1024, 64);
+    SetAssocCache cache(1024, 64, 1);
     cache.access(0);
     cache.reset();
     EXPECT_FALSE(cache.access(0));
@@ -67,15 +67,14 @@ TEST(Btb, TwoBitHysteresis)
 {
     BranchTargetBuffer btb(16);
     std::int64_t addr = 0x40;
-    // Initial counters are weakly not-taken.
-    EXPECT_FALSE(btb.predictTaken(addr));
-    btb.update(addr, true);
-    EXPECT_TRUE(btb.predictTaken(addr)); // 1 -> 2.
-    btb.update(addr, true);              // 2 -> 3.
-    btb.update(addr, false);             // 3 -> 2: still taken.
-    EXPECT_TRUE(btb.predictTaken(addr));
-    btb.update(addr, false);             // 2 -> 1.
-    EXPECT_FALSE(btb.predictTaken(addr));
+    // Initial counters are weakly not-taken. Each call returns the
+    // prediction made before training.
+    EXPECT_FALSE(btb.predictAndTrain(addr, true)); // 1 -> 2.
+    EXPECT_TRUE(btb.predictAndTrain(addr, true));  // 2 -> 3.
+    EXPECT_TRUE(btb.predictAndTrain(addr, false)); // 3 -> 2.
+    EXPECT_TRUE(btb.predictAndTrain(addr, false)); // still taken; -> 1.
+    EXPECT_FALSE(btb.predictAndTrain(addr, false));
+    EXPECT_EQ(btb.lookups(), 5u);
 }
 
 TEST(Btb, Aliasing)
@@ -84,9 +83,9 @@ TEST(Btb, Aliasing)
     // Entries 4 apart in words share a slot in a 4-entry table.
     std::int64_t a = 0;
     std::int64_t b = 4 * 4;
-    btb.update(a, true);
-    btb.update(a, true);
-    EXPECT_TRUE(btb.predictTaken(b)); // aliased.
+    btb.predictAndTrain(a, true);
+    btb.predictAndTrain(a, true);
+    EXPECT_TRUE(btb.predictAndTrain(b, false)); // aliased.
 }
 
 TEST(AddressMap, SequentialWithinFunction)
