@@ -63,8 +63,10 @@ LoopInfo::LoopInfo(const Function &fn, const CfgInfo &cfg,
     for (auto &loop : loops_)
         loop.depth = depth_[static_cast<std::size_t>(loop.header)];
 
-    // Innermost (deepest) first; tie-break on smaller body.
-    std::sort(loops_.begin(), loops_.end(),
+    // Innermost (deepest) first; tie-break on smaller body, then on
+    // discovery order (stable), so the order never depends on the
+    // standard library's sort.
+    std::stable_sort(loops_.begin(), loops_.end(),
               [](const Loop &a, const Loop &b) {
                   if (a.depth != b.depth)
                       return a.depth > b.depth;

@@ -124,8 +124,8 @@ passPipelineDigest(Model model, const AblationFlags &ablation)
     opts.model = model;
     opts.ablation = ablation.canonicalFor(model);
     std::ostringstream text;
-    text << "predilp-pipeline-v1\n" << modelKey(model) << '|'
-         << opts.ablation.key() << '\n';
+    text << "predilp-pipeline-v1\n" << compilerEpoch << '\n'
+         << modelKey(model) << '|' << opts.ablation.key() << '\n';
     for (const std::string &name :
          buildPassPipeline(opts).passNames())
         text << name << '\n';

@@ -98,9 +98,11 @@ std::string machineIdentity(const MachineConfig &machine);
 
 /**
  * Digest of the exact pass list @p model compiles with under
- * @p ablation (canonicalized): "v1:" + truncated sha256 over the
- * ordered pass names. Changes whenever a pass is added, removed, or
- * reordered — the "compiler changed" leg of drift explanation.
+ * @p ablation (canonicalized): "v1:" + truncated sha256 over
+ * compilerEpoch and the ordered pass names. Changes whenever a pass
+ * is added, removed, or reordered, or the epoch is bumped for a pass
+ * whose output moved — the "compiler changed" leg of drift
+ * explanation.
  */
 std::string passPipelineDigest(Model model,
                                const AblationFlags &ablation);

@@ -32,6 +32,27 @@
 namespace predilp
 {
 
+/**
+ * Names the compiled output of this tree's passes. It is hashed into
+ * every trace artifact key (ArtifactStore::keyFor) and every
+ * pass-pipeline digest (passPipelineDigest), so a store filled by an
+ * older compiler misses instead of serving that compiler's programs,
+ * and predilp_diff explains the moved cells by their digests. Bump
+ * it with any change that moves a compiled program, then re-pin
+ * compilerPin.
+ */
+inline constexpr const char *compilerEpoch = "predilp-compiler-1";
+
+/**
+ * sha256 over the printed programs of 15 workloads x 3 models x the
+ * figure set's four machines, compiled the evaluator's way
+ * (CompilerPin.FigureSetProgramsPinnedToEpoch). A change that moves
+ * any of them fails that test until compilerEpoch is bumped and this
+ * digest re-pinned.
+ */
+inline constexpr const char *compilerPin =
+    "21e141a9031c7be5cec6131709330980416a72bef7ed8653f841be1f09690e9f";
+
 /** What one pass invocation did. */
 struct PassResult
 {
