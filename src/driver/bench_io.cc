@@ -75,7 +75,8 @@ printPhaseTiming(std::ostream &os, const StatsSnapshot &stats,
        << seconds("phases.compile_seconds") << "s | emulate "
        << seconds("phases.emulate_seconds") << "s | simulate "
        << seconds("phases.simulate_seconds") << "s\n"
-       << "-- cache: " << n("counters.compiles") << " compiles (+"
+       << "-- cache: " << n("counters.compiles") << " compiles ("
+       << n("counters.formations") << " formations, +"
        << n("counters.prefix_compiles") << " prefix), "
        << n("counters.captures") << " emulations, "
        << n("counters.replays") << " replays, "

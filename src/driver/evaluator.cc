@@ -127,7 +127,8 @@ SuiteEvaluator::SuiteEvaluator(int threads) : pool_(threads)
     // The trace tier's store.* leaves stay zero here (stats() adds
     // the store's); the result tier's store.result_* count here.
     for (const char *name :
-         {"counters.compiles", "counters.prefix_compiles",
+         {"counters.compiles", "counters.formations",
+          "counters.prefix_compiles",
           "counters.prefix_cache_hits", "counters.captures",
           "counters.replays", "counters.trace_cache_hits",
           "counters.result_cache_hits",
@@ -190,7 +191,7 @@ namespace
  * failed entry is evicted first, so the cache is never poisoned: a
  * later request for the same key recomputes instead of replaying a
  * stale failure forever. A request that finds the key present adds
- * one to counter @p hitCounter of @p stats.
+ * one to counter @p hitCounter of @p stats, when one is named.
  */
 template <typename T, typename Fn>
 T
@@ -227,7 +228,7 @@ cachedCompute(
             }
             promise.set_exception(std::current_exception());
         }
-    } else {
+    } else if (hitCounter != nullptr) {
         UnitStats hit(stats);
         hit.counter(hitCounter).add();
     }
@@ -255,6 +256,37 @@ SuiteEvaluator::snapshotFor(const Workload &workload,
             compileStats_.merge(perPrefix);
             unit.counter("counters.prefix_compiles").add();
             return snapshot;
+        });
+}
+
+SuiteEvaluator::FormedPtr
+SuiteEvaluator::formedFor(const Workload &workload,
+                          const EvalRequest &request,
+                          const FormOptions &opts)
+{
+    // The trace key minus machine and fuel: traces that differ only
+    // by those share one formation.
+    std::ostringstream key;
+    key << workload.name << "|s" << request.scale << "|m"
+        << static_cast<int>(opts.model) << '|'
+        << flagsKey(request, opts.model);
+    return cachedCompute(
+        mutex_, formations_, key.str(), stats_, nullptr,
+        [&]() -> FormedPtr {
+            // Outside the timer: a snapshot's owner times its own
+            // compile, and waiting for it is not formation time.
+            SnapshotPtr snapshot =
+                snapshotFor(workload, opts.profileInput,
+                            request.scale, opts.maxProfileInstrs);
+            UnitStats unit(stats_);
+            ScopedTimer timer(unit.timer("phases.compile_seconds"));
+            FAULT_POINT("eval.form");
+            StatsRegistry perFormation;
+            FormedPtr formed =
+                formFromSnapshot(*snapshot, opts, &perFormation);
+            compileStats_.merge(perFormation);
+            unit.counter("counters.formations").add();
+            return formed;
         });
 }
 
@@ -305,12 +337,11 @@ SuiteEvaluator::traceFor(const Workload &workload,
             CompileOptions opts =
                 makeCompileOptions(request, model, machine, input,
                                    policy_.verifyEachPass);
-            // All models of a cell resume from one shared
-            // front-end snapshot; only the model-specific pass
-            // suffix runs per compile.
-            SnapshotPtr snapshot =
-                snapshotFor(workload, input, request.scale,
-                            opts.maxProfileInstrs);
+            // Every machine's compile of this model clones one
+            // shared formed program; only the scheduler runs per
+            // compile. Waiting for the formation is not compile
+            // time: its owner times it.
+            FormedPtr formed = formedFor(workload, request, opts);
             UnitStats unit(stats_);
             std::unique_ptr<Program> prog;
             {
@@ -321,8 +352,7 @@ SuiteEvaluator::traceFor(const Workload &workload,
                 // merge below makes the aggregate independent of
                 // thread count and completion order.
                 StatsRegistry perCompile;
-                prog = compileFromSnapshot(*snapshot, opts,
-                                           &perCompile);
+                prog = scheduleFormed(*formed, opts, &perCompile);
                 compileStats_.merge(perCompile);
                 unit.counter("counters.compiles").add();
             }

@@ -17,11 +17,15 @@
  * certified records under the result cache. A cell whose record is
  * valid is served from it without mapping or replaying its trace.
  *
- * Compilation itself is split: the model-independent front end
- * (parse + classical opt + primary profiling) is computed once per
- * (workload, scale) as a FrontendSnapshot and deep-cloned per model,
- * so the three models of a cell only pay for their model-specific
- * pass suffixes.
+ * Compilation itself is split, with a cache at each seam: the
+ * model-independent front end (parse + classical opt + primary
+ * profiling) is computed once per (workload, scale) as a
+ * FrontendSnapshot; the machine-independent form stage (region
+ * formation through layout) runs once per (workload, scale, model,
+ * canonical ablation flags); and each trace compile only clones its
+ * formed program and schedules it for its machine. The list
+ * scheduler is the only pass that reads the machine, so the
+ * machines of Figures 8-10 share one formation per model.
  *
  * Evaluation fans out over a ThreadPool — across the workloads of an
  * EvalRequest and across model cells inside each workload row — with
@@ -154,8 +158,9 @@ class SuiteEvaluator
     evaluateBatch(const std::vector<EvalRequest> &requests);
 
     /**
-     * Drop all cached TraceBuffers (priced SimResults stay cached).
-     * Call between workload batches to bound resident memory.
+     * Drop all cached TraceBuffers (priced SimResults and formed
+     * programs stay cached). Call between workload batches to bound
+     * resident memory.
      */
     void releaseTraces();
 
@@ -188,6 +193,7 @@ class SuiteEvaluator
   private:
     using TracePtr = std::shared_ptr<const TraceBuffer>;
     using SnapshotPtr = std::shared_ptr<const FrontendSnapshot>;
+    using FormedPtr = std::shared_ptr<const Program>;
 
     /** (Re)open store_ to match policy_; Off closes it. */
     void openStore();
@@ -203,6 +209,18 @@ class SuiteEvaluator
     SnapshotPtr snapshotFor(const Workload &workload,
                             const std::string &input, int scale,
                             std::uint64_t profileFuel);
+
+    /**
+     * The shared formed program for (workload, scale, model,
+     * canonical ablation flags): @p opts' form stage
+     * (formFromSnapshot) resumed from snapshotFor, computed once and
+     * scheduled by every trace compile that differs only by machine
+     * or fuel. Kept for the evaluator's lifetime, across
+     * releaseTraces().
+     */
+    FormedPtr formedFor(const Workload &workload,
+                        const EvalRequest &request,
+                        const FormOptions &opts);
 
     TracePtr traceFor(const Workload &workload,
                       const EvalRequest &request, Model model,
@@ -257,6 +275,8 @@ class SuiteEvaluator
         results_;
     std::unordered_map<std::string, std::shared_future<SnapshotPtr>>
         snapshots_;
+    std::unordered_map<std::string, std::shared_future<FormedPtr>>
+        formations_;
 
     /**
      * Counters and phase timers behind stats(). Past construction

@@ -375,6 +375,7 @@ knownPoints()
         "store.load.validate",   // byte-level artifact validation
         "store.load.result",     // reading a certified result record
         "emu.threaded.capture",  // threaded-backend capture entry
+        "eval.form",             // model formation in formedFor
         "eval.compile",          // model compilation in traceFor
         "eval.replay",           // single-config replay in cellResult
         "eval.replay.batch",     // batched replay pass in a group
