@@ -27,6 +27,7 @@
 #include "driver/pipeline.hh"
 #include "store/sha256.hh"
 #include "store/store.hh"
+#include "store/xxh64.hh"
 #include "support/faultpoint.hh"
 #include "support/json.hh"
 #include "trace/replay.hh"
@@ -127,6 +128,30 @@ TEST(Sha256, MatchesKnownVectors)
     pieces.update(longMsg.substr(0, 7));
     pieces.update(longMsg.substr(7));
     EXPECT_EQ(pieces.hex(), sha256Hex(longMsg));
+}
+
+TEST(Xxh64, MatchesKnownVectors)
+{
+    // The XXH64 specification's seed-0 answers.
+    EXPECT_EQ(xxh64("", 0), 0xef46db3751d8e999ull);
+    EXPECT_EQ(xxh64("a", 1), 0xd24ec4f1a98c6e5bull);
+    EXPECT_EQ(xxh64("abc", 3), 0x44bc2cf5ad770999ull);
+}
+
+TEST(Xxh64, StreamedEqualsOneShotAtEverySplit)
+{
+    // 1 KiB of varied bytes: every split point crosses the 32-byte
+    // stripe buffer at a different offset.
+    std::vector<std::uint8_t> bytes(1024);
+    for (std::size_t i = 0; i < bytes.size(); ++i)
+        bytes[i] = static_cast<std::uint8_t>(i * 131 + (i >> 3));
+    const std::uint64_t whole = xxh64(bytes.data(), bytes.size());
+    for (std::size_t split = 0; split <= bytes.size(); ++split) {
+        Xxh64 streamed;
+        streamed.update(bytes.data(), split);
+        streamed.update(bytes.data() + split, bytes.size() - split);
+        ASSERT_EQ(streamed.digest(), whole) << "split at " << split;
+    }
 }
 
 TEST(ArtifactStore, KeysSeparateEveryField)
