@@ -15,15 +15,17 @@
 # Served warm pass: reruns the same binaries against the store
 # populated by the cold pass and enforces the result-tier contract —
 # every evaluator-driven bench (store.result_hit > 0) must serve its
-# cells from their certified records: zero compiles, zero captures,
-# zero replays, zero emulation seconds, zero record writes, and
-# figure output bit-identical to the cold run.
+# cells from their certified records: zero compiles, zero
+# formations, zero captures, zero replays, zero emulation seconds,
+# zero record writes, and figure output bit-identical to the cold
+# run.
 #
 # Trace-tier warm pass: removes the certified records and reruns, so
 # every cell maps its trace from the store — every evaluator-driven
-# bench (store.hit > 0) must report zero compiles, zero captures,
-# zero emulation seconds, and figure output bit-identical to the
-# cold run. It republishes the records it replays.
+# bench (store.hit > 0) must report zero compiles, zero formations,
+# zero captures, zero emulation seconds, and figure output
+# bit-identical to the cold run. It republishes the records it
+# replays.
 #
 # Interp-backend pass: reruns everything with PREDILP_EMU=interp
 # against a separate (cold) store and requires figure output
@@ -64,6 +66,17 @@ run_benches() {
     done
 }
 
+# The JSONs this run writes: one per bench, named after it. Only
+# these are checked, so a stale BENCH_*.json that another script left
+# in bench-out/ (scripts/sweep_ci.sh's BENCH_sweep*.json) never enters
+# a gate. They are removed first, so a bench that writes nothing
+# fails below instead of passing on the previous run's file.
+jsons=()
+for bench in "${benches[@]}"; do
+    jsons+=("BENCH_${bench#bench_}.json")
+done
+rm -f "${jsons[@]}"
+
 # Move the previous run's certified result records (if any) out of
 # the store, so the drift gate below can compare the two runs cell by
 # cell. Moved, not copied: with the records in place the cold pass
@@ -77,13 +90,11 @@ fi
 echo "== cold pass (store: ${PREDILP_STORE}) =="
 run_benches
 
-shopt -s nullglob
-jsons=(BENCH_*.json)
-if [ "${#jsons[@]}" -eq 0 ]; then
-    echo "error: no BENCH_*.json produced" >&2
-    exit 1
-fi
 for json in "${jsons[@]}"; do
+    if [ ! -f "${json}" ]; then
+        echo "error: ${json} not produced" >&2
+        exit 1
+    fi
     python3 -m json.tool "${json}" > /dev/null
     echo "ok: ${json}"
 done
@@ -200,12 +211,14 @@ ZERO_WORK = not os.environ.get("PREDILP_FAULTS")
 if mode == "served":
     HIT = "result_hit"
     ZERO = (("store", "miss"), ("store", "result_write"),
-            ("counters", "compiles"), ("counters", "captures"),
-            ("counters", "replays"), ("phases", "emulate_seconds"))
+            ("counters", "compiles"), ("counters", "formations"),
+            ("counters", "captures"), ("counters", "replays"),
+            ("phases", "emulate_seconds"))
 else:
     HIT = "hit"
     ZERO = (("store", "miss"), ("counters", "compiles"),
-            ("counters", "captures"), ("phases", "emulate_seconds"))
+            ("counters", "formations"), ("counters", "captures"),
+            ("phases", "emulate_seconds"))
 
 failed = False
 
