@@ -1,23 +1,23 @@
 #!/usr/bin/env bash
-# Fault-injection kill matrix for the self-healing sweep/store
-# pipeline (src/support/faultpoint.hh, DESIGN.md §6j).
+# Fault-injection kill matrix for the sweep/store pipeline
+# (src/support/faultpoint.hh, DESIGN.md §6j).
 #
-# Baseline pass: runs a small grid (2 workers, fresh shared store)
-# fault-free and records the merged "cells" array as ground truth.
+# Baseline pass: runs a small grid fault-free against a fresh store
+# and records its "cells" array as ground truth.
 #
 # Matrix pass: arms every registered fault point (discovered via
 # predilp_sweep --list-fault-points, so a new point can never dodge
-# CI) one at a time as `<point>=once` through PREDILP_FAULTS and
-# requires each run to exit 0 with zero degraded cells and a cells
-# array byte-identical to the baseline — every injected throw must be
-# healed by a retry or a degradation-ladder rung, never absorbed into
-# the results.
+# CI) one at a time as `<point>=once` through PREDILP_FAULTS. Each run
+# must exit 0, report timing.fault.<point>.fired >= 1 (the point
+# really bit) and render cells byte-identical to the baseline — every
+# injected throw must be healed by a degradation-ladder rung, never
+# absorbed into the results.
 #
-# Kill pass: repeats the worker-lifecycle and store-publish points
-# with action `crash` (SIGKILL at the point, including mid-publish
-# with the temp artifact staged), `short-write` (torn worker result
-# file / truncated artifact), and a `delay` hang reaped by the
-# supervisor watchdog.
+# Kill pass: SIGKILL inside the store's publish window (`crash` at
+# store.publish.rename, the temp artifact staged) must kill the run
+# with exit 137, and a disarmed rerun must converge to the baseline
+# cells. Then `short-write` truncates an artifact and a certified
+# record at publish; loads must reject and recompute them.
 #
 # Load-side points (store.load.*) run against the warm store and must
 # show their repair in the report: store.repair for the artifact
@@ -26,9 +26,9 @@
 # read.
 #
 # Serve-no-corruption pass: after the whole matrix has battered the
-# shared store, one disarmed healing run republishes anything a torn
-# publish left behind, then a warm run must do zero compiles and zero
-# captures and still merge to the baseline bytes — once served from
+# store, one disarmed healing run republishes anything a torn publish
+# left behind, then a warm run must do zero compiles and zero
+# captures and still render the baseline bytes — once served from
 # the certified records, once with them removed so every artifact is
 # mapped and validated — proving no corrupt artifact or record was
 # ever served as truth.
@@ -51,39 +51,40 @@ cat > "${OUT}/grid.json" <<'EOF'
 }
 EOF
 
-# extract_cells REPORT CELLS_OUT [MIN_RETRIES]: dump the canonical
-# cells array and fail on any degraded cell (or too few retries).
+# extract_cells REPORT CELLS_OUT [POINT]: dump the canonical cells
+# array; with POINT, fail unless timing.fault.POINT.fired >= 1.
 extract_cells() {
     python3 - "$@" <<'PYEOF'
 import json
 import sys
 
 report_path, cells_path = sys.argv[1:3]
-min_retries = int(sys.argv[3]) if len(sys.argv) > 3 else 0
+point = sys.argv[3] if len(sys.argv) > 3 else ""
 with open(report_path) as f:
     report = json.load(f)
-if report.get("degraded_cells", 0) != 0:
-    sys.exit(f"error: {report_path}: {report['degraded_cells']} "
-             f"degraded cell(s); expected full convergence")
-retries = report.get("worker_retries", 0)
-if retries < min_retries:
-    sys.exit(f"error: {report_path}: {retries} worker retries; "
-             f"expected >= {min_retries} (fault never bit?)")
+if point:
+    node = report["timing"].get("fault", {})
+    for part in point.split(".") + ["fired"]:
+        node = node.get(part, {}) if isinstance(node, dict) else {}
+    fired = node if isinstance(node, int) else 0
+    if fired < 1:
+        sys.exit(f"error: {report_path}: timing.fault.{point}.fired "
+                 f"= {fired}; the armed point never fired")
+    print(f"ok: timing.fault.{point}.fired = {fired}")
 with open(cells_path, "w") as f:
     json.dump(report["cells"], f, sort_keys=True)
 PYEOF
 }
 
-# run_case NAME SPEC MIN_RETRIES [extra sweep args...]: run the grid
-# with SPEC armed and require byte-identical convergence.
+# run_case NAME SPEC: run the grid with SPEC armed and require the
+# armed point to fire and the cells to match the baseline bytes.
 run_case() {
-    local name="$1" spec="$2" min_retries="$3"
-    shift 3
+    local name="$1" spec="$2"
     echo "== fault case: ${name} (${spec:-disarmed}) =="
     PREDILP_FAULTS="${spec}" "${SWEEP}" --spec "${OUT}/grid.json" \
-        --workers 2 --out "${OUT}/report.json" "$@"
+        --out "${OUT}/report.json"
     extract_cells "${OUT}/report.json" "${OUT}/cells.json" \
-        "${min_retries}"
+        "${spec%%=*}"
     if ! cmp -s "${OUT}/cells.json" "${OUT}/baseline_cells.json"; then
         echo "error: ${name}: cells differ from fault-free baseline" >&2
         diff "${OUT}/baseline_cells.json" "${OUT}/cells.json" >&2 || true
@@ -134,8 +135,7 @@ PYEOF
 }
 
 echo "== baseline pass (store: ${PREDILP_STORE}) =="
-"${SWEEP}" --spec "${OUT}/grid.json" --workers 2 \
-    --out "${OUT}/baseline.json"
+"${SWEEP}" --spec "${OUT}/grid.json" --out "${OUT}/baseline.json"
 extract_cells "${OUT}/baseline.json" "${OUT}/baseline_cells.json"
 
 # Every registered point, armed one at a time. The load-side points
@@ -156,7 +156,7 @@ while IFS= read -r point; do
         store.load.*) rm -rf "${PREDILP_STORE}/results" ;;
         *) rm -rf "${PREDILP_STORE}" ;;
     esac
-    run_case "throw ${point}" "${point}=once" 0
+    run_case "throw ${point}" "${point}=once"
     case "${point}" in
         store.load.result)
             expect_repair "${OUT}/report.json" result_repair ;;
@@ -165,51 +165,50 @@ while IFS= read -r point; do
 done <<< "${points}"
 
 echo "== kill pass =="
-# SIGKILL a worker the instant before it writes its result file.
-run_case "worker killed mid-publish" \
-    "sweep.worker.publish=once:crash" 1
 # SIGKILL inside the artifact store's publish window: the temp file
 # is staged but the canonical path untouched. Cold store so the
-# publish actually happens.
+# publish actually happens. The run must die by SIGKILL...
 rm -rf "${PREDILP_STORE}"
-run_case "store publish killed mid-rename" \
-    "store.publish.rename=once:crash" 1
-# SIGKILL at worker startup (before any work).
-run_case "worker killed at startup" "sweep.worker.start=once:crash" 1
-# Worker exits 0 but its result file is torn at half length.
-run_case "torn worker result file" \
-    "sweep.worker.publish=once:short-write" 1
+echo "== fault case: store publish killed mid-rename =="
+status=0
+PREDILP_FAULTS=store.publish.rename=once:crash "${SWEEP}" \
+    --spec "${OUT}/grid.json" --out "${OUT}/report.json" || status=$?
+if [ "${status}" -ne 137 ]; then
+    echo "error: crash case exited ${status}; expected 137 (SIGKILL)" >&2
+    exit 1
+fi
+echo "ok: the run died by SIGKILL"
+# ...a disarmed rerun over the store it left must converge, and the
+# store must hold no torn artifact.
+run_case "rerun after the kill" ""
+build/tools/predilp_diff --verify "${PREDILP_STORE}"
 # Artifact payload truncated at half length before publish (cold
 # store), tearing the trace and its embedded provenance together;
 # load validation must quarantine and recompute the torn artifact,
 # never serve it.
 rm -rf "${PREDILP_STORE}"
 run_case "truncated artifact publish" \
-    "store.publish.write=once:short-write" 0
+    "store.publish.write=once:short-write"
 # Certified result record torn at half length (cold store): the
 # record fails its seal on read and the next evaluation republishes
 # it; figures never change.
 rm -rf "${PREDILP_STORE}"
 run_case "torn certified result publish" \
-    "store.publish.result=once:short-write" 0
-# Worker hangs 60s at startup; the supervisor watchdog must SIGKILL
-# and retry it (the retry's hit count skips the nth:1 trigger).
-run_case "hung worker reaped by watchdog" \
-    "sweep.worker.start=nth:1:delay:60000" 1 --watchdog-sec 5
+    "store.publish.result=once:short-write"
 
 echo "== serve-no-corruption pass =="
 # A torn publish may still be sitting in the store; one disarmed run
 # is allowed to quarantine and recompute it...
-run_case "healing run" "" 0
+run_case "healing run" ""
 # ...after which the warm run must find only good records and
 # artifacts: zero compiles, zero captures, baseline bytes. Once served
 # from the certified records...
-run_case "warm run" "" 0
+run_case "warm run" ""
 expect_no_new_work "${OUT}/report.json"
 # ...and once with the records removed, so every artifact is mapped
 # and validated (the run republishes the records).
 rm -rf "${PREDILP_STORE}/results"
-run_case "warm run (traces only)" "" 0
+run_case "warm run (traces only)" ""
 expect_no_new_work "${OUT}/report.json"
 
 # ...and the whole store must pass the provenance contract: every
@@ -218,4 +217,4 @@ expect_no_new_work "${OUT}/report.json"
 # must have been healed, not left behind.
 build/tools/predilp_diff --verify "${PREDILP_STORE}"
 
-echo "fault-ci: all cases converged byte-identically"
+echo "fault-ci: all cases fired and converged byte-identically"

@@ -1,20 +1,19 @@
 #!/usr/bin/env bash
-# Exercise the sharded scenario-sweep driver end to end and validate
-# its consolidated report.
+# Exercise the scenario-sweep driver end to end and validate its
+# report.
 #
 # Cold pass: runs a small grid (2 x 2 x 2 over the cheapest workload)
-# with 2 forked workers sharing the artifact store, then checks the
-# BENCH_sweep.json shape — cell_count matches, cell indices are
-# exactly 0..n-1 (no duplicates, no holes), every cell carries axes /
-# digests / per-model figures, and the crossover summary covers every
-# axis.
+# against the artifact store, then checks the BENCH_sweep.json
+# shape — cell_count matches, cell indices are exactly 0..n-1 (no
+# duplicates, no holes), every cell carries axes / digests /
+# per-model figures, and the crossover summary covers every axis.
 #
-# Determinism pass: re-expands the same grid sequentially (1 worker,
-# fresh store) and requires the "cells" array to be byte-identical to
-# the sharded run's — the sweep's merge contract.
+# Determinism pass: re-runs the same grid with the store off and
+# requires the "cells" array to be byte-identical to the store-backed
+# cold run's.
 #
-# Warm pass: re-runs the sharded sweep against the store the cold
-# pass populated and requires zero compiles, zero captures and zero
+# Warm pass: re-runs the sweep against the store the cold pass
+# populated and requires zero compiles, zero captures and zero
 # replays: every cell must be served from its certified record.
 #
 # Usage: scripts/sweep_ci.sh. Assumes scripts/tier1.sh already built.
@@ -39,9 +38,8 @@ cat > sweep_grid.json <<'EOF'
 }
 EOF
 
-echo "== cold sharded pass (store: ${PREDILP_STORE}) =="
-../build/tools/predilp_sweep --spec sweep_grid.json --workers 2 \
-    --out BENCH_sweep.json
+echo "== cold pass (store: ${PREDILP_STORE}) =="
+../build/tools/predilp_sweep --spec sweep_grid.json --out BENCH_sweep.json
 
 python3 - BENCH_sweep.json <<'EOF'
 import json
@@ -71,7 +69,7 @@ if cell_count != 8:
     fail(f"{path}: expected the 2x2x2 grid's 8 cells, got {cell_count}")
 
 # Completeness: indices must be exactly 0..n-1 — a duplicate or a
-# missing cell is a sharding/merge bug.
+# missing cell is a rendering bug.
 indices = [cell.get("index") for cell in cells]
 if sorted(indices) != list(range(len(cells))):
     dupes = sorted({i for i in indices if indices.count(i) > 1})
@@ -119,34 +117,31 @@ if not failed:
 sys.exit(1 if failed else 0)
 EOF
 
-echo "== determinism pass (sequential, fresh store) =="
-cp BENCH_sweep.json BENCH_sweep_sharded.json
-PREDILP_STORE="${PREDILP_STORE}-seq" \
-    ../build/tools/predilp_sweep --spec sweep_grid.json --workers 1 \
-    --out BENCH_sweep_seq.json
-rm -rf "${PREDILP_STORE}-seq"
+echo "== determinism pass (store off) =="
+env -u PREDILP_STORE ../build/tools/predilp_sweep \
+    --spec sweep_grid.json --out BENCH_sweep_nostore.json
 
-python3 - BENCH_sweep_sharded.json BENCH_sweep_seq.json <<'EOF'
+python3 - BENCH_sweep.json BENCH_sweep_nostore.json <<'EOF'
 import json
 import sys
 
-sharded_path, seq_path = sys.argv[1:3]
-with open(sharded_path) as f:
-    sharded = json.load(f)
-with open(seq_path) as f:
-    seq = json.load(f)
-if sharded["cells"] != seq["cells"]:
-    print("error: sharded cells differ from the sequential run",
+stored_path, nostore_path = sys.argv[1:3]
+with open(stored_path) as f:
+    stored = json.load(f)
+with open(nostore_path) as f:
+    nostore = json.load(f)
+if stored["cells"] != nostore["cells"]:
+    print("error: store-backed cells differ from the store-off run",
           file=sys.stderr)
     sys.exit(1)
-print("ok: 2-worker cells identical to sequential run")
+print("ok: store-backed cells identical to the store-off run")
 EOF
 
-echo "== warm sharded pass =="
-../build/tools/predilp_sweep --spec sweep_grid.json --workers 2 \
+echo "== warm pass =="
+../build/tools/predilp_sweep --spec sweep_grid.json \
     --out BENCH_sweep_warm.json
 
-python3 - BENCH_sweep_warm.json BENCH_sweep_sharded.json <<'EOF'
+python3 - BENCH_sweep_warm.json BENCH_sweep.json <<'EOF'
 import json
 import sys
 

@@ -113,8 +113,8 @@ addBenchDoc(const JsonValue &doc, const std::string &origin,
         bench != nullptr && bench->kind() == JsonValue::Kind::String)
         benchName = bench->asString();
     if (const JsonValue *cells = doc.find("cells")) {
-        // Sweep document: one entry per grid cell; degraded cells
-        // (no "benchmarks") carry no figures to compare.
+        // Sweep document: one entry per grid cell; a cell without
+        // "benchmarks" carries no figures to compare.
         for (const JsonValue &cell : cells->items()) {
             if (!cell.isObject())
                 continue;

@@ -4,14 +4,13 @@
  * describes everything a suite evaluation depends on — workload
  * subset, model subset, the full SimConfig, ablation flags, and
  * input scale — and round-trips through canonical JSON, so the same
- * struct is the in-process API (SuiteEvaluator::evaluate), the
- * wire format between sweep driver and forked workers, and a line
- * in a grid spec.
+ * struct is the in-process API (SuiteEvaluator::evaluate) and a
+ * line in a grid spec.
  *
  * requestDigest() extends SimConfig::configDigest() to the whole
  * request: two requests with equal digests produce bit-identical
  * EvalResponses (given the same source tree), which is what lets
- * the sweep driver detect duplicate cells and label artifacts.
+ * the sweep report label each cell by its request.
  */
 
 #ifndef PREDILP_DRIVER_EVAL_REQUEST_HH

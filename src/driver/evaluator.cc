@@ -155,8 +155,8 @@ SuiteEvaluator::SuiteEvaluator(int threads) : pool_(threads)
                                               : StoreMode::ReadWrite;
     }
     // PREDILP_FAULTS arms here too, so every evaluator-driven binary
-    // honours it. The arm is latched once per process: a sweep that
-    // armed before forking its workers is not re-armed.
+    // honours it. The arm is latched once per process, so a second
+    // evaluator does not reset the counters of the first.
     faultpoints::armFromEnv();
     openStore();
 }
@@ -537,7 +537,6 @@ SuiteEvaluator::cellResult(const Workload &workload,
             TracePtr trace =
                 traceFor(workload, request, model, machine, input,
                          sim.maxDynInstrs, tkey);
-            FAULT_POINT("eval.replay");
             SimResult priced;
             {
                 UnitStats unit(stats_);

@@ -33,16 +33,20 @@ rejectUnknownKeys(const JsonValue &json,
     }
 }
 
-/** Read an optional integer member into @p target, checked > 0. */
+/** Read an optional integer member into @p target, checked >= @p min:
+ * 1 for sizes and latencies, 0 for penalties (a negative miss penalty
+ * would make a miss cheaper than a hit). */
 template <typename T>
 void
-readPositive(const JsonValue &json, const char *key, T &target)
+readAtLeast(const JsonValue &json, const char *key, std::int64_t min,
+            T &target)
 {
     if (const JsonValue *v = json.find(key)) {
         std::int64_t raw = v->asInt();
-        if (raw <= 0) {
+        if (raw < min) {
             throw FatalError(std::string("config key '") + key +
-                             "' must be positive");
+                             "' must be at least " +
+                             std::to_string(min));
         }
         target = static_cast<T>(raw);
     }
@@ -83,20 +87,18 @@ machineFromJson(const JsonValue &json)
                        "lat_branch", "lat_pred_define"},
                       "machine");
     MachineConfig machine;
-    readPositive(json, "issue_width", machine.issueWidth);
-    readPositive(json, "branches_per_cycle",
-                 machine.branchesPerCycle);
-    if (const JsonValue *v = json.find("mispredict_penalty"))
-        machine.mispredictPenalty = static_cast<int>(v->asInt());
-    readPositive(json, "lat_int_alu", machine.latIntAlu);
-    readPositive(json, "lat_int_mul", machine.latIntMul);
-    readPositive(json, "lat_int_div", machine.latIntDiv);
-    readPositive(json, "lat_fp_alu", machine.latFpAlu);
-    readPositive(json, "lat_fp_div", machine.latFpDiv);
-    readPositive(json, "lat_load", machine.latLoad);
-    readPositive(json, "lat_store", machine.latStore);
-    readPositive(json, "lat_branch", machine.latBranch);
-    readPositive(json, "lat_pred_define", machine.latPredDefine);
+    readAtLeast(json, "issue_width", 1, machine.issueWidth);
+    readAtLeast(json, "branches_per_cycle", 1, machine.branchesPerCycle);
+    readAtLeast(json, "mispredict_penalty", 0, machine.mispredictPenalty);
+    readAtLeast(json, "lat_int_alu", 1, machine.latIntAlu);
+    readAtLeast(json, "lat_int_mul", 1, machine.latIntMul);
+    readAtLeast(json, "lat_int_div", 1, machine.latIntDiv);
+    readAtLeast(json, "lat_fp_alu", 1, machine.latFpAlu);
+    readAtLeast(json, "lat_fp_div", 1, machine.latFpDiv);
+    readAtLeast(json, "lat_load", 1, machine.latLoad);
+    readAtLeast(json, "lat_store", 1, machine.latStore);
+    readAtLeast(json, "lat_branch", 1, machine.latBranch);
+    readAtLeast(json, "lat_pred_define", 1, machine.latPredDefine);
     return machine;
 }
 
@@ -142,16 +144,15 @@ SimConfig::fromJson(const JsonValue &json)
         config.machine = machineFromJson(*v);
     if (const JsonValue *v = json.find("perfect_caches"))
         config.perfectCaches = v->asBool();
-    readPositive(json, "cache_size_bytes", config.cacheSizeBytes);
-    readPositive(json, "cache_line_bytes", config.cacheLineBytes);
-    readPositive(json, "cache_assoc", config.cacheAssociativity);
-    if (const JsonValue *v = json.find("cache_miss_penalty"))
-        config.cacheMissPenalty = static_cast<int>(v->asInt());
-    readPositive(json, "btb_entries", config.btbEntries);
-    readPositive(json, "btb_assoc", config.btbAssociativity);
+    readAtLeast(json, "cache_size_bytes", 1, config.cacheSizeBytes);
+    readAtLeast(json, "cache_line_bytes", 1, config.cacheLineBytes);
+    readAtLeast(json, "cache_assoc", 1, config.cacheAssociativity);
+    readAtLeast(json, "cache_miss_penalty", 0, config.cacheMissPenalty);
+    readAtLeast(json, "btb_entries", 1, config.btbEntries);
+    readAtLeast(json, "btb_assoc", 1, config.btbAssociativity);
     if (const JsonValue *v = json.find("predictor"))
         config.predictor = predictorFromName(v->asString());
-    readPositive(json, "max_dyn_instrs", config.maxDynInstrs);
+    readAtLeast(json, "max_dyn_instrs", 1, config.maxDynInstrs);
     config.checkGeometry();
     return config;
 }

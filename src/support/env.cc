@@ -33,25 +33,6 @@ EnvConfig::fromEnvironment()
         faults != nullptr && faults[0] != '\0') {
         config.faultSpec = faults;
     }
-    if (const char *tmp = std::getenv("TMPDIR");
-        tmp != nullptr && tmp[0] != '\0') {
-        config.tmpDir = tmp;
-        while (config.tmpDir.size() > 1 &&
-               config.tmpDir.back() == '/')
-            config.tmpDir.pop_back();
-    }
-    if (const char *env =
-            std::getenv("PREDILP_SWEEP_WATCHDOG_SEC")) {
-        char *end = nullptr;
-        double parsed = std::strtod(env, &end);
-        if (end != nullptr && *end == '\0' && parsed > 0) {
-            config.sweepWatchdogSec = parsed;
-        } else {
-            warn("ignoring invalid PREDILP_SWEEP_WATCHDOG_SEC "
-                 "value '" +
-                 std::string(env) + "'");
-        }
-    }
     return config;
 }
 

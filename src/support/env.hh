@@ -20,14 +20,6 @@
  *   PREDILP_FAULTS      deterministic fault-injection spec (see
  *                       support/faultpoint.hh for the grammar);
  *                       unset/empty = no fault points armed.
- *   PREDILP_SWEEP_WATCHDOG_SEC
- *                       per-shard watchdog for the forked sweep
- *                       driver, in seconds; <= 0 or unparsable
- *                       values are warned about and ignored
- *                       (keeping the built-in default).
- *   TMPDIR              (standard POSIX, not PREDILP_*) scratch
- *                       directory for the sweep driver's worker
- *                       files; unset/empty = "/tmp".
  *
  * fromEnvironment() re-reads the environment on every call (tests
  * setenv() between constructions); callers that want one-time
@@ -60,13 +52,6 @@ struct EnvConfig
 
     /** Raw PREDILP_FAULTS spec ("" when unset). */
     std::string faultSpec;
-
-    /** Validated PREDILP_SWEEP_WATCHDOG_SEC (0 = unset = default). */
-    double sweepWatchdogSec = 0;
-
-    /** TMPDIR with any trailing slashes stripped ("/tmp" when
-     * unset or empty). */
-    std::string tmpDir = "/tmp";
 
     /** Read (and validate) the current environment. */
     static EnvConfig fromEnvironment();

@@ -1,15 +1,11 @@
 #include "support/faultpoint.hh"
 
 #include <signal.h>
-#include <sys/mman.h>
 #include <unistd.h>
 
-#include <cerrno>
-#include <chrono>
 #include <cstdlib>
-#include <cstring>
+#include <memory>
 #include <mutex>
-#include <thread>
 
 #include "support/env.hh"
 #include "support/logging.hh"
@@ -31,23 +27,14 @@ enum class Trigger : std::uint8_t
     Prob,
 };
 
-/**
- * Per-point mutable state, shared across fork via one MAP_SHARED
- * anonymous page: hit and fire counts survive into (and are updated
- * by) every worker the arming process forks, so "once" is once per
- * process tree and retried workers run clean after the first fire.
- */
-struct SharedSlot
+/** Per-point hit and fire counts, updated lock-free by poll(). */
+struct Counters
 {
-    std::atomic<std::uint64_t> hits;
-    std::atomic<std::uint64_t> fired;
+    std::atomic<std::uint64_t> hits{0};
+    std::atomic<std::uint64_t> fired{0};
 };
 
-constexpr std::size_t kMaxArmed = 64;
-static_assert(sizeof(SharedSlot) * kMaxArmed <= 4096,
-              "armed-slot array must fit one shared page");
-
-/** One armed spec entry (immutable after arming). */
+/** One armed spec entry; only its counters change after arming. */
 struct ArmedPoint
 {
     std::string name;
@@ -56,12 +43,10 @@ struct ArmedPoint
     double probability = 0;      ///< Trigger::Prob.
     std::uint64_t seed = 0;      ///< Trigger::Prob.
     FaultAction action = FaultAction::Throw;
-    std::uint64_t delayMillis = 100; ///< FaultAction::Delay.
-    SharedSlot *slot = nullptr;
+    std::unique_ptr<Counters> counters = std::make_unique<Counters>();
 };
 
 std::vector<ArmedPoint> gArmed;
-SharedSlot *gSharedSlots = nullptr;
 bool gArmedFromEnv = false;
 std::mutex gArmMutex;
 
@@ -80,7 +65,7 @@ crashNow()
 {
     // The most brutal death available: no destructors, no atexit, no
     // signal handlers — indistinguishable from `kill -9` or an OOM
-    // kill, which is exactly what the healing layers must survive.
+    // kill, which is exactly what the store must survive.
     ::kill(::getpid(), SIGKILL);
     ::_exit(137); // unreachable unless SIGKILL is somehow blocked.
 }
@@ -171,21 +156,9 @@ parseEntry(const std::string &entry)
             point.action = FaultAction::Crash;
         } else if (action == "short-write") {
             point.action = FaultAction::ShortWrite;
-        } else if (action == "delay") {
-            point.action = FaultAction::Delay;
-            if (next + 1 < tokens.size()) {
-                char *end = nullptr;
-                point.delayMillis = std::strtoull(
-                    tokens[next + 1].c_str(), &end, 10);
-                if (end == nullptr || *end != '\0')
-                    badSpec(entry, "bad delay milliseconds '" +
-                                       tokens[next + 1] + "'");
-                next += 1;
-            }
         } else {
-            badSpec(entry,
-                    "unknown action '" + action +
-                        "' (throw | crash | short-write | delay[:MS])");
+            badSpec(entry, "unknown action '" + action +
+                               "' (throw | crash | short-write)");
         }
         if (next + 1 < tokens.size())
             badSpec(entry, "trailing tokens after action");
@@ -220,26 +193,26 @@ splitEntries(const std::string &spec)
     return trimmed;
 }
 
-/** Should @p point fire on this hit? Updates shared counters. */
+/** Should @p point fire on this hit? Updates its counters. */
 bool
 shouldFire(const ArmedPoint &point)
 {
+    Counters &counters = *point.counters;
     const std::uint64_t hit =
-        point.slot->hits.fetch_add(1, std::memory_order_relaxed) + 1;
+        counters.hits.fetch_add(1, std::memory_order_relaxed) + 1;
     switch (point.trigger) {
       case Trigger::Once:
         // The fired count is the once-latch: only the hit that
-        // transitions it 0 -> 1 fires, in this process or any
-        // forked sibling sharing the slot page.
+        // transitions it 0 -> 1 fires, whichever thread makes it.
         {
             std::uint64_t expected = 0;
-            return point.slot->fired.compare_exchange_strong(
+            return counters.fired.compare_exchange_strong(
                 expected, 1, std::memory_order_relaxed);
         }
       case Trigger::Nth:
         if (hit != point.nth)
             return false;
-        point.slot->fired.fetch_add(1, std::memory_order_relaxed);
+        counters.fired.fetch_add(1, std::memory_order_relaxed);
         return true;
       case Trigger::Prob: {
         // Deterministic per-hit coin: hash(seed, hit index) mapped
@@ -250,7 +223,7 @@ shouldFire(const ArmedPoint &point)
             0x1.0p-53;
         if (coin >= point.probability)
             return false;
-        point.slot->fired.fetch_add(1, std::memory_order_relaxed);
+        counters.fired.fetch_add(1, std::memory_order_relaxed);
         return true;
       }
     }
@@ -275,10 +248,6 @@ pollSlow(const char *name)
         switch (point.action) {
           case FaultAction::Crash:
             crashNow();
-          case FaultAction::Delay:
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(point.delayMillis));
-            return FaultAction::None;
           case FaultAction::Throw:
           case FaultAction::ShortWrite:
           case FaultAction::None:
@@ -308,31 +277,6 @@ armFromSpec(const std::string &spec)
     std::vector<ArmedPoint> armed;
     for (const std::string &entry : splitEntries(spec))
         armed.push_back(parseEntry(entry));
-    if (armed.size() > kMaxArmed) {
-        throw FatalError("PREDILP_FAULTS arms " +
-                         std::to_string(armed.size()) +
-                         " points; at most " +
-                         std::to_string(kMaxArmed) + " supported");
-    }
-
-    // One shared page for the whole process tree, allocated at first
-    // arm and reused (re-arming resets the counters): children
-    // forked after arming inherit the mapping, not a copy.
-    if (gSharedSlots == nullptr && !armed.empty()) {
-        void *page = ::mmap(nullptr, 4096, PROT_READ | PROT_WRITE,
-                            MAP_SHARED | MAP_ANONYMOUS, -1, 0);
-        if (page == MAP_FAILED) {
-            throw FatalError(
-                std::string("fault-point mmap failed: ") +
-                std::strerror(errno));
-        }
-        gSharedSlots = static_cast<SharedSlot *>(page);
-    }
-    if (!armed.empty())
-        std::memset(static_cast<void *>(gSharedSlots), 0, 4096);
-    for (std::size_t i = 0; i < armed.size(); ++i)
-        armed[i].slot = gSharedSlots + i;
-
     gArmed = std::move(armed);
     detail::anyArmed.store(!gArmed.empty(),
                            std::memory_order_relaxed);
@@ -377,10 +321,7 @@ knownPoints()
         "emu.threaded.capture",  // threaded-backend capture entry
         "eval.form",             // model formation in formedFor
         "eval.compile",          // model compilation in traceFor
-        "eval.replay",           // single-config replay in cellResult
         "eval.replay.batch",     // batched replay pass in a group
-        "sweep.worker.start",    // forked worker, before evaluation
-        "sweep.worker.publish",  // forked worker, result-file write
     };
     return points;
 }
@@ -392,10 +333,10 @@ stats()
     StatsSnapshot s;
     for (const ArmedPoint &point : gArmed) {
         s.setCounter("fault." + point.name + ".hits",
-                     point.slot->hits.load(
+                     point.counters->hits.load(
                          std::memory_order_relaxed));
         s.setCounter("fault." + point.name + ".fired",
-                     point.slot->fired.load(
+                     point.counters->fired.load(
                          std::memory_order_relaxed));
     }
     return s;

@@ -3,14 +3,14 @@
  * Named, deterministic fault points: failure as a first-class input.
  *
  * Every risky seam in the system — store publish/validate/mmap,
- * evaluator compile/capture/replay, threaded-emulator entry, sweep
- * worker lifecycle — declares a FAULT_POINT("dotted.name"). In a
- * normal run the macro is a single relaxed atomic load (nothing is
- * armed, nothing else happens, unmeasurable against the bench
- * floors). When the PREDILP_FAULTS spec arms a point, reaching it
- * fires a deterministic failure, so crash-recovery paths that would
- * otherwise only run on rare hardware or kernel misbehaviour are
- * exercised on purpose, in tests and CI, every day.
+ * evaluator formation/compile/batched replay, threaded-emulator
+ * entry — declares a FAULT_POINT("dotted.name"). In a normal run the
+ * macro is a single relaxed atomic load (nothing is armed, nothing
+ * else happens, unmeasurable against the bench floors). When the
+ * PREDILP_FAULTS spec arms a point, reaching it fires a deterministic
+ * failure, so crash-recovery paths that would otherwise only run on
+ * rare hardware or kernel misbehaviour are exercised on purpose, in
+ * tests and CI, every day.
  *
  * Spec grammar (the PREDILP_FAULTS environment variable; entries
  * separated by ',' or ';'):
@@ -26,20 +26,15 @@
  *            crash           SIGKILL the calling process
  *            short-write     cooperative: the call site truncates
  *                            the write it was about to make
- *            delay[:MS]      sleep MS milliseconds (default 100)
  *
  * Example:
  *   PREDILP_FAULTS='store.publish.rename=once:crash,
- *                   eval.replay=nth:3'
+ *                   eval.compile=nth:3'
  *
- * Determinism across retries and process trees: arming allocates the
- * per-point hit/fired counters in a MAP_SHARED anonymous page, so
- * forked children (sweep workers) share them with the parent and
- * with each other. "once" therefore means once per process *tree*:
- * the worker that dies from an armed crash marks the point fired
- * before dying, and the re-forked replacement runs clean — which is
- * exactly how a real transient fault behaves, and what makes
- * fault-injected sweeps converge to the fault-free report.
+ * Hit and fire counts are per process: "once" fires once per run. A
+ * run killed by an armed crash leaves the store as a real SIGKILL
+ * would, and a disarmed rerun must converge to the fault-free
+ * report.
  *
  * Points must be declared in knownPoints() (names are validated at
  * arm time, so a typo in a spec fails loudly instead of silently
@@ -68,7 +63,7 @@ namespace predilp
 /**
  * The failure a fired fault point injects when its action is
  * "throw". Derives from Error, so every recoverable-failure path
- * (cell isolation, worker retry, batch fallback) treats it exactly
+ * (cell isolation, batch fallback, quarantine) treats it exactly
  * like the organic failure it stands in for.
  */
 class FaultInjectedError : public Error
@@ -95,7 +90,6 @@ enum class FaultAction : std::uint8_t
     Throw,      ///< caller should throw (trigger() does it).
     Crash,      ///< handled internally: SIGKILL, never returns.
     ShortWrite, ///< caller truncates the write it was about to do.
-    Delay,      ///< handled internally: sleep, then None returned.
 };
 
 namespace detail
@@ -105,10 +99,10 @@ FaultAction pollSlow(const char *name);
 } // namespace detail
 
 /**
- * Evaluate @p name against the armed spec. Crash and Delay actions
- * are consumed internally (Crash never returns; Delay sleeps and
- * reports None); Throw and ShortWrite are returned for the caller
- * to apply. The not-armed fast path is one relaxed atomic load.
+ * Evaluate @p name against the armed spec. Crash is consumed
+ * internally (it never returns); Throw and ShortWrite are returned
+ * for the caller to apply. The not-armed fast path is one relaxed
+ * atomic load.
  */
 inline FaultAction
 poll(const char *name)
@@ -134,9 +128,8 @@ void armFromSpec(const std::string &spec);
 
 /**
  * Arm from the PREDILP_FAULTS environment variable, once per
- * process; later calls are no-ops (children re-armed by fork
- * inherit the parent's shared state instead). Returns true when a
- * non-empty spec is armed after the call.
+ * process; later calls are no-ops. Returns true when a non-empty
+ * spec is armed after the call.
  */
 bool armFromEnv();
 
@@ -169,7 +162,7 @@ StatsSnapshot stats();
 
 /**
  * Declare a fault point. Free when nothing is armed; throws
- * FaultInjectedError / crashes / delays per the armed spec.
+ * FaultInjectedError or crashes per the armed spec.
  */
 #define FAULT_POINT(name) ::predilp::faultpoints::trigger(name)
 

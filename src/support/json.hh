@@ -1,16 +1,15 @@
 /**
  * @file
  * Minimal JSON document model for the serializable request/config
- * surface (EvalRequest, SimConfig, sweep grid specs, worker result
- * files). Deliberately small: parse into an immutable JsonValue
- * tree, navigate with typed accessors that throw FatalError with the
+ * surface (EvalRequest, SimConfig, sweep grid specs and reports).
+ * Deliberately small: parse into an immutable JsonValue tree,
+ * navigate with typed accessors that throw FatalError with the
  * offending key path, and re-serialize deterministically.
  *
  * Numbers keep their lexical class: an integer literal (no '.', no
  * exponent) is an Int, anything else a Double. That distinction is
  * what lets StatsSnapshot counters (integers) and timers (doubles)
- * survive a parse/re-emit round trip bit-for-bit — the same contract
- * StatsSnapshot::fromJson relies on.
+ * survive a parse/re-emit round trip bit-for-bit.
  *
  * Object members preserve source order (grid-spec axis order is
  * semantic: the first listed axis varies slowest in cell expansion).

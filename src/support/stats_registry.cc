@@ -1,7 +1,6 @@
 #include "support/stats_registry.hh"
 
 #include <chrono>
-#include <cstdlib>
 #include <sstream>
 
 #include "support/logging.hh"
@@ -100,7 +99,7 @@ insertLeaf(JsonNode &root, const std::string &name, bool isCounter,
 }
 
 /**
- * Format a double so fromJson() reads back the identical value and
+ * Format a double so a JSON reader gets back the identical value and
  * classifies it as a timer (always contains '.' or an exponent).
  */
 std::string
@@ -144,128 +143,6 @@ emitNode(std::ostream &os, const JsonNode &node, int indent)
     os << "}";
 }
 
-/** Minimal recursive-descent parser for toJson()'s output subset. */
-class SnapshotParser
-{
-  public:
-    SnapshotParser(const std::string &text, StatsSnapshot &out)
-        : text_(text), out_(out)
-    {}
-
-    void
-    run()
-    {
-        parseObject("");
-        skipSpace();
-        panicIf(pos_ != text_.size(),
-                "trailing characters after stats JSON object");
-    }
-
-  private:
-    void
-    skipSpace()
-    {
-        while (pos_ < text_.size() &&
-               (text_[pos_] == ' ' || text_[pos_] == '\n' ||
-                text_[pos_] == '\r' || text_[pos_] == '\t')) {
-            pos_ += 1;
-        }
-    }
-
-    char
-    peek()
-    {
-        panicIf(pos_ >= text_.size(),
-                "unexpected end of stats JSON");
-        return text_[pos_];
-    }
-
-    void
-    expect(char c)
-    {
-        skipSpace();
-        panicIf(peek() != c, "expected '", std::string(1, c),
-                "' in stats JSON at offset ", pos_);
-        pos_ += 1;
-    }
-
-    std::string
-    parseKey()
-    {
-        expect('"');
-        std::size_t end = text_.find('"', pos_);
-        panicIf(end == std::string::npos,
-                "unterminated key in stats JSON");
-        std::string key = text_.substr(pos_, end - pos_);
-        panicIf(key.empty() || key.find('\\') != std::string::npos,
-                "unsupported key in stats JSON: '", key, "'");
-        pos_ = end + 1;
-        return key;
-    }
-
-    void
-    parseNumber(const std::string &name)
-    {
-        skipSpace();
-        std::size_t end = pos_;
-        bool isInteger = true;
-        while (end < text_.size()) {
-            char c = text_[end];
-            if (c == '.' || c == 'e' || c == 'E') {
-                isInteger = false;
-            } else if (!(c == '-' || c == '+' ||
-                         (c >= '0' && c <= '9'))) {
-                break;
-            }
-            end += 1;
-        }
-        std::string token = text_.substr(pos_, end - pos_);
-        panicIf(token.empty(), "expected number in stats JSON for '",
-                name, "'");
-        if (isInteger) {
-            out_.setCounter(name,
-                            std::strtoull(token.c_str(), nullptr, 10));
-        } else {
-            out_.setSeconds(name, std::strtod(token.c_str(), nullptr));
-        }
-        pos_ = end;
-    }
-
-    void
-    parseObject(const std::string &prefix)
-    {
-        expect('{');
-        skipSpace();
-        if (peek() == '}') {
-            pos_ += 1;
-            return;
-        }
-        while (true) {
-            skipSpace();
-            std::string key = parseKey();
-            std::string name =
-                prefix.empty() ? key : prefix + '.' + key;
-            expect(':');
-            skipSpace();
-            if (peek() == '{')
-                parseObject(name);
-            else
-                parseNumber(name);
-            skipSpace();
-            if (peek() == ',') {
-                pos_ += 1;
-                continue;
-            }
-            expect('}');
-            return;
-        }
-    }
-
-    const std::string &text_;
-    StatsSnapshot &out_;
-    std::size_t pos_ = 0;
-};
-
 } // namespace
 
 std::string
@@ -282,14 +159,6 @@ StatsSnapshot::toJson(int indent) const
     std::ostringstream os;
     emitNode(os, root, indent);
     return os.str();
-}
-
-StatsSnapshot
-StatsSnapshot::fromJson(const std::string &json)
-{
-    StatsSnapshot snapshot;
-    SnapshotParser(json, snapshot).run();
-    return snapshot;
 }
 
 Counter &

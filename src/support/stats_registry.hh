@@ -16,8 +16,9 @@
  *
  * StatsSnapshot is the frozen, serializable view: counters plus
  * timers, rendered by toJson() as one nested JSON object grouped by
- * scope, and parseable back with fromJson() (round-trip exact).
- * Every bench binary emits its harness, per-pass and per-simulator
+ * scope, integers for counters and doubles for timers, so a JSON
+ * reader that keeps number classes (JsonValue) reads back exactly
+ * what was recorded. Every bench binary emits its harness, per-pass and per-simulator
  * numbers through this one seam.
  */
 
@@ -152,14 +153,6 @@ class StatsSnapshot
      * both as a leaf and as a scope.
      */
     std::string toJson(int indent = 0) const;
-
-    /**
-     * Parse text produced by toJson() back into a snapshot: integer
-     * leaves become counters, decimal/exponent leaves become timers.
-     * Accepts only the subset of JSON toJson() emits (nested objects
-     * of numbers); panics on anything else.
-     */
-    static StatsSnapshot fromJson(const std::string &json);
 
     /** Exact equality of both leaf maps (doubles compared bitwise). */
     bool operator==(const StatsSnapshot &other) const;

@@ -1,11 +1,12 @@
 /**
  * @file
  * Sweep-driver tests: row-major grid expansion, eager spec
- * validation, the determinism contract (a sharded multi-process run
- * merges to the byte-identical cells array of a sequential run), the
- * consolidated report's shape, and store sharing — concurrent sweeps
- * racing on one artifact store all succeed, and a warm sweep over a
- * populated store performs zero compiles and zero captures.
+ * validation, the report's shape, and the store's contracts — two
+ * sweep processes racing on one artifact store both succeed, a warm
+ * sweep over a populated store performs zero compiles and zero
+ * captures, and a sweep killed mid-publish reruns to the clean
+ * cells. Every store-backed run renders the same cells as a
+ * store-off run.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <csignal>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -20,6 +22,7 @@
 
 #include "driver/sweep.hh"
 #include "support/diag.hh"
+#include "support/faultpoint.hh"
 
 namespace predilp
 {
@@ -114,6 +117,19 @@ TEST(Sweep, SpecValidatesEagerly)
     EXPECT_THROW(SweepSpec::fromJson(JsonValue::parse(
                      "{\"axes\": {\"predictor\": [\"gshare\"]}}")),
                  FatalError);
+    // Penalty axes take 0 but not negative values.
+    for (const char *axis :
+         {"mispredict_penalty", "cache_miss_penalty"}) {
+        SCOPED_TRACE(axis);
+        const std::string prefix =
+            std::string("{\"axes\": {\"") + axis + "\": ";
+        EXPECT_THROW(
+            SweepSpec::fromJson(JsonValue::parse(prefix + "[-1]}}")),
+            FatalError);
+        SweepSpec zero =
+            SweepSpec::fromJson(JsonValue::parse(prefix + "[0, 12]}}"));
+        EXPECT_EQ(zero.expandGrid().size(), 2u);
+    }
 }
 
 TEST(Sweep, GeometryAxesRequirePowersOfTwo)
@@ -134,42 +150,11 @@ TEST(Sweep, GeometryAxesRequirePowersOfTwo)
     }
 }
 
-TEST(Sweep, ShardedRunMatchesSequentialByteForByte)
-{
-    SweepSpec spec = smallSpec();
-    SweepOutcome sequential = runSweep(spec, 1, "");
-    SweepOutcome sharded = runSweep(spec, 2, "");
-    EXPECT_EQ(sequential.cells, 4u);
-    EXPECT_EQ(sequential.workers, 1);
-    EXPECT_EQ(sharded.workers, 2);
-    // The determinism contract: the merged cells array is identical
-    // to the sequential run's, byte for byte. (Work counts are NOT
-    // compared — without a shared store, each worker recompiles
-    // machines the sequential evaluator's in-process cache shares.)
-    EXPECT_EQ(sharded.cellsJson, sequential.cellsJson);
-    EXPECT_GE(sharded.timing.counter("counters.compiles"),
-              sequential.timing.counter("counters.compiles"));
-    // Trace-affine sharding: cells replaying the same traces stay on
-    // one worker, so the fleet captures each model trace exactly
-    // once (only the shared 1-issue baseline is duplicated). Naive
-    // index % workers sharding would double every capture here.
-    EXPECT_LT(sharded.timing.counter("counters.captures"),
-              2 * sequential.timing.counter("counters.captures"));
-}
-
-TEST(Sweep, WorkerCountClampsToCellCount)
-{
-    SweepSpec spec = smallSpec();
-    SweepOutcome outcome = runSweep(spec, 16, "");
-    EXPECT_EQ(outcome.workers, 4);
-    EXPECT_EQ(outcome.cells, 4u);
-}
-
 TEST(Sweep, ReportFileHasTheDocumentedShape)
 {
     const std::string dir = freshDir("sweep_report");
     const std::string path = dir + "/BENCH_sweep.json";
-    SweepOutcome outcome = runSweep(smallSpec(), 2, path);
+    SweepOutcome outcome = runSweep(smallSpec(), path);
     EXPECT_EQ(outcome.path, path);
 
     std::ifstream in(path, std::ios::binary);
@@ -178,14 +163,13 @@ TEST(Sweep, ReportFileHasTheDocumentedShape)
     text << in.rdbuf();
     JsonValue report = JsonValue::parse(text.str());
     EXPECT_EQ(report.at("bench").asString(), "sweep");
-    EXPECT_EQ(report.at("workers").asInt(), 2);
     EXPECT_EQ(report.at("cell_count").asInt(), 4);
     EXPECT_TRUE(report.at("timing").isObject());
     EXPECT_TRUE(report.at("crossover").isArray());
 
-    // Phase seconds sum over every pool thread of every worker, so
-    // `threads` must count those threads: no thread can spend more
-    // than the sweep's wall time in its phases.
+    // Phase seconds sum over every pool thread, so `threads` must
+    // count those threads: no thread can spend more than the sweep's
+    // wall time in its phases.
     const JsonValue &timing = report.at("timing");
     double phaseSeconds = 0.0;
     for (const auto &[name, seconds] : timing.at("phases").members())
@@ -220,16 +204,16 @@ TEST(Sweep, ConcurrentSweepsShareOneStore)
     ASSERT_EQ(setenv("PREDILP_STORE", dir.c_str(), 1), 0);
     SweepSpec spec = smallSpec();
 
-    // Two whole sweeps race on the same store: four workers publish
+    // Two whole sweeps race on the same store: both processes publish
     // the same artifacts concurrently under the flock protocol, and
-    // every one of them must succeed.
+    // both must succeed.
     pid_t pids[2];
     for (auto &pid : pids) {
         pid = ::fork();
         ASSERT_GE(pid, 0);
         if (pid == 0) {
             try {
-                runSweep(spec, 2, "");
+                runSweep(spec, "");
                 _exit(0);
             } catch (...) {
                 _exit(1);
@@ -245,45 +229,74 @@ TEST(Sweep, ConcurrentSweepsShareOneStore)
 
     // A warm sweep over the populated store is served from the
     // certified records: no compile, capture or replay.
-    SweepOutcome served = runSweep(spec, 2, "");
+    SweepOutcome served = runSweep(spec, "");
     EXPECT_EQ(served.timing.counter("counters.compiles"), 0u);
     EXPECT_EQ(served.timing.counter("counters.captures"), 0u);
     EXPECT_EQ(served.timing.counter("counters.replays"), 0u);
     EXPECT_GT(served.timing.counter("store.result_hit"), 0u);
 
     // Without the records, a warm sweep still does no new work —
-    // every trace comes off disk — and still merges to the same
-    // bytes as a cold sequential run with no store at all.
+    // every trace comes off disk — and still renders the same bytes
+    // as a cold run with no store at all.
     fs::remove_all(fs::path(dir) / "results");
-    SweepOutcome warm = runSweep(spec, 2, "");
+    SweepOutcome warm = runSweep(spec, "");
     EXPECT_EQ(warm.timing.counter("counters.compiles"), 0u);
     EXPECT_EQ(warm.timing.counter("counters.captures"), 0u);
     EXPECT_GT(warm.timing.counter("store.hit"), 0u);
     ASSERT_EQ(unsetenv("PREDILP_STORE"), 0);
-    SweepOutcome cold = runSweep(spec, 1, "");
+    SweepOutcome cold = runSweep(spec, "");
     EXPECT_EQ(warm.cellsJson, cold.cellsJson);
     EXPECT_EQ(served.cellsJson, cold.cellsJson);
 }
 
-TEST(Sweep, ShardedRunRespectsTmpdir)
+TEST(Sweep, StorePublishCrashThenRerunConverges)
 {
-    // The sharded supervisor stages shard results under $TMPDIR
-    // (POSIX), not a hardcoded /tmp: an unusable TMPDIR fails fast
-    // with a diagnostic naming the attempted template...
-    const std::string missing =
-        freshDir("sweep-tmpdir") + "/does-not-exist";
-    ASSERT_EQ(setenv("TMPDIR", missing.c_str(), 1), 0);
-    EXPECT_THROW(runSweep(smallSpec(), 2, ""), FatalError);
+    const std::string clean = runSweep(smallSpec(), "").cellsJson;
+    const std::string dir = freshDir("sweep_crash_store");
+    ASSERT_EQ(setenv("PREDILP_STORE", dir.c_str(), 1), 0);
 
-    // ...and a valid one hosts a normal run.
-    const std::string tmp = freshDir("sweep-tmpdir-ok");
-    ASSERT_EQ(setenv("TMPDIR", tmp.c_str(), 1), 0);
-    SweepOutcome outcome = runSweep(smallSpec(), 2, "");
-    ASSERT_EQ(unsetenv("TMPDIR"), 0);
-    EXPECT_EQ(outcome.cells, 4u);
-    EXPECT_EQ(outcome.degradedCells, 0u);
-    // The staging directory is cleaned up after the merge.
-    EXPECT_TRUE(fs::is_empty(tmp));
+    // The sweep process dies inside the artifact store's publish
+    // window: the temp file is staged, the canonical path untouched.
+    pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+        try {
+            faultpoints::armFromSpec("store.publish.rename=once:crash");
+            runSweep(smallSpec(), "");
+        } catch (...) {
+        }
+        _exit(0); // reached only if the point never fired.
+    }
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFSIGNALED(status));
+    EXPECT_EQ(WTERMSIG(status), SIGKILL);
+
+    // A disarmed rerun recomputes what the dead run never published
+    // and converges to the clean cells.
+    EXPECT_EQ(runSweep(smallSpec(), "").cellsJson, clean);
+
+    // No corrupt artifact was published: with the certified records
+    // dropped, a warm sweep maps every trace and captures nothing (a
+    // poisoned artifact would be quarantined and re-captured).
+    fs::remove_all(fs::path(dir) / "results");
+    SweepOutcome warm = runSweep(smallSpec(), "");
+    ASSERT_EQ(unsetenv("PREDILP_STORE"), 0);
+    EXPECT_EQ(warm.timing.counter("counters.captures"), 0u);
+    EXPECT_GT(warm.timing.counter("store.hit"), 0u);
+    EXPECT_EQ(warm.cellsJson, clean);
+}
+
+TEST(Sweep, ArmedFaultPointFiresAndHeals)
+{
+    const std::string clean = runSweep(smallSpec(), "").cellsJson;
+    // An injected compile failure is healed by the evaluator's
+    // sequential recompute, and the report proves the point fired.
+    faultpoints::armFromSpec("eval.compile=once");
+    SweepOutcome outcome = runSweep(smallSpec(), "");
+    faultpoints::resetForTest();
+    EXPECT_EQ(outcome.timing.counter("fault.eval.compile.fired"), 1u);
+    EXPECT_EQ(outcome.cellsJson, clean);
 }
 
 } // namespace

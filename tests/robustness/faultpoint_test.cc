@@ -2,10 +2,9 @@
  * @file
  * Fault-point registry tests: the PREDILP_FAULTS spec grammar
  * (valid and invalid entries), trigger semantics (once / nth:K /
- * deterministic prob), action behaviour (throw, delay, short-write
- * cooperation and escalation, crash via fork), counter export, the
- * fork-shared fire state that makes "once" once per process tree,
- * and the unarmed fast path.
+ * deterministic prob), action behaviour (throw, short-write
+ * cooperation and escalation, crash in a forked child), counter
+ * export, and the unarmed fast path.
  */
 
 #include <gtest/gtest.h>
@@ -13,7 +12,6 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <chrono>
 #include <csignal>
 
 #include "support/faultpoint.hh"
@@ -60,6 +58,9 @@ TEST_F(FaultPoint, BadSpecsFailLoudly)
     EXPECT_THROW(faultpoints::armFromSpec("test.x=once:explode"),
                  FatalError);
     EXPECT_THROW(faultpoints::armFromSpec("test.x=once:throw:extra"),
+                 FatalError);
+    // No delay action: nothing supervises a hung process.
+    EXPECT_THROW(faultpoints::armFromSpec("test.x=once:delay"),
                  FatalError);
     // A failed arm leaves nothing armed.
     EXPECT_FALSE(faultpoints::armed());
@@ -127,18 +128,6 @@ TEST_F(FaultPoint, ProbIsDeterministicPerSeedAndHit)
     EXPECT_EQ(pattern("test.p=prob:0"), std::string(64, '0'));
 }
 
-TEST_F(FaultPoint, DelaySleepsAndReportsNone)
-{
-    faultpoints::armFromSpec("test.d=once:delay:50");
-    const auto start = std::chrono::steady_clock::now();
-    EXPECT_EQ(faultpoints::poll("test.d"), FaultAction::None);
-    const auto elapsed = std::chrono::duration<double>(
-        std::chrono::steady_clock::now() - start);
-    EXPECT_GE(elapsed.count(), 0.045);
-    // Fired: the second hit does not sleep again.
-    EXPECT_EQ(faultpoints::poll("test.d"), FaultAction::None);
-}
-
 TEST_F(FaultPoint, ShortWriteCooperatesAtPollEscalatesAtTrigger)
 {
     faultpoints::armFromSpec("test.w=once:short-write");
@@ -185,28 +174,6 @@ TEST_F(FaultPoint, ArmFromEnvLatchesOncePerProcess)
     EXPECT_FALSE(faultpoints::armFromEnv());
 }
 
-TEST_F(FaultPoint, FireStateIsSharedAcrossFork)
-{
-    faultpoints::armFromSpec("test.fork=once");
-    pid_t pid = ::fork();
-    ASSERT_GE(pid, 0);
-    if (pid == 0) {
-        _exit(faultpoints::poll("test.fork") == FaultAction::Throw
-                  ? 0
-                  : 1);
-    }
-    int status = 0;
-    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
-    ASSERT_TRUE(WIFEXITED(status));
-    EXPECT_EQ(WEXITSTATUS(status), 0); // the child fired...
-    // ...through the MAP_SHARED slot page, so the parent (and any
-    // retried sibling) runs clean afterwards.
-    EXPECT_EQ(faultpoints::poll("test.fork"), FaultAction::None);
-    StatsSnapshot s = faultpoints::stats();
-    EXPECT_EQ(s.counter("fault.test.fork.hits"), 2u);
-    EXPECT_EQ(s.counter("fault.test.fork.fired"), 1u);
-}
-
 TEST_F(FaultPoint, CrashActionDiesBySigkill)
 {
     faultpoints::armFromSpec("test.crash=once:crash");
@@ -220,8 +187,8 @@ TEST_F(FaultPoint, CrashActionDiesBySigkill)
     ASSERT_EQ(::waitpid(pid, &status, 0), pid);
     ASSERT_TRUE(WIFSIGNALED(status));
     EXPECT_EQ(WTERMSIG(status), SIGKILL);
-    // The fired latch survived the child's death.
-    EXPECT_EQ(faultpoints::poll("test.crash"), FaultAction::None);
+    // Fire state is per process, so the parent must not poll the
+    // point: it is still armed here and would kill the test binary.
 }
 
 } // namespace

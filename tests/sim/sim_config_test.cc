@@ -74,6 +74,19 @@ TEST(SimConfig, NonPositiveSizesRejected)
     EXPECT_THROW(SimConfig::fromJson(JsonValue::parse(
                      "{\"machine\": {\"issue_width\": -1}}")),
                  FatalError);
+    // Penalties may be 0 but never negative: a negative miss penalty
+    // would price a miss below a hit.
+    EXPECT_THROW(SimConfig::fromJson(JsonValue::parse(
+                     "{\"cache_miss_penalty\": -1}")),
+                 FatalError);
+    EXPECT_THROW(SimConfig::fromJson(JsonValue::parse(
+                     "{\"machine\": {\"mispredict_penalty\": -1}}")),
+                 FatalError);
+    SimConfig zero = SimConfig::fromJson(JsonValue::parse(
+        "{\"cache_miss_penalty\": 0,"
+        " \"machine\": {\"mispredict_penalty\": 0}}"));
+    EXPECT_EQ(zero.cacheMissPenalty, 0);
+    EXPECT_EQ(zero.machine.mispredictPenalty, 0);
 }
 
 TEST(SimConfig, DigestIndependentOfSourceKeyOrder)

@@ -1,22 +1,19 @@
 /**
  * @file
- * predilp_sweep: the sharded scenario-sweep grid driver CLI.
+ * predilp_sweep: the scenario-sweep grid driver CLI.
  *
  * Usage:
- *   predilp_sweep --spec grid.json [--workers N] [--out FILE]
+ *   predilp_sweep --spec grid.json [--out FILE]
  *   predilp_sweep --print-spec          # example grid spec
  *
  * Reads a declarative grid spec (see src/driver/sweep.hh and
- * DESIGN.md §6h), expands it into the cross product of cells, shards
- * the cells across N forked worker processes (trace-affine: cells
- * replaying the same captured traces stay on one worker, and each
- * worker prices its shard with one batched replay pass per trace),
- * and writes one consolidated BENCH_sweep.json. Point PREDILP_STORE
- * at a directory to let the workers share captured traces — a warm
- * re-run of the same grid then performs zero compiles and captures.
+ * DESIGN.md §6h), expands it into the cross product of cells, prices
+ * them in process with one batched replay pass per trace, and writes
+ * one BENCH_sweep.json. Point PREDILP_STORE at a directory to keep
+ * captured traces and certified results — a warm re-run of the same
+ * grid then performs zero compiles and captures.
  */
 
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -45,38 +42,21 @@ const char *const exampleSpec = R"({
 int
 usage(std::ostream &os, int code)
 {
-    os << "usage: predilp_sweep --spec FILE [--workers N] "
-          "[--out FILE]\n"
-          "                     [--retries N] [--watchdog-sec S] "
-          "[--no-degrade]\n"
+    os << "usage: predilp_sweep --spec FILE [--out FILE]\n"
           "       predilp_sweep --print-spec | "
           "--list-fault-points\n"
           "\n"
           "  --spec FILE    grid spec (JSON; see --print-spec)\n"
-          "  --workers N    forked worker processes (default 1 = "
-          "sequential)\n"
-          "  --out FILE     consolidated report path (default "
+          "  --out FILE     report path (default "
           "BENCH_sweep.json)\n"
-          "  --retries N    retry a failed shard up to N times on "
-          "fresh workers\n"
-          "                 (default 2; 0 disables retry)\n"
-          "  --watchdog-sec S  SIGKILL and retry a worker running "
-          "longer than S\n"
-          "                 seconds (default: "
-          "PREDILP_SWEEP_WATCHDOG_SEC, else off)\n"
-          "  --no-degrade   fail the sweep when a shard exhausts "
-          "its retries,\n"
-          "                 instead of emitting degraded cell "
-          "records\n"
           "  --print-spec   print an example grid spec and exit\n"
           "  --list-fault-points  print every PREDILP_FAULTS point "
           "name and exit\n"
           "\n"
           "Environment: PREDILP_STORE, PREDILP_STORE_MODE, "
           "PREDILP_THREADS, PREDILP_EMU,\n"
-          "PREDILP_FAULTS, PREDILP_SWEEP_WATCHDOG_SEC (see EnvConfig "
-          "in src/support/env.hh)\n"
-          "apply to every worker.\n";
+          "PREDILP_FAULTS (see EnvConfig in "
+          "src/support/env.hh).\n";
     return code;
 }
 
@@ -89,8 +69,6 @@ main(int argc, char **argv)
 
     std::string specPath;
     std::string outPath = "BENCH_sweep.json";
-    int workers = 1;
-    SweepHealPolicy heal;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--print-spec") {
@@ -108,29 +86,8 @@ main(int argc, char **argv)
             return usage(std::cout, 0);
         if (arg == "--spec" && i + 1 < argc) {
             specPath = argv[++i];
-        } else if (arg == "--workers" && i + 1 < argc) {
-            workers = std::atoi(argv[++i]);
-            if (workers < 1) {
-                std::cerr << "--workers must be >= 1\n";
-                return 2;
-            }
         } else if (arg == "--out" && i + 1 < argc) {
             outPath = argv[++i];
-        } else if (arg == "--retries" && i + 1 < argc) {
-            int retries = std::atoi(argv[++i]);
-            if (retries < 0) {
-                std::cerr << "--retries must be >= 0\n";
-                return 2;
-            }
-            heal.maxAttempts = retries + 1;
-        } else if (arg == "--watchdog-sec" && i + 1 < argc) {
-            heal.watchdogSec = std::atof(argv[++i]);
-            if (heal.watchdogSec <= 0) {
-                std::cerr << "--watchdog-sec must be > 0\n";
-                return 2;
-            }
-        } else if (arg == "--no-degrade") {
-            heal.degradeCells = false;
         } else {
             std::cerr << "unknown argument '" << arg << "'\n";
             return usage(std::cerr, 2);
@@ -153,17 +110,9 @@ main(int argc, char **argv)
         SweepSpec spec =
             SweepSpec::fromJson(JsonValue::parse(text.str()));
 
-        SweepOutcome outcome =
-            runSweep(spec, workers, outPath, heal);
-        std::cout << "-- sweep: " << outcome.cells << " cells, "
-                  << outcome.workers << " workers";
-        if (outcome.workerRetries > 0)
-            std::cout << ", " << outcome.workerRetries
-                      << " retries";
-        if (outcome.degradedCells > 0)
-            std::cout << ", " << outcome.degradedCells
-                      << " degraded";
-        std::cout << " -> " << outcome.path << "\n";
+        SweepOutcome outcome = runSweep(spec, outPath);
+        std::cout << "-- sweep: " << outcome.cells << " cells -> "
+                  << outcome.path << "\n";
         printPhaseTiming(std::cout, outcome.timing, wall.seconds(),
                          outcome.threads);
         return 0;
