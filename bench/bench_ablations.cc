@@ -31,13 +31,13 @@ std::vector<BenchmarkResult> allResults;
 
 double
 meanSpeedup(SuiteEvaluator &evaluator, const std::string &rowName,
-            const SuiteConfig &config, Model model)
+            const EvalRequest &config, Model model)
 {
     // One request per workload, priced as one batch: the row's
     // traces are each walked once for every pending config.
     std::vector<EvalRequest> requests;
     for (const Workload &w : allWorkloads()) {
-        EvalRequest request = EvalRequest::fromSuiteConfig(config);
+        EvalRequest request = config;
         request.workloads = {w.name};
         request.models = {model};
         requests.push_back(std::move(request));
@@ -58,14 +58,14 @@ int
 main()
 {
     WallTimer wall;
-    SuiteConfig base;
-    base.machine = issue8Branch1();
-    SuiteEvaluator evaluator(base.threads);
+    EvalRequest base;
+    base.sim.machine = issue8Branch1();
+    SuiteEvaluator evaluator;
 
     TextTable table;
     table.setHeader({"Configuration", "Model", "Mean speedup"});
 
-    auto row = [&](const std::string &name, const SuiteConfig &c,
+    auto row = [&](const std::string &name, const EvalRequest &c,
                    Model m) {
         table.addRow(
             {name, modelName(m),
@@ -81,29 +81,29 @@ main()
     row("baseline", base, Model::CondMove);
 
     {
-        SuiteConfig c = base;
+        EvalRequest c = base;
         c.ablation.promotion = false;
         row("no-promotion", c, Model::FullPred);
         row("no-promotion", c, Model::CondMove);
     }
     {
-        SuiteConfig c = base;
+        EvalRequest c = base;
         c.ablation.branchCombining = false;
         row("no-combining", c, Model::FullPred);
     }
     {
-        SuiteConfig c = base;
+        EvalRequest c = base;
         c.ablation.heightReduction = false;
         row("no-height-red", c, Model::FullPred);
         row("no-height-red", c, Model::CondMove);
     }
     {
-        SuiteConfig c = base;
+        EvalRequest c = base;
         c.ablation.orTree = false;
         row("no-or-tree", c, Model::CondMove);
     }
     {
-        SuiteConfig c = base;
+        EvalRequest c = base;
         c.ablation.useSelect = true;
         row("with-select", c, Model::CondMove);
     }

@@ -14,18 +14,16 @@
 #
 # Served warm pass: reruns the same binaries against the store
 # populated by the cold pass and enforces the result-tier contract —
-# every evaluator-driven bench (store.result_hit > 0) must serve its
-# cells from their certified records: zero compiles, zero
-# formations, zero captures, zero replays, zero emulation seconds,
-# zero record writes, and figure output bit-identical to the cold
-# run.
+# every bench must serve its cells from their certified records
+# (store.result_hit > 0): zero compiles, zero formations, zero
+# captures, zero replays, zero emulation seconds, zero record writes,
+# and figure output bit-identical to the cold run.
 #
 # Trace-tier warm pass: removes the certified records and reruns, so
-# every cell maps its trace from the store — every evaluator-driven
-# bench (store.hit > 0) must report zero compiles, zero formations,
-# zero captures, zero emulation seconds, and figure output
-# bit-identical to the cold run. It republishes the records it
-# replays.
+# every cell maps its trace from the store — every bench must report
+# store.hit > 0, zero compiles, zero formations, zero captures, zero
+# emulation seconds, and figure output bit-identical to the cold
+# run. It republishes the records it replays.
 #
 # Interp-backend pass: reruns everything with PREDILP_EMU=interp
 # against a separate (cold) store and requires figure output
@@ -33,8 +31,9 @@
 # threaded-vs-interp emulation drift the unit suite might miss.
 #
 # Usage: scripts/bench_json.sh [bench-binary...]; defaults to the
-# figures benchmark (Figures 8-11, Tables 2-3) plus the replay-,
-# batched-replay-, and capture-kernel microbenchmarks. Assumes
+# figures benchmark (Figures 8-11, Tables 2-3) and the ablation
+# table. Every bench must be evaluator-driven: it writes figure
+# output and reads and writes the artifact store. Assumes
 # scripts/tier1.sh already built.
 # PREDILP_STORE overrides the store location (default
 # bench-out/store).
@@ -43,7 +42,7 @@ cd "$(dirname "$0")/.."
 
 benches=("$@")
 if [ "${#benches[@]}" -eq 0 ]; then
-    benches=(bench_figures_all bench_replay_hot bench_replay_batch bench_capture_hot)
+    benches=(bench_figures_all bench_ablations)
 fi
 
 mkdir -p bench-out
@@ -136,19 +135,10 @@ for path in sys.argv[1:]:
     counters = timing.get("counters", {})
     throughput = timing.get("throughput", {})
 
-    replays = counters.get("replays", counters.get("replay_passes", 0))
-    if replays and "replay_records_per_sec" not in throughput:
+    if counters.get("replays") and "replay_records_per_sec" not in throughput:
         fail(f"{path}: missing throughput.replay_records_per_sec")
-    if ("replay_batch_records_per_sec_per_config" in throughput and
-            "batch_speedup_vs_sequential" not in throughput):
-        fail(f"{path}: missing throughput.batch_speedup_vs_sequential")
-    if ("speedup_vs_interp" in throughput and
-            "emulate_records_per_sec" not in throughput):
-        fail(f"{path}: missing throughput.emulate_records_per_sec")
 
-    records = counters.get("captured_records",
-                           counters.get("trace_records", 0))
-    if records:
+    if counters.get("captured_records"):
         if "trace_bytes_per_entry" not in throughput:
             fail(f"{path}: missing throughput.trace_bytes_per_entry")
         else:
@@ -236,19 +226,16 @@ def zero_work_fail(msg):
         print(f"skip (faults armed): {msg}")
 
 
-asserted = 0
 for path in paths:
     with open(path) as f:
         warm = json.load(f)
     timing = warm["timing"]
     store = timing.get("store", {})
     if store.get(HIT, 0) == 0:
-        # Not evaluator-driven (e.g. the replay-kernel
-        # microbenchmark bypasses the cache tiers): no store
-        # contract to enforce.
-        print(f"skip: {path} (no store.{HIT})")
+        # Every bench here is evaluator-driven: a bench that stops
+        # reading the store fails, however many others still do.
+        fail(f"{path}: {mode} warm pass has no store.{HIT}")
         continue
-    asserted += 1
 
     # A missing leaf fails outright: reading it as 0 would turn the
     # gate off silently when a counter is renamed.
@@ -268,8 +255,6 @@ for path in paths:
         print(f"ok: {path} {mode} warm == cold "
               f"({store[HIT]} store.{HIT}, 0 emulations)")
 
-if asserted == 0:
-    fail(f"no bench exercised the artifact store ({mode} warm pass)")
 sys.exit(1 if failed else 0)
 EOF
 }
@@ -306,17 +291,12 @@ def fail(msg):
     print(f"error: {msg}", file=sys.stderr)
 
 
-asserted = 0
 for path in sys.argv[1:]:
     with open(path) as f:
         interp = json.load(f)
     if "benchmarks" not in interp:
-        # Kernel microbenchmarks carry no figure output; the
-        # capture kernel checks interp-vs-threaded bit-identity
-        # internally on every pass.
-        print(f"skip: {path} (no figure output)")
+        fail(f"{path}: no figure output")
         continue
-    asserted += 1
 
     emu = interp["timing"].get("emu", {})
     threaded_runs = emu.get("backend", {}).get("threaded")
@@ -336,7 +316,5 @@ for path in sys.argv[1:]:
     else:
         print(f"ok: {path} interp figures == threaded figures")
 
-if asserted == 0:
-    fail("no bench produced figure output for the backend check")
 sys.exit(1 if failed else 0)
 EOF

@@ -1,5 +1,8 @@
 #include "driver/eval_request.hh"
 
+#include <algorithm>
+#include <limits>
+
 #include "store/sha256.hh"
 #include "support/diag.hh"
 
@@ -51,15 +54,27 @@ EvalRequest::fromJson(const JsonValue &json)
         } else if (key == "ablation") {
             request.ablation = AblationFlags::fromJson(value);
         } else if (key == "scale") {
-            std::int64_t raw = value.asInt();
-            if (raw <= 0)
-                throw FatalError("request scale must be positive");
-            request.scale = static_cast<int>(raw);
+            request.scale = scaleFromJson(value);
         } else {
             throw FatalError("unknown request key '" + key + "'");
         }
     }
     return request;
+}
+
+int
+EvalRequest::scaleFromJson(const JsonValue &json)
+{
+    int maxDefault = 1;
+    for (const Workload &w : allWorkloads())
+        maxDefault = std::max(maxDefault, w.defaultScale);
+    const int max = std::numeric_limits<int>::max() / maxDefault;
+    const std::int64_t raw = json.asInt();
+    if (raw < 1 || raw > max) {
+        throw FatalError("'scale' must be from 1 to " +
+                         std::to_string(max));
+    }
+    return static_cast<int>(raw);
 }
 
 std::string
@@ -68,18 +83,6 @@ EvalRequest::requestDigest() const
     std::string canonical =
         "predilp-evalrequest-v1\n" + toJson().dump();
     return "v1:" + sha256Hex(canonical).substr(0, 32);
-}
-
-EvalRequest
-EvalRequest::fromSuiteConfig(const SuiteConfig &config)
-{
-    EvalRequest request;
-    request.sim.machine = config.machine;
-    request.sim.perfectCaches = config.perfectCaches;
-    request.sim.maxDynInstrs = config.maxDynInstrs;
-    request.ablation = config.ablation;
-    request.scale = config.scaleMultiplier;
-    return request;
 }
 
 bool

@@ -56,17 +56,17 @@ struct EvalRequest
     static EvalRequest fromJson(const JsonValue &json);
 
     /**
+     * Parse a "scale" value; FatalError unless it is positive and
+     * every workload's input size (defaultScale * scale, passed to
+     * makeInput) fits in an int.
+     */
+    static int scaleFromJson(const JsonValue &json);
+
+    /**
      * Versioned digest over the canonical JSON ("v1:" + 32 hex
      * chars), same construction as SimConfig::configDigest.
      */
     std::string requestDigest() const;
-
-    /**
-     * Bridge from the legacy SuiteConfig surface: machine, perfect
-     * caches, and fuel land in `sim`, everything else maps across.
-     * Used by the deprecated SuiteEvaluator shims.
-     */
-    static EvalRequest fromSuiteConfig(const SuiteConfig &config);
 
     bool operator==(const EvalRequest &other) const;
 };

@@ -52,7 +52,7 @@ Model modelFromKey(const std::string &key);
 /**
  * On/off switches for the optional predication optimizations — the
  * ablation axes of the paper's evaluation. One struct shared by
- * CompileOptions, SuiteConfig, and the evaluator's cache-key
+ * CompileOptions, EvalRequest, and the evaluator's cache-key
  * canonicalization, so a flag added here is automatically part of
  * every compile, every sweep, and every trace-cache key.
  */

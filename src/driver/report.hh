@@ -67,32 +67,6 @@ struct BenchmarkResult
     }
 };
 
-/** Configuration of one whole-suite evaluation. */
-struct SuiteConfig
-{
-    MachineConfig machine;         ///< the k-issue machine.
-    bool perfectCaches = true;
-    /**
-     * Optional-optimization switches (shared AblationFlags struct;
-     * also the basis of the evaluator's trace-cache keys).
-     */
-    AblationFlags ablation;
-    /** Input scale multiplier applied to every workload. */
-    int scaleMultiplier = 1;
-    /**
-     * Dynamic-instruction budget per emulation/replay; exceeding it
-     * traps with EmuTrap{FuelExhausted}. Tight budgets are how tests
-     * force a trapping cell without an infinite-loop workload.
-     */
-    std::uint64_t maxDynInstrs = 2'000'000'000ull;
-    /**
-     * Worker threads for suite evaluation: 0 = auto (PREDILP_THREADS
-     * environment variable, else hardware concurrency), 1 = serial.
-     * Results are identical for every thread count.
-     */
-    int threads = 0;
-};
-
 /**
  * Print a figure-style speedup table (Figures 8-11): one row per
  * benchmark, columns Superblock / Cond. Move / Full Pred., plus the

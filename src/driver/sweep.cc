@@ -2,6 +2,8 @@
 
 #include <chrono>
 #include <fstream>
+#include <limits>
+#include <utility>
 
 #include "driver/bench_io.hh"
 #include "support/diag.hh"
@@ -15,18 +17,21 @@ namespace
 
 // ---- Axis application ----
 
-/** @p value as an integer of at least @p min, else FatalError. */
-std::int64_t
+/** @p value as a T of at least @p min and at most T's maximum (the
+ * cast would wrap a larger value), else FatalError. */
+template <typename T>
+T
 intAxisValue(const std::string &axis, const JsonValue &value,
              std::int64_t min)
 {
     std::int64_t raw = value.asInt();
-    if (raw < min) {
+    if (raw < min || !std::in_range<T>(raw)) {
         throw FatalError("axis '" + axis +
-                         "' requires integer values >= " +
-                         std::to_string(min));
+                         "' requires integer values from " +
+                         std::to_string(min) + " to " +
+                         std::to_string(std::numeric_limits<T>::max()));
     }
-    return raw;
+    return static_cast<T>(raw);
 }
 
 void
@@ -34,32 +39,25 @@ applyAxis(SimConfig &sim, const std::string &axis,
           const JsonValue &value)
 {
     if (axis == "issue_width") {
-        sim.machine.issueWidth =
-            static_cast<int>(intAxisValue(axis, value, 1));
+        sim.machine.issueWidth = intAxisValue<int>(axis, value, 1);
     } else if (axis == "branches_per_cycle") {
-        sim.machine.branchesPerCycle =
-            static_cast<int>(intAxisValue(axis, value, 1));
+        sim.machine.branchesPerCycle = intAxisValue<int>(axis, value, 1);
     } else if (axis == "mispredict_penalty") {
-        sim.machine.mispredictPenalty =
-            static_cast<int>(intAxisValue(axis, value, 0));
+        sim.machine.mispredictPenalty = intAxisValue<int>(axis, value, 0);
     } else if (axis == "btb_entries") {
-        sim.btbEntries =
-            static_cast<std::size_t>(intAxisValue(axis, value, 1));
+        sim.btbEntries = intAxisValue<std::size_t>(axis, value, 1);
     } else if (axis == "btb_assoc") {
-        sim.btbAssociativity =
-            static_cast<int>(intAxisValue(axis, value, 1));
+        sim.btbAssociativity = intAxisValue<int>(axis, value, 1);
     } else if (axis == "predictor") {
         sim.predictor = predictorFromName(value.asString());
     } else if (axis == "cache_size_bytes") {
-        sim.cacheSizeBytes = intAxisValue(axis, value, 1);
+        sim.cacheSizeBytes = intAxisValue<std::int64_t>(axis, value, 1);
     } else if (axis == "cache_line_bytes") {
-        sim.cacheLineBytes = intAxisValue(axis, value, 1);
+        sim.cacheLineBytes = intAxisValue<std::int64_t>(axis, value, 1);
     } else if (axis == "cache_assoc") {
-        sim.cacheAssociativity =
-            static_cast<int>(intAxisValue(axis, value, 1));
+        sim.cacheAssociativity = intAxisValue<int>(axis, value, 1);
     } else if (axis == "cache_miss_penalty") {
-        sim.cacheMissPenalty =
-            static_cast<int>(intAxisValue(axis, value, 0));
+        sim.cacheMissPenalty = intAxisValue<int>(axis, value, 0);
     } else if (axis == "perfect_caches") {
         sim.perfectCaches = value.asBool();
     } else {
@@ -233,10 +231,7 @@ SweepSpec::fromJson(const JsonValue &json)
         } else if (key == "ablation") {
             spec.base.ablation = AblationFlags::fromJson(value);
         } else if (key == "scale") {
-            std::int64_t raw = value.asInt();
-            if (raw <= 0)
-                throw FatalError("sweep scale must be positive");
-            spec.base.scale = static_cast<int>(raw);
+            spec.base.scale = EvalRequest::scaleFromJson(value);
         } else if (key == "base") {
             spec.base.sim = SimConfig::fromJson(value);
         } else if (key == "axes") {

@@ -1,6 +1,7 @@
 #include "sim/config.hh"
 
 #include <bit>
+#include <limits>
 #include <utility>
 
 #include "store/sha256.hh"
@@ -33,9 +34,10 @@ rejectUnknownKeys(const JsonValue &json,
     }
 }
 
-/** Read an optional integer member into @p target, checked >= @p min:
- * 1 for sizes and latencies, 0 for penalties (a negative miss penalty
- * would make a miss cheaper than a hit). */
+/** Read an optional integer member into @p target, checked >= @p min
+ * (1 for sizes and latencies, 0 for penalties: a negative miss penalty
+ * would make a miss cheaper than a hit) and <= T's maximum (the cast
+ * would wrap a larger value, e.g. 2^32 - 12 into -12). */
 template <typename T>
 void
 readAtLeast(const JsonValue &json, const char *key, std::int64_t min,
@@ -43,10 +45,11 @@ readAtLeast(const JsonValue &json, const char *key, std::int64_t min,
 {
     if (const JsonValue *v = json.find(key)) {
         std::int64_t raw = v->asInt();
-        if (raw < min) {
-            throw FatalError(std::string("config key '") + key +
-                             "' must be at least " +
-                             std::to_string(min));
+        if (raw < min || !std::in_range<T>(raw)) {
+            throw FatalError(
+                std::string("config key '") + key + "' must be from " +
+                std::to_string(min) + " to " +
+                std::to_string(std::numeric_limits<T>::max()));
         }
         target = static_cast<T>(raw);
     }

@@ -132,10 +132,9 @@ storePolicy(const std::string &dir, StoreMode mode = StoreMode::ReadWrite)
 EvalRequest
 cmpRequest(bool perfectCaches = true)
 {
-    SuiteConfig config;
-    config.machine = issue8Branch1();
-    config.perfectCaches = perfectCaches;
-    EvalRequest request = EvalRequest::fromSuiteConfig(config);
+    EvalRequest request;
+    request.sim.machine = issue8Branch1();
+    request.sim.perfectCaches = perfectCaches;
     request.workloads = {"cmp"};
     return request;
 }

@@ -196,15 +196,14 @@ TEST(Diff, LoadRejectsEmptyDirectoryAndMalformedJson)
 std::string
 evaluateInto(const std::string &dir, bool perfectCaches)
 {
-    SuiteConfig config;
-    config.machine = issue8Branch1();
-    config.perfectCaches = perfectCaches;
     EvalPolicy policy;
     policy.storeMode = StoreMode::ReadWrite;
     policy.storeDir = dir;
     SuiteEvaluator evaluator(1);
     evaluator.setPolicy(policy);
-    EvalRequest request = EvalRequest::fromSuiteConfig(config);
+    EvalRequest request;
+    request.sim.machine = issue8Branch1();
+    request.sim.perfectCaches = perfectCaches;
     request.workloads = {"cmp"};
     evaluator.evaluate(request);
     return dir;

@@ -50,6 +50,14 @@ TEST(EvalRequest, UnknownKeysRejected)
     EXPECT_THROW(
         EvalRequest::fromJson(JsonValue::parse("{\"scale\": 0}")),
         FatalError);
+    // Out-of-range integers fail rather than wrap into range.
+    for (const char *json :
+         {"{\"scale\": 4294967296}", "{\"scale\": 4294967297}",
+          "{\"sim\": {\"cache_miss_penalty\": 4294967284}}"}) {
+        SCOPED_TRACE(json);
+        EXPECT_THROW(EvalRequest::fromJson(JsonValue::parse(json)),
+                     FatalError);
+    }
 }
 
 TEST(EvalRequest, EffectiveModelsExpandsEmptyDefault)
@@ -87,32 +95,11 @@ TEST(EvalRequest, DigestCoversEveryComponent)
     EXPECT_NE(changed.requestDigest(), baseDigest);
 }
 
-TEST(EvalRequest, FromSuiteConfigMapsEveryField)
-{
-    SuiteConfig config;
-    config.machine = issue8Branch2();
-    config.perfectCaches = false;
-    config.ablation.promotion = false;
-    config.scaleMultiplier = 4;
-    config.maxDynInstrs = 1000;
-    EvalRequest request = EvalRequest::fromSuiteConfig(config);
-    EXPECT_EQ(request.sim.machine.branchesPerCycle, 2);
-    EXPECT_FALSE(request.sim.perfectCaches);
-    EXPECT_EQ(request.sim.maxDynInstrs, 1000u);
-    EXPECT_FALSE(request.ablation.promotion);
-    EXPECT_EQ(request.scale, 4);
-    EXPECT_TRUE(request.workloads.empty());
-    EXPECT_TRUE(request.models.empty());
-}
-
 TEST(EvalRequest, ResponseCarriesRequestDigest)
 {
-    SuiteConfig config;
-    config.machine = issue8Branch1();
-    config.threads = 1;
-
     SuiteEvaluator evaluator(1);
-    EvalRequest request = EvalRequest::fromSuiteConfig(config);
+    EvalRequest request;
+    request.sim.machine = issue8Branch1();
     request.workloads = {"cmp"};
     EvalResponse response = evaluator.evaluate(request);
     EXPECT_EQ(response.requestDigest, request.requestDigest());

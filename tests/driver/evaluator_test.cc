@@ -22,28 +22,27 @@ namespace
 
 const std::vector<std::string> subset = {"cmp", "qsort", "wc"};
 
-SuiteConfig
+EvalRequest
 smallConfig()
 {
-    SuiteConfig config;
-    config.machine = issue8Branch1();
-    config.perfectCaches = true;
+    EvalRequest config;
+    config.sim.machine = issue8Branch1();
     return config;
 }
 
 EvalRequest
-requestFor(const SuiteConfig &config,
+requestFor(const EvalRequest &config,
            std::vector<std::string> workloads = {},
            std::vector<Model> models = {})
 {
-    EvalRequest request = EvalRequest::fromSuiteConfig(config);
+    EvalRequest request = config;
     request.workloads = std::move(workloads);
     request.models = std::move(models);
     return request;
 }
 
 std::vector<BenchmarkResult>
-evalSuite(SuiteEvaluator &evaluator, const SuiteConfig &config,
+evalSuite(SuiteEvaluator &evaluator, const EvalRequest &config,
           const std::vector<std::string> &names)
 {
     return evaluator.evaluate(requestFor(config, names)).results;
@@ -51,7 +50,7 @@ evalSuite(SuiteEvaluator &evaluator, const SuiteConfig &config,
 
 BenchmarkResult
 evalOne(SuiteEvaluator &evaluator, const Workload &workload,
-        const SuiteConfig &config, std::vector<Model> models = {})
+        const EvalRequest &config, std::vector<Model> models = {})
 {
     return evaluator
         .evaluate(
@@ -88,7 +87,7 @@ expectResultsEq(const std::vector<BenchmarkResult> &a,
 
 TEST(SuiteEvaluator, ThreadCountDoesNotChangeResults)
 {
-    SuiteConfig config = smallConfig();
+    EvalRequest config = smallConfig();
     SuiteEvaluator serial(1);
     SuiteEvaluator parallel(4);
     EXPECT_EQ(serial.threadCount(), 1);
@@ -124,7 +123,7 @@ TEST(SuiteEvaluator, StatsPrintEveryLeafFromConstruction)
 
 TEST(SuiteEvaluator, RepeatHitsResultCache)
 {
-    SuiteConfig config = smallConfig();
+    EvalRequest config = smallConfig();
     SuiteEvaluator evaluator(1);
     auto first = evalSuite(evaluator, config, subset);
     const StatsSnapshot cold = evaluator.stats();
@@ -164,9 +163,9 @@ TEST(SuiteEvaluator, RepeatHitsResultCache)
 
 TEST(SuiteEvaluator, TracesReusedAcrossSimConfigs)
 {
-    SuiteConfig perfect = smallConfig();
-    SuiteConfig real = smallConfig();
-    real.perfectCaches = false;
+    EvalRequest perfect = smallConfig();
+    EvalRequest real = smallConfig();
+    real.sim.perfectCaches = false;
 
     SuiteEvaluator evaluator(1);
     evalSuite(evaluator, perfect, subset);
@@ -189,7 +188,7 @@ TEST(SuiteEvaluator, TracesReusedAcrossSimConfigs)
 
 TEST(SuiteEvaluator, ModelSubsetEvaluatesOnlyThatModel)
 {
-    SuiteConfig config = smallConfig();
+    EvalRequest config = smallConfig();
     SuiteEvaluator evaluator(1);
     const Workload *workload = findWorkload("cmp");
     ASSERT_NE(workload, nullptr);
@@ -204,7 +203,7 @@ TEST(SuiteEvaluator, ModelSubsetEvaluatesOnlyThatModel)
 
 TEST(SuiteEvaluator, ReleaseTracesKeepsResults)
 {
-    SuiteConfig config = smallConfig();
+    EvalRequest config = smallConfig();
     SuiteEvaluator evaluator(1);
     auto first = evalSuite(evaluator, config, subset);
     const std::uint64_t peak =
@@ -224,7 +223,7 @@ TEST(SuiteEvaluator, ReleaseTracesKeepsResults)
 
 TEST(SuiteEvaluator, UnknownWorkloadPanics)
 {
-    SuiteConfig config = smallConfig();
+    EvalRequest config = smallConfig();
     SuiteEvaluator evaluator(1);
     EXPECT_ANY_THROW(evalSuite(evaluator, config, {"nope"}));
 }
@@ -236,8 +235,8 @@ TEST(SuiteEvaluator, StrictModePropagatesTypedTrapThroughPool)
     // policy the first worker's exception must surface from
     // evaluate() with its type intact (captured via exception_ptr
     // in the pool and rethrown after the join).
-    SuiteConfig tiny = smallConfig();
-    tiny.maxDynInstrs = 500;
+    EvalRequest tiny = smallConfig();
+    tiny.sim.maxDynInstrs = 500;
     SuiteEvaluator evaluator(4);
     const Workload *workload = findWorkload("cmp");
     ASSERT_NE(workload, nullptr);
@@ -255,8 +254,8 @@ TEST(SuiteEvaluator, FailedComputationIsEvictedForRetry)
     // A failed cell must not poison the once-per-key cache: the
     // retry recomputes (captures grows) instead of replaying the
     // stale exception as a cache hit forever.
-    SuiteConfig tiny = smallConfig();
-    tiny.maxDynInstrs = 500;
+    EvalRequest tiny = smallConfig();
+    tiny.sim.maxDynInstrs = 500;
     SuiteEvaluator evaluator(1);
     const Workload *workload = findWorkload("cmp");
     ASSERT_NE(workload, nullptr);
@@ -282,8 +281,8 @@ TEST(SuiteEvaluator, IsolatedTrapCellDegradesToErrorAndReproducer)
 {
     const std::string reproDir =
         testing::TempDir() + "predilp-repro";
-    SuiteConfig tiny = smallConfig();
-    tiny.maxDynInstrs = 500;
+    EvalRequest tiny = smallConfig();
+    tiny.sim.maxDynInstrs = 500;
 
     SuiteEvaluator evaluator(1);
     EvalPolicy policy;
@@ -313,7 +312,7 @@ TEST(SuiteEvaluator, IsolatedTrapCellDegradesToErrorAndReproducer)
     // The same evaluator then completes an honest configuration
     // bit-identically to a fresh strict evaluator: the failed
     // cells neither poisoned the caches nor leaked into results.
-    SuiteConfig normal = smallConfig();
+    EvalRequest normal = smallConfig();
     BenchmarkResult ok = evalOne(evaluator, *workload, normal);
     EXPECT_TRUE(ok.errors.empty());
     SuiteEvaluator fresh(1);
@@ -334,8 +333,8 @@ TEST(SuiteEvaluator, EqualCellKeysGetDistinctReproducerFiles)
     // the second write from clobbering the first.
     const std::string reproDir =
         testing::TempDir() + "predilp-repro-collide";
-    SuiteConfig tiny = smallConfig();
-    tiny.maxDynInstrs = 500;
+    EvalRequest tiny = smallConfig();
+    tiny.sim.maxDynInstrs = 500;
 
     SuiteEvaluator evaluator(1);
     EvalPolicy policy;
@@ -425,7 +424,7 @@ TEST(SuiteEvaluator, VerifyEachPassPolicyMatchesDefaultResults)
 {
     // Running the verifier after every pass is purely observational:
     // cycle-for-cycle identical results, just slower compiles.
-    SuiteConfig config = smallConfig();
+    EvalRequest config = smallConfig();
     SuiteEvaluator verifying(1);
     EvalPolicy policy;
     policy.verifyEachPass = true;

@@ -130,6 +130,20 @@ TEST(Sweep, SpecValidatesEagerly)
             SweepSpec::fromJson(JsonValue::parse(prefix + "[0, 12]}}"));
         EXPECT_EQ(zero.expandGrid().size(), 2u);
     }
+    // Integers past their field's range fail instead of wrapping
+    // (2^32 - 12 into -12, 2^32 into scale 0, 2^32 + 1 into 1), in
+    // the base config as on an axis. A scale that fits an int still
+    // fails when defaultScale * scale would not.
+    for (const char *spec :
+         {"{\"axes\": {\"cache_miss_penalty\": [4294967284]}}",
+          "{\"base\": {\"cache_miss_penalty\": 4294967284}}",
+          "{\"axes\": {\"issue_width\": [4294967297]}}",
+          "{\"scale\": 4294967296}", "{\"scale\": 4294967297}",
+          "{\"scale\": 2147483647}"}) {
+        SCOPED_TRACE(spec);
+        EXPECT_THROW(SweepSpec::fromJson(JsonValue::parse(spec)),
+                     FatalError);
+    }
 }
 
 TEST(Sweep, GeometryAxesRequirePowersOfTwo)

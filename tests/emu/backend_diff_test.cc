@@ -107,20 +107,29 @@ constexpr Model kModels[] = {Model::Superblock, Model::CondMove,
 
 TEST(BackendDiff, EveryWorkloadBitIdenticalTrace)
 {
-    // Each workload runs under one model (rotating) to keep the suite
-    // fast; the fuzz batch below covers the full model cross product.
-    std::size_t i = 0;
-    for (const Workload &workload : allWorkloads()) {
-        Model model = kModels[i++ % 3];
-        std::string input = workload.makeInput(1);
+    auto expectBackendsAgree = [](const Workload &workload, Model model,
+                                  const std::string &input) {
         auto prog = compiled(workload.source, model, input);
         auto interp =
             capture(*prog, input, 2'000'000'000ull, EmuBackend::Interp);
         auto threaded = capture(*prog, input, 2'000'000'000ull,
                                 EmuBackend::Threaded);
-        SCOPED_TRACE(workload.name + "/" + modelName(model));
+        SCOPED_TRACE(workload.name + "/" + modelName(model) + ", " +
+                     std::to_string(input.size()) + "-byte input");
         expectTraceEq(*interp, *threaded);
-    }
+    };
+    // Each workload runs under one model (rotating) at scale 1 to
+    // keep the suite fast; the fuzz batch below covers the full model
+    // cross product.
+    std::size_t i = 0;
+    for (const Workload &workload : allWorkloads())
+        expectBackendsAgree(workload, kModels[i++ % 3],
+                            workload.makeInput(1));
+    // One figure-set trace at full size: espresso under Full Pred. at
+    // its default input, about 467K records.
+    const Workload *espresso = findWorkload("espresso");
+    ASSERT_NE(espresso, nullptr);
+    expectBackendsAgree(*espresso, Model::FullPred, espresso->input());
 }
 
 TEST(BackendDiff, ReplayFiguresAgree)

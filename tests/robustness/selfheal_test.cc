@@ -68,10 +68,8 @@ freshDir(const std::string &name)
 EvalRequest
 cmpRequest()
 {
-    SuiteConfig config;
-    config.machine = issue8Branch1();
-    config.perfectCaches = true;
-    EvalRequest request = EvalRequest::fromSuiteConfig(config);
+    EvalRequest request;
+    request.sim.machine = issue8Branch1();
     request.workloads = {"cmp"};
     return request;
 }

@@ -87,6 +87,18 @@ TEST(SimConfig, NonPositiveSizesRejected)
         " \"machine\": {\"mispredict_penalty\": 0}}"));
     EXPECT_EQ(zero.cacheMissPenalty, 0);
     EXPECT_EQ(zero.machine.mispredictPenalty, 0);
+    // Values past an int field's range are rejected, not wrapped:
+    // 2^32 - 12 would price a miss at -12 cycles, and an issue width
+    // of 2^32 + 1 would become 1.
+    EXPECT_THROW(SimConfig::fromJson(JsonValue::parse(
+                     "{\"cache_miss_penalty\": 4294967284}")),
+                 FatalError);
+    EXPECT_THROW(SimConfig::fromJson(JsonValue::parse(
+                     "{\"machine\": {\"issue_width\": 4294967297}}")),
+                 FatalError);
+    SimConfig widest = SimConfig::fromJson(JsonValue::parse(
+        "{\"cache_miss_penalty\": 2147483647}"));
+    EXPECT_EQ(widest.cacheMissPenalty, 2147483647);
 }
 
 TEST(SimConfig, DigestIndependentOfSourceKeyOrder)

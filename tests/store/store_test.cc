@@ -314,9 +314,6 @@ TEST(ArtifactStore, ReadOnlyModeNeverWritesOrQuarantines)
 TEST(ArtifactStore, WarmEvaluatorSkipsAllCompileAndEmulation)
 {
     const std::string dir = freshDir("store-evaluator");
-    SuiteConfig config;
-    config.machine = issue8Branch1();
-    config.perfectCaches = true;
     const Workload *workload = findWorkload("cmp");
     ASSERT_NE(workload, nullptr);
 
@@ -327,7 +324,8 @@ TEST(ArtifactStore, WarmEvaluatorSkipsAllCompileAndEmulation)
     // Cold process: everything misses, every trace is published.
     SuiteEvaluator cold(1);
     cold.setPolicy(policy);
-    EvalRequest request = EvalRequest::fromSuiteConfig(config);
+    EvalRequest request;
+    request.sim.machine = issue8Branch1();
     request.workloads = {workload->name};
     BenchmarkResult first = cold.evaluate(request).results.at(0);
     const StatsSnapshot coldStats = cold.stats();
@@ -546,16 +544,13 @@ TEST(ArtifactStore, CertifiedResultRecordsRoundTripSealed)
 TEST(ArtifactStore, EvaluatorPublishesCertifiedRecords)
 {
     const std::string dir = freshDir("store-certified");
-    SuiteConfig config;
-    config.machine = issue8Branch1();
-    config.perfectCaches = true;
-
     EvalPolicy policy;
     policy.storeMode = StoreMode::ReadWrite;
     policy.storeDir = dir;
     SuiteEvaluator evaluator(1);
     evaluator.setPolicy(policy);
-    EvalRequest request = EvalRequest::fromSuiteConfig(config);
+    EvalRequest request;
+    request.sim.machine = issue8Branch1();
     request.workloads = {"cmp"};
     BenchmarkResult result =
         evaluator.evaluate(request).results.at(0);
