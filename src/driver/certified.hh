@@ -57,7 +57,7 @@ inline constexpr const char *certSchemaTag = "predilp-cert-v2";
  * re-pin this digest.
  */
 inline constexpr const char *certFiguresPin =
-    "1f26844f69d73c24663add4d0a5512d5f122d6d5e96292b7a72c45003e6c5077";
+    "04c0dd81643dfd14c54ba664930818ea0240689e9916e316b0b3f4062eae9d48";
 
 /**
  * Everything that identifies one priced cell and everything that can
