@@ -6,11 +6,13 @@
  * — for batch sizes 1/2/odd/8+, across all three models, with real
  * and perfect caches mixed in one batch, on suite workloads and on
  * fuzz-generated programs, and with the lane work spread over a
- * ThreadPool.
+ * ThreadPool. A record whose static id lies past the trace's op
+ * table panics in both paths.
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <span>
 
 #include "driver/pipeline.hh"
@@ -171,6 +173,22 @@ TEST(ReplayBatch, FuzzProgramsMatchSequential)
             expectBatchMatchesSequential(*buffer, makeConfigs(8));
         }
     }
+}
+
+TEST(ReplayBatch, StaticIdPastTheTablePanics)
+{
+    // A one-op index whose trace names op 1 after a valid record:
+    // the range check must fire before any model prices the record,
+    // for a single replay and for a two-config batch (one lane with
+    // perfect caches, one with real caches).
+    TraceBuffer buffer(
+        StaticIndex({StaticOp{}}, {}, std::array<int, 3>{0, 0, 0}));
+    buffer.append(0, 0, 0);
+    buffer.append(1, 0, 0);
+    EXPECT_THROW(replay(buffer, SimConfig{}), PanicError);
+    SimConfig configs[2];
+    configs[1].perfectCaches = false;
+    EXPECT_THROW(replayBatch(buffer, configs), PanicError);
 }
 
 TEST(ReplayBatch, EmptyBatchYieldsNoResults)
