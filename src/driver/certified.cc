@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <limits>
 #include <sstream>
 
 #include "store/sha256.hh"
@@ -69,7 +70,9 @@ provenanceFromJson(const JsonValue &json)
     }
     const JsonValue *scale = memberOf(json, "scale", Kind::Int);
     const JsonValue *fuel = memberOf(json, "fuel", Kind::Int);
-    if (scale == nullptr || fuel == nullptr || fuel->asInt() < 0)
+    if (scale == nullptr || scale->asInt() < 1 ||
+        scale->asInt() > std::numeric_limits<int>::max() ||
+        fuel == nullptr || fuel->asInt() < 0)
         return std::nullopt;
     prov.scale = static_cast<int>(scale->asInt());
     prov.fuel = static_cast<std::uint64_t>(fuel->asInt());
