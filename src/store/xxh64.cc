@@ -72,6 +72,11 @@ Xxh64::Xxh64()
 void
 Xxh64::update(const void *data, std::size_t len)
 {
+    // An empty span may carry a null pointer (an empty vector's
+    // data(), such as a chunk with no memory addresses), which
+    // memcpy must not see even with a zero length.
+    if (len == 0)
+        return;
     const auto *p = static_cast<const std::uint8_t *>(data);
     const std::uint8_t *end = p + len;
     totalBytes_ += len;
