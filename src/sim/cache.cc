@@ -167,7 +167,7 @@ SetAssocCache::reset()
 
 BranchTargetBuffer::BranchTargetBuffer(std::size_t entries, int ways,
                                        BranchPredictor predictor)
-    : predictor_(predictor), ways_(static_cast<std::size_t>(ways))
+    : ways_(static_cast<std::size_t>(ways))
 {
     panicIf(entries == 0, "BTB needs at least one entry");
     panicIf(ways <= 0, "BTB associativity must be positive");
@@ -177,122 +177,84 @@ BranchTargetBuffer::BranchTargetBuffer(std::size_t entries, int ways,
     panicIf(!std::has_single_bit(numSets),
             "BTB set count must be a power of two");
     setMask_ = numSets - 1;
-    counters_.assign(entries, initialCounter());
-    owners_.assign(entries, 0);
-    ownerValid_.assign(entries, 0);
-    lastUse_.assign(entries, 0);
-}
-
-std::uint8_t
-BranchTargetBuffer::initialCounter() const
-{
-    // Weakly not-taken for the 2-bit counter (paper §4.1); the 1-bit
-    // predictor starts predicting not-taken.
-    return predictor_ == BranchPredictor::TwoBit ? 1 : 0;
-}
-
-bool
-BranchTargetBuffer::counterPredictsTaken(std::uint8_t counter) const
-{
-    switch (predictor_) {
-      case BranchPredictor::TwoBit:
-        return counter >= 2;
-      case BranchPredictor::OneBit:
-        return counter != 0;
-      case BranchPredictor::StaticTaken:
-        return true;
-      case BranchPredictor::StaticNotTaken:
-        return false;
-    }
-    panic("unreachable predictor value");
-}
-
-void
-BranchTargetBuffer::train(std::uint8_t &counter, bool taken) const
-{
-    switch (predictor_) {
-      case BranchPredictor::TwoBit:
-        if (taken) {
-            if (counter < 3)
-                counter += 1;
-        } else {
-            if (counter > 0)
-                counter -= 1;
+    // Bake the policy into tables, so a probe runs no switch. The
+    // 2-bit counter saturates and starts weakly not-taken (paper
+    // §4.1); the 1-bit predictor keeps the last outcome and starts
+    // not-taken; the static policies ignore history.
+    initialCounter_ = predictor == BranchPredictor::TwoBit ? 1 : 0;
+    tagMissPredicts_ = predictor == BranchPredictor::StaticTaken;
+    for (std::uint8_t c = 0; c < 4; ++c) {
+        switch (predictor) {
+          case BranchPredictor::TwoBit:
+            predicts_[c] = c >= 2;
+            train_[0][c] = c == 0 ? 0 : c - 1;
+            train_[1][c] = c == 3 ? 3 : c + 1;
+            break;
+          case BranchPredictor::OneBit:
+            predicts_[c] = c != 0;
+            train_[0][c] = 0;
+            train_[1][c] = 1;
+            break;
+          case BranchPredictor::StaticTaken:
+          case BranchPredictor::StaticNotTaken:
+            predicts_[c] = tagMissPredicts_;
+            train_[0][c] = c;
+            train_[1][c] = c;
+            break;
         }
-        return;
-      case BranchPredictor::OneBit:
-        counter = taken ? 1 : 0;
-        return;
-      case BranchPredictor::StaticTaken:
-      case BranchPredictor::StaticNotTaken:
-        return; // static policies ignore history.
     }
+    reset();
 }
 
 bool
 BranchTargetBuffer::predictAndTrain(std::int64_t addr, bool taken)
 {
     lookups_ += 1;
-    const std::size_t base =
-        (static_cast<std::size_t>(addr >> 2) & setMask_) * ways_;
+    Entry *set = entries_.data() +
+                 (static_cast<std::size_t>(addr >> 2) & setMask_) * ways_;
     if (ways_ == 1) {
         // Tagless: the counter is shared between aliasing branches
         // and predicts whatever the last owner trained; the owner
         // tag only feeds the replacements statistic.
-        const bool predicted = counterPredictsTaken(counters_[base]);
-        if (!ownerValid_[base]) {
-            ownerValid_[base] = 1;
-            owners_[base] = addr;
-        } else if (owners_[base] != addr) {
+        const bool predicted = predicts_[set->counter];
+        if (set->stamp != 0 && set->owner != addr)
             replacements_ += 1;
-            owners_[base] = addr;
-        }
-        train(counters_[base], taken);
+        set->owner = addr;
+        set->stamp = 1;
+        set->counter = train_[taken][set->counter];
         return predicted;
     }
-    std::size_t victim = 0;
-    bool found = false;
-    for (std::size_t way = 0; way < ways_; ++way) {
-        if (ownerValid_[base + way] && owners_[base + way] == addr) {
-            victim = way;
-            found = true;
-            break;
-        }
-    }
-    bool predicted = false;
-    if (found) {
-        predicted = counterPredictsTaken(counters_[base + victim]);
+    Entry *entry = std::find_if(set, set + ways_, [addr](const Entry &e) {
+        return e.stamp != 0 && e.owner == addr;
+    });
+    bool predicted = tagMissPredicts_;
+    if (entry != set + ways_) {
+        predicted = predicts_[entry->counter];
     } else {
         // Tag miss: predict not-taken (a static-taken policy still
-        // says taken), then allocate an invalid way, else the LRU.
-        predicted = predictor_ == BranchPredictor::StaticTaken;
-        bool evicting = true;
-        for (std::size_t way = 0; way < ways_; ++way) {
-            if (!ownerValid_[base + way]) {
-                victim = way;
-                evicting = false;
-                break;
-            }
-            if (lastUse_[base + way] < lastUse_[base + victim])
-                victim = way;
-        }
-        if (evicting)
+        // says taken), then allocate the first invalid way, else the
+        // LRU way. Invalid ways carry stamp 0 and valid stamps are
+        // distinct, so that is the first least-stamped way.
+        entry = std::min_element(
+            set, set + ways_, [](const Entry &a, const Entry &b) {
+                return a.stamp < b.stamp;
+            });
+        if (entry->stamp != 0)
             replacements_ += 1;
-        ownerValid_[base + victim] = 1;
-        owners_[base + victim] = addr;
-        counters_[base + victim] = initialCounter();
+        entry->owner = addr;
+        entry->counter = initialCounter_;
     }
-    train(counters_[base + victim], taken);
-    lastUse_[base + victim] = ++tick_;
+    entry->counter = train_[taken][entry->counter];
+    entry->stamp = ++tick_;
     return predicted;
 }
 
 void
 BranchTargetBuffer::reset()
 {
-    std::fill(counters_.begin(), counters_.end(), initialCounter());
-    std::fill(ownerValid_.begin(), ownerValid_.end(), 0);
-    std::fill(lastUse_.begin(), lastUse_.end(), 0);
+    Entry fresh;
+    fresh.counter = initialCounter_;
+    entries_.assign((setMask_ + 1) * ways_, fresh);
     tick_ = 0;
     lookups_ = 0;
     replacements_ = 0;

@@ -15,7 +15,10 @@
  *    becomes a tagged, LRU-replaced table that predicts not-taken on
  *    a tag miss. The per-entry predictor is selectable (2-bit
  *    saturating, 1-bit last-outcome, or static) — the btb_* and
- *    predictor axes of the sweep grid (driver/sweep.hh).
+ *    predictor axes of the sweep grid (driver/sweep.hh). Each entry
+ *    packs its owner, stamp and counter into 16 bytes, and the
+ *    predictor is baked at construction into predict and train
+ *    tables, so a probe touches one entry and runs no switch.
  *
  * Both models require a power-of-two set count (and the cache a
  * power-of-two line), so no index or tag computation divides;
@@ -26,6 +29,7 @@
 #ifndef PREDILP_SIM_CACHE_HH
 #define PREDILP_SIM_CACHE_HH
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -208,7 +212,7 @@ class BranchTargetBuffer
     /**
      * With one way: trainings whose entry last belonged to a
      * different branch address — counter aliasing in the tagless
-     * table, tracked with a stats-only tag array (predictions are
+     * table, tracked with a stats-only owner tag (predictions are
      * unaffected, as in §4.1). With more ways: real LRU evictions of
      * valid entries.
      */
@@ -217,17 +221,32 @@ class BranchTargetBuffer
     void reset();
 
   private:
-    bool counterPredictsTaken(std::uint8_t counter) const;
-    std::uint8_t initialCounter() const;
-    void train(std::uint8_t &counter, bool taken) const;
+    /**
+     * One entry, packed into 16 bytes: the branch that owns it, its
+     * stamp and its counter. The stamp is 0 while the entry is
+     * invalid; with more ways it is the entry's LRU stamp, and with
+     * one way it is 1 once a branch owns the entry.
+     */
+    struct Entry
+    {
+        std::int64_t owner = 0;
+        std::uint64_t stamp : 62 = 0;
+        std::uint64_t counter : 2 = 0;
+    };
 
-    BranchPredictor predictor_;
     std::size_t ways_;
     std::size_t setMask_; ///< numSets - 1.
-    std::vector<std::uint8_t> counters_;
-    std::vector<std::int64_t> owners_; ///< stats-only when 1-way.
-    std::vector<std::uint8_t> ownerValid_;
-    std::vector<std::uint64_t> lastUse_;
+    std::vector<Entry> entries_; ///< set-major, ways_ per set.
+    /**
+     * The predictor, baked at construction: predicts_[counter] is a
+     * counter's prediction, train_[taken][counter] the counter after
+     * training, initialCounter_ a fresh entry's counter and
+     * tagMissPredicts_ the prediction on a tag miss.
+     */
+    std::array<bool, 4> predicts_{};
+    std::array<std::array<std::uint8_t, 4>, 2> train_{};
+    std::uint8_t initialCounter_ = 0;
+    bool tagMissPredicts_ = false;
     std::uint64_t tick_ = 0;
     std::uint64_t lookups_ = 0;
     std::uint64_t replacements_ = 0;

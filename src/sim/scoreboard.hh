@@ -1,89 +1,83 @@
 /**
  * @file
- * Dense register-ready scoreboard for the cycle model. Replaces the
- * per-record std::unordered_map<Reg, long> lookup with flat
- * ready-cycle vectors indexed by (register class, register number),
- * sized once from the StaticIndex's per-class register bounds.
+ * Flat register-ready scoreboard for the cycle model. The
+ * ReplayTable (sim/timing.cc) bakes every register operand of a
+ * trace into one uint32 slot of a single flat array: slot 0 means
+ * "no register", then come the Int, Float and Pred registers, in
+ * that order. Nothing writes slot 0, so it always reads 0 and an
+ * unguarded row reads its guard with no branch. The board indexes
+ * a slot directly: there is no class dispatch, no bounds check and
+ * no growth path, because the table panics on any operand outside
+ * its class's bound.
  *
- * An epoch/generation trick makes drain() — which the map version
- * implemented by clearing the whole table at every call/return —
- * O(registers touched since the last drain) instead of O(table):
- * a slot's value only counts when its epoch tag matches the current
- * epoch, so "clearing" is a single epoch increment and the arrays
- * are never re-written. A per-class dirty list (one entry per
- * register first touched in the current epoch, i.e. exactly the
- * key set of the old map) drives the drain maximum and the
- * whole-predicate-file writes, preserving the map semantics
- * bit-for-bit.
+ * An epoch/generation trick makes clear() — the drain at every call
+ * and return — O(registers touched since the last drain) instead of
+ * O(board): a slot's value only counts when its epoch tag matches
+ * the current epoch, so "clearing" is a single epoch increment and
+ * the array is never re-written. One dirty list holds every slot
+ * first touched in the current epoch and a second one its predicate
+ * slots. They drive the drain maximum and the whole-predicate-file
+ * writes, so both see exactly the registers written since the last
+ * drain.
  */
 
 #ifndef PREDILP_SIM_SCOREBOARD_HH
 #define PREDILP_SIM_SCOREBOARD_HH
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
 #include <vector>
-
-#include "ir/reg.hh"
 
 namespace predilp
 {
 
-/** Dense per-class register-ready tracker; see file comment. */
+/** Flat register-ready tracker over baked slots; see file comment. */
 class RegScoreboard
 {
   public:
     /**
-     * Size every class's table from per-class register bounds (Int,
-     * Float, Pred order), as carried by the shared ReplayTable.
+     * @param slotCount slots in the board, slot 0 included.
+     * @param predBase first predicate slot; every slot from it up is
+     *        a predicate register.
      */
-    explicit RegScoreboard(const std::array<int, 3> &regBounds)
-    {
-        for (std::size_t cls = 0; cls < boards_.size(); ++cls)
-            boards_[cls].resize(regBounds[cls]);
-    }
+    RegScoreboard(std::uint32_t slotCount, std::uint32_t predBase)
+        : slots_(slotCount), dirty_(slotCount),
+          predDirty_(slotCount - predBase),
+          predBase_(predBase)
+    {}
 
-    /** Cycle @p reg becomes ready; 0 when untouched this epoch. */
+    /** Cycle @p slot becomes ready; 0 when untouched this epoch. */
     long
-    readyAt(Reg reg) const
+    readyAt(std::uint32_t slot) const
     {
-        const ClassBoard &b = board(reg.cls());
-        auto idx = static_cast<std::size_t>(reg.idx());
-        if (idx >= b.ready.size() || b.epoch[idx] != epoch_)
-            return 0;
-        return b.ready[idx];
+        const Slot &s = slots_[slot];
+        return s.epoch == epoch_ ? s.ready : 0;
     }
 
     /** Destination write: overwrite the ready cycle. */
-    void
-    setDest(Reg reg, long when)
-    {
-        touch(board(reg.cls()), reg.idx()) = when;
-    }
+    void setDest(std::uint32_t slot, long when) { touch(slot) = when; }
 
     /**
      * OR/AND-style accumulation: ready when the *latest*
      * contribution completes.
      */
     void
-    accumulate(Reg reg, long when)
+    accumulate(std::uint32_t slot, long when)
     {
-        long &ready = touch(board(reg.cls()), reg.idx());
+        long &ready = touch(slot);
         ready = std::max(ready, when);
     }
 
     /**
-     * Whole-predicate-file write (pred_clear / pred_set):
-     * every predicate register touched this epoch becomes ready at
+     * Whole-predicate-file write (pred_clear / pred_set): every
+     * predicate register touched this epoch becomes ready at
      * @p when.
      */
     void
     setAllPred(long when)
     {
-        ClassBoard &b = board(RegClass::Pred);
-        for (std::int32_t idx : b.dirty)
-            b.ready[static_cast<std::size_t>(idx)] = when;
+        for (std::uint32_t i = 0; i < predDirtyCount_; ++i)
+            slots_[predDirty_[i]].ready = when;
     }
 
     /** Max of @p atLeast and every outstanding ready cycle. */
@@ -91,12 +85,8 @@ class RegScoreboard
     maxOutstanding(long atLeast) const
     {
         long latest = atLeast;
-        for (const ClassBoard &b : boards_) {
-            for (std::int32_t idx : b.dirty) {
-                latest = std::max(
-                    latest, b.ready[static_cast<std::size_t>(idx)]);
-            }
-        }
+        for (std::uint32_t i = 0; i < dirtyCount_; ++i)
+            latest = std::max(latest, slots_[dirty_[i]].ready);
         return latest;
     }
 
@@ -104,83 +94,68 @@ class RegScoreboard
     void
     clear()
     {
-        for (ClassBoard &b : boards_)
-            b.dirty.clear();
+        dirtyCount_ = 0;
+        predDirtyCount_ = 0;
         if (++epoch_ == 0) {
             // Epoch wrap (one per 2^32 drains): stale tags could
             // alias the fresh epoch, so do the one-time hard reset.
-            for (ClassBoard &b : boards_)
-                std::fill(b.epoch.begin(), b.epoch.end(), 0u);
+            for (Slot &s : slots_)
+                s.epoch = 0;
             epoch_ = 1;
         }
     }
 
     /**
      * Test-only seam: jump to epoch @p epoch as if that many drains
-     * had happened (dirty lists empty, tables untouched). Lets the
+     * had happened (dirty lists empty, board untouched). Lets the
      * wraparound hard reset in clear() be exercised without 2^32
      * real drains.
      */
     void
     presetEpochForTest(std::uint32_t epoch)
     {
-        for (ClassBoard &b : boards_)
-            b.dirty.clear();
+        dirtyCount_ = 0;
+        predDirtyCount_ = 0;
         epoch_ = epoch;
     }
 
   private:
-    struct ClassBoard
+    struct Slot
     {
-        std::vector<long> ready;
-        std::vector<std::uint32_t> epoch;
-        /** Registers first touched in the current epoch. */
-        std::vector<std::int32_t> dirty;
-
-        void
-        resize(int n)
-        {
-            ready.assign(static_cast<std::size_t>(n), 0);
-            epoch.assign(static_cast<std::size_t>(n), 0);
-        }
+        long ready = 0;
+        std::uint32_t epoch = 0;
     };
 
-    ClassBoard &
-    board(RegClass cls)
-    {
-        return boards_[static_cast<std::size_t>(cls)];
-    }
-
-    const ClassBoard &
-    board(RegClass cls) const
-    {
-        return boards_[static_cast<std::size_t>(cls)];
-    }
-
     /**
-     * Validate @p idx's slot for the current epoch (zeroing it on
-     * first touch, exactly like the map's operator[] insert) and
-     * return it.
+     * Validate @p slot for the current epoch (zeroing it on first
+     * touch and noting it dirty) and return its ready cycle.
      */
     long &
-    touch(ClassBoard &b, int idx)
+    touch(std::uint32_t slot)
     {
-        auto i = static_cast<std::size_t>(idx);
-        if (i >= b.ready.size()) {
-            // The StaticIndex bounds cover every register the
-            // program allocates; growth is a defensive slow path.
-            b.ready.resize(i + 1, 0);
-            b.epoch.resize(i + 1, 0);
+        Slot &s = slots_[slot];
+        if (s.epoch != epoch_) {
+            s.epoch = epoch_;
+            s.ready = 0;
+            dirty_[dirtyCount_++] = slot;
+            if (slot >= predBase_)
+                predDirty_[predDirtyCount_++] = slot;
         }
-        if (b.epoch[i] != epoch_) {
-            b.epoch[i] = epoch_;
-            b.ready[i] = 0;
-            b.dirty.push_back(static_cast<std::int32_t>(idx));
-        }
-        return b.ready[i];
+        return s.ready;
     }
 
-    std::array<ClassBoard, 3> boards_;
+    std::vector<Slot> slots_;
+    /**
+     * Slots first touched in the current epoch, then the predicate
+     * slots among them; each holds its first *Count_ entries. A slot
+     * joins a list at most once per epoch, so neither outgrows its
+     * share of the board and neither ever reallocates.
+     */
+    std::vector<std::uint32_t> dirty_;
+    std::vector<std::uint32_t> predDirty_;
+    std::uint32_t dirtyCount_ = 0;
+    std::uint32_t predDirtyCount_ = 0;
+    std::uint32_t predBase_;
     std::uint32_t epoch_ = 1;
 };
 

@@ -1,7 +1,11 @@
 #include "sim/timing.hh"
 
 #include <algorithm>
+#include <array>
+#include <limits>
 
+#include "sim/cache.hh"
+#include "sim/scoreboard.hh"
 #include "support/logging.hh"
 #include "support/thread_pool.hh"
 #include "trace/replay.hh"
@@ -12,31 +16,135 @@ namespace predilp
 namespace
 {
 
-/** Bake the pricing row of one interned static op. */
-StaticOpRow
-makeStaticOpRow(const StaticOp &op)
+/** StaticOpRow trait bits (machine-independent classification). */
+constexpr std::uint8_t rowIsBranch = 1u << 0;
+constexpr std::uint8_t rowIsLoad = 1u << 1;
+constexpr std::uint8_t rowIsStore = 1u << 2;
+constexpr std::uint8_t rowIsPredAll = 1u << 3;
+
+constexpr std::size_t numLatencyClasses = 9;
+
+/**
+ * One packed row of a ReplayTable: everything pricing reads per
+ * record, in one array indexed by static id. Register operands are
+ * baked to flat scoreboard slots (slot 0: no register). The first
+ * two register sources sit in the row; no record of the sweep's
+ * traces has more. Further sources, then the predicate destinations,
+ * are read from the table's slot pool. `cls` is the opcode's
+ * LatencyClass ordinal, the only opcode property pricing needs.
+ * StaticOp itself stays unchanged: it is the artifact store's
+ * on-disk format.
+ */
+struct StaticOpRow
 {
-    StaticOpRow row;
-    row.addr = op.addr;
-    row.guard = op.guard;
-    row.dest = op.dest;
-    row.regBegin = op.regBegin;
-    row.srcRegCount = op.srcRegCount;
-    row.predDestCount = op.predDestCount;
-    row.cls = static_cast<std::uint8_t>(opcodeInfo(op.op).latency);
-    row.kind = static_cast<std::uint8_t>(op.kind);
-    row.traits = static_cast<std::uint8_t>(
-        (op.isBranch ? rowIsBranch : 0) |
-        (op.isLoad ? rowIsLoad : 0) | (op.isStore ? rowIsStore : 0) |
-        (op.isPredAll ? rowIsPredAll : 0));
-    return row;
+    std::int64_t addr = 0; ///< fetch address (I-cache / BTB key).
+    std::uint32_t guardSlot = 0;
+    std::uint32_t destSlot = 0;
+    std::array<std::uint32_t, 2> srcSlots{};
+    std::uint32_t poolBegin = 0;     ///< offset into the slot pool.
+    std::uint16_t extraSrcCount = 0; ///< sources past srcSlots.
+    std::uint16_t predDestCount = 0; ///< pred dests (after those).
+    std::uint8_t cls = 0;    ///< LatencyClass ordinal.
+    std::uint8_t kind = 0;   ///< StaticOp::Kind ordinal.
+    std::uint8_t traits = 0; ///< rowIs* bits.
+};
+
+/**
+ * Pre-baked static-op metadata for replay: the row array, the slot
+ * pool and the shape of the flat scoreboard, built once per trace
+ * and shared read-only by every model of a batch. Owns all of it.
+ *
+ * Slot 0 is "no register"; the Int, Float and Pred registers follow
+ * in that order, each class sized by its StaticIndex bound. The
+ * scoreboard does no bounds check, so the build panics on any
+ * operand it could not index: a register at or past its class's
+ * bound, a negative bound, or a pool entry that names no register.
+ * The artifact loader rejects all three, and the IR verifier admits
+ * none.
+ */
+class ReplayTable
+{
+  public:
+    explicit ReplayTable(const StaticIndex &index);
+
+    const StaticOpRow *rows() const { return rows_.data(); }
+    std::size_t size() const { return rows_.size(); }
+    const std::uint32_t *slotPool() const { return slotPool_.data(); }
+    std::uint32_t slotCount() const { return slotCount_; }
+    std::uint32_t predSlotBase() const { return predSlotBase_; }
+
+  private:
+    std::vector<StaticOpRow> rows_;
+    std::vector<std::uint32_t> slotPool_;
+    std::uint32_t slotCount_ = 1;
+    std::uint32_t predSlotBase_ = 1;
+};
+
+ReplayTable::ReplayTable(const StaticIndex &index)
+{
+    std::array<std::uint32_t, 3> base{};
+    std::uint64_t next = 1;
+    for (std::size_t cls = 0; cls < base.size(); ++cls) {
+        const int bound = index.regBound(static_cast<RegClass>(cls));
+        panicIf(bound < 0, "negative register bound ", bound);
+        base[cls] = static_cast<std::uint32_t>(next);
+        next += static_cast<std::uint64_t>(bound);
+    }
+    panicIf(next > std::numeric_limits<std::uint32_t>::max(),
+            "register bounds overflow the scoreboard");
+    slotCount_ = static_cast<std::uint32_t>(next);
+    predSlotBase_ = base[2];
+
+    const auto slotOf = [&](Reg reg) -> std::uint32_t {
+        if (!reg.valid())
+            return 0;
+        const int bound = index.regBound(reg.cls());
+        if (reg.idx() >= bound) [[unlikely]] {
+            panic("register ", reg.toString(),
+                  " outside its class bound ", bound);
+        }
+        return base[static_cast<std::size_t>(reg.cls())] +
+               static_cast<std::uint32_t>(reg.idx());
+    };
+    const auto poolSlotOf = [&](Reg reg) {
+        panicIf(!reg.valid(), "register pool entry names no register");
+        return slotOf(reg);
+    };
+
+    rows_.reserve(index.size());
+    for (const StaticOp &op : index.ops()) {
+        const Reg *regs = index.regs(op);
+        StaticOpRow row;
+        row.addr = op.addr;
+        row.guardSlot = slotOf(op.guard);
+        row.destSlot = slotOf(op.dest);
+        const std::uint16_t inRow =
+            std::min<std::uint16_t>(op.srcRegCount, 2);
+        for (std::uint16_t i = 0; i < inRow; ++i)
+            row.srcSlots[i] = poolSlotOf(regs[i]);
+        row.poolBegin = static_cast<std::uint32_t>(slotPool_.size());
+        row.extraSrcCount =
+            static_cast<std::uint16_t>(op.srcRegCount - inRow);
+        row.predDestCount = op.predDestCount;
+        for (std::uint32_t i = inRow;
+             i < std::uint32_t{op.srcRegCount} + op.predDestCount; ++i)
+            slotPool_.push_back(poolSlotOf(regs[i]));
+        row.cls = static_cast<std::uint8_t>(opcodeInfo(op.op).latency);
+        row.kind = static_cast<std::uint8_t>(op.kind);
+        row.traits = static_cast<std::uint8_t>(
+            (op.isBranch ? rowIsBranch : 0) |
+            (op.isLoad ? rowIsLoad : 0) |
+            (op.isStore ? rowIsStore : 0) |
+            (op.isPredAll ? rowIsPredAll : 0));
+        rows_.push_back(row);
+    }
 }
 
-/** Bake a SimConfig's per-LatencyClass latency table. */
-std::array<int, 9>
+/** Bake a machine's per-LatencyClass latency table. */
+std::array<int, numLatencyClasses>
 bakeLatencies(const MachineConfig &machine)
 {
-    std::array<int, 9> lat{};
+    std::array<int, numLatencyClasses> lat{};
     for (std::size_t cls = 0; cls < lat.size(); ++cls) {
         lat[cls] = machine.latencyOfClass(
             static_cast<LatencyClass>(cls));
@@ -44,139 +152,254 @@ bakeLatencies(const MachineConfig &machine)
     return lat;
 }
 
-} // namespace
-
-ReplayTable::ReplayTable(const StaticIndex &index)
-    : regPool_(index.regPool().data()),
-      regBounds_{index.regBound(RegClass::Int),
-                 index.regBound(RegClass::Float),
-                 index.regBound(RegClass::Pred)}
+/** What a model counts while it prices, beside its cycle. */
+struct Counters
 {
-    rows_.reserve(index.size());
-    for (const StaticOp &op : index.ops())
-        rows_.push_back(makeStaticOpRow(op));
-}
+    std::uint64_t dynInstrs = 0;
+    std::uint64_t nullified = 0;
+    std::uint64_t branches = 0;
+    std::uint64_t condBranches = 0;
+    std::uint64_t mispredicts = 0;
+    std::uint64_t loads = 0;
+    std::uint64_t stores = 0;
+    std::uint64_t icacheMisses = 0;
+    std::uint64_t dcacheMisses = 0;
+    std::uint64_t widthStallCycles = 0;
+    std::uint64_t branchStallCycles = 0;
+    std::array<std::uint64_t, numLatencyClasses> issuedByClass{};
+};
+
+/**
+ * The in-order pipeline pricing model of one configuration. Feed it
+ * a trace one chunk at a time via onChunk(), then collect the
+ * SimResult with finish().
+ */
+class CycleModel
+{
+  public:
+    /**
+     * Rows come from @p table, shared read-only across every model
+     * of a batch; the table must outlive the model.
+     */
+    CycleModel(const ReplayTable &table, const SimConfig &config);
+
+    /** @return true when pricing reads memory addresses. */
+    bool readsAddresses() const { return !config_.perfectCaches; }
+
+    /**
+     * Price a span of packed trace entries whose static ids all lie
+     * inside the table (checkStaticIds). @p addrs is the span's
+     * pre-decoded absolute address run: one address per
+     * traceHasMemAddr-flagged entry, in entry order
+     * (TraceBuffer::ChunkCursor produces exactly this). A model that
+     * does not read addresses ignores it, so it may be nullptr.
+     */
+    void
+    onChunk(const TraceEntry *entries, std::size_t count,
+            const std::int64_t *addrs)
+    {
+        if (readsAddresses())
+            priceChunk<true>(entries, count, addrs);
+        else
+            priceChunk<false>(entries, count, nullptr);
+    }
+
+    /** Finalize: attach the functional run's outcome. */
+    SimResult finish(std::int64_t exitValue, std::string output);
+
+  private:
+    template <bool RealCaches>
+    void priceChunk(const TraceEntry *entries, std::size_t count,
+                    const std::int64_t *addrs);
+
+    const StaticOpRow *rows_;
+    const std::uint32_t *slotPool_;
+    /**
+     * Stored by value: callers routinely build a SimConfig inline
+     * (or on a worker's stack) and the model must outlive it.
+     */
+    const SimConfig config_;
+    /** Machine latency per LatencyClass ordinal. */
+    const std::array<int, numLatencyClasses> latByClass_;
+    SetAssocCache icache_;
+    SetAssocCache dcache_;
+    BranchTargetBuffer btb_;
+    RegScoreboard scoreboard_;
+    long cycle_ = 0;
+    int slots_ = 0;
+    int branchSlots_ = 0;
+    Counters counters_;
+};
 
 CycleModel::CycleModel(const ReplayTable &table,
                        const SimConfig &config)
-    : rows_(table.rows()), rowCount_(table.size()),
-      regPool_(table.regPool()), config_(config),
-      latByClass_(bakeLatencies(config.machine)),
+    : rows_(table.rows()), slotPool_(table.slotPool()),
+      config_(config), latByClass_(bakeLatencies(config.machine)),
       icache_(config.cacheSizeBytes, config.cacheLineBytes,
               config.cacheAssociativity),
       dcache_(config.cacheSizeBytes, config.cacheLineBytes,
               config.cacheAssociativity),
       btb_(config.btbEntries, config.btbAssociativity,
            config.predictor),
-      scoreboard_(table.regBounds())
-{}
-
-inline void
-CycleModel::priceRecord(const StaticOpRow &row, std::uint32_t flags,
-                        std::int64_t memAddr)
+      scoreboard_(table.slotCount(), table.predSlotBase())
 {
-    const bool nullified = (flags & traceNullified) != 0;
-    result_.dynInstrs += 1;
-    if (nullified)
-        result_.nullified += 1;
+    // The issue-slot check advances at most one cycle per record,
+    // and a new cycle frees a slot only when both widths are >= 1.
+    panicIf(config.machine.issueWidth < 1 ||
+                config.machine.branchesPerCycle < 1,
+            "issue width and branch slots must be at least 1");
+}
 
-    // --- fetch: instruction cache ---
-    if (!config_.perfectCaches) {
-        if (!icache_.access(row.addr)) {
-            result_.icacheMisses += 1;
-            advanceTo(cycle_ + config_.cacheMissPenalty);
+template <bool RealCaches>
+void
+CycleModel::priceChunk(const TraceEntry *entries, std::size_t count,
+                       [[maybe_unused]] const std::int64_t *addrs)
+{
+    const int issueWidth = config_.machine.issueWidth;
+    const int branchesPerCycle = config_.machine.branchesPerCycle;
+    const int mispredictPenalty = config_.machine.mispredictPenalty;
+    [[maybe_unused]] const int missPenalty = config_.cacheMissPenalty;
+    long cycle = cycle_;
+    int slots = slots_;
+    int branchSlots = branchSlots_;
+    Counters c = counters_;
+    // A later cycle frees every issue and branch slot.
+    const auto advanceTo = [&](long target) {
+        if (target > cycle) {
+            cycle = target;
+            slots = 0;
+            branchSlots = 0;
         }
-    }
+    };
 
-    // --- operand readiness (register interlocks) ---
-    long t = cycle_;
-    if (row.guard.valid())
-        t = std::max(t, scoreboard_.readyAt(row.guard));
-    if (!nullified) {
-        // A squashed instruction is suppressed at decode and never
-        // reads its data operands.
-        const Reg *srcs = regPool_ + row.regBegin;
-        for (std::uint16_t i = 0; i < row.srcRegCount; ++i)
-            t = std::max(t, scoreboard_.readyAt(srcs[i]));
-        // OR/AND-type defines merge with the old value, but
-        // same-sense accumulations issue simultaneously (wired-OR,
-        // paper §2.1): no stall on the destination.
-    }
-    advanceTo(t);
+    for (std::size_t i = 0; i < count; ++i) {
+        const std::uint32_t flags = entries[i].flags();
+        const StaticOpRow &row = rows_[entries[i].staticId()];
+        const bool nullified = (flags & traceNullified) != 0;
+        c.nullified += nullified ? 1 : 0;
 
-    // --- issue slot allocation ---
-    const bool isBranch = (row.traits & rowIsBranch) != 0;
-    while (slots_ >= config_.machine.issueWidth ||
-           (isBranch &&
-            branchSlots_ >= config_.machine.branchesPerCycle)) {
-        if (slots_ >= config_.machine.issueWidth)
-            widthStallCycles_ += 1;
-        else
-            branchStallCycles_ += 1;
-        advanceTo(cycle_ + 1);
-    }
-    slots_ += 1;
-    if (isBranch)
-        branchSlots_ += 1;
+        // --- fetch: instruction cache ---
+        [[maybe_unused]] std::int64_t memAddr = 0;
+        if constexpr (RealCaches) {
+            if ((flags & traceHasMemAddr) != 0)
+                memAddr = *addrs++;
+            if (!icache_.access(row.addr)) {
+                c.icacheMisses += 1;
+                advanceTo(cycle + missPenalty);
+            }
+        }
 
-    // --- execution / destination readiness ---
-    int latency = latByClass_[row.cls];
-    issuedByClass_[row.cls] += 1;
-    if (!nullified) {
+        // --- operand readiness (register interlocks) ---
+        // Absent operands name slot 0, which reads 0. A squashed
+        // instruction is suppressed at decode and never reads its
+        // data operands. OR/AND-type defines merge with the old
+        // value, but same-sense accumulations issue simultaneously
+        // (wired-OR, paper §2.1): no stall on the destination.
+        long ready = std::max(cycle, scoreboard_.readyAt(row.guardSlot));
+        if (!nullified) {
+            ready = std::max(ready, scoreboard_.readyAt(row.srcSlots[0]));
+            ready = std::max(ready, scoreboard_.readyAt(row.srcSlots[1]));
+            const std::uint32_t *extra = slotPool_ + row.poolBegin;
+            for (std::uint16_t k = 0; k < row.extraSrcCount; ++k)
+                ready = std::max(ready, scoreboard_.readyAt(extra[k]));
+        }
+        advanceTo(ready);
+
+        // --- issue slot allocation ---
+        // Both widths are at least 1, so one advance frees a slot.
+        const bool isBranch = (row.traits & rowIsBranch) != 0;
+        if (slots >= issueWidth) {
+            c.widthStallCycles += 1;
+            advanceTo(cycle + 1);
+        } else if (isBranch && branchSlots >= branchesPerCycle) {
+            c.branchStallCycles += 1;
+            advanceTo(cycle + 1);
+        }
+        slots += 1;
+        branchSlots += isBranch ? 1 : 0;
+        c.issuedByClass[row.cls] += 1;
+        if (nullified)
+            continue;
+
+        // --- execution / destination readiness ---
+        int latency = latByClass_[row.cls];
         if ((row.traits & rowIsLoad) != 0) {
-            result_.loads += 1;
-            if (!config_.perfectCaches &&
-                (flags & traceHasMemAddr) != 0 &&
-                !dcache_.access(memAddr)) {
-                result_.dcacheMisses += 1;
-                latency += config_.cacheMissPenalty;
+            c.loads += 1;
+            if constexpr (RealCaches) {
+                if ((flags & traceHasMemAddr) != 0 &&
+                    !dcache_.access(memAddr)) {
+                    c.dcacheMisses += 1;
+                    latency += missPenalty;
+                }
             }
         } else if ((row.traits & rowIsStore) != 0) {
-            result_.stores += 1;
-            if (!config_.perfectCaches &&
-                (flags & traceHasMemAddr) != 0 &&
-                !dcache_.writeAccess(memAddr)) {
-                result_.dcacheMisses += 1;
+            c.stores += 1;
+            if constexpr (RealCaches) {
                 // Write-through with a write buffer: no stall.
+                if ((flags & traceHasMemAddr) != 0 &&
+                    !dcache_.writeAccess(memAddr))
+                    c.dcacheMisses += 1;
             }
         }
-        setReady(row, cycle_ + latency);
-    }
+        const long done = cycle + latency;
+        if (row.destSlot != 0)
+            scoreboard_.setDest(row.destSlot, done);
+        // Accumulated predicates become ready when the *latest*
+        // contribution completes.
+        const std::uint32_t *predDests =
+            slotPool_ + row.poolBegin + row.extraSrcCount;
+        for (std::uint16_t k = 0; k < row.predDestCount; ++k)
+            scoreboard_.accumulate(predDests[k], done);
+        // Whole-file write: conservatively mark every predicate
+        // register known so far.
+        if ((row.traits & rowIsPredAll) != 0)
+            scoreboard_.setAllPred(done);
 
-    // --- control ---
-    if (!nullified && isBranch)
-        handleControl(row, (flags & traceTaken) != 0);
-}
-
-void
-CycleModel::onChunk(const TraceEntry *entries, std::size_t count,
-                    const std::int64_t *addrs)
-{
-    // One bounds check per chunk instead of two per record; the
-    // address run was decoded once by the ChunkCursor, so the only
-    // per-record memory-stream work left is a pointer bump. The
-    // addrs == nullptr variant skips even that: perfect-cache
-    // configs never read the address, so flagged entries price
-    // against zero.
-    if (addrs == nullptr) {
-        for (std::size_t i = 0; i < count; ++i) {
-            const TraceEntry entry = entries[i];
-            priceRecord(row(entry.staticId()), entry.flags(), 0);
+        // --- control ---
+        // A taken transfer redirects fetch: its target instructions
+        // issue from the next cycle (they were not in this fetch
+        // group). Mispredictions additionally cost the 2-cycle
+        // penalty of §4.1. Correctly-predicted not-taken branches
+        // are free beyond their branch slot.
+        if (!isBranch)
+            continue;
+        switch (static_cast<StaticOp::Kind>(row.kind)) {
+          case StaticOp::Kind::CondBranch: {
+            c.branches += 1;
+            c.condBranches += 1;
+            const bool taken = (flags & traceTaken) != 0;
+            if (btb_.predictAndTrain(row.addr, taken) != taken) {
+                c.mispredicts += 1;
+                advanceTo(cycle + 1 + mispredictPenalty);
+            } else if (taken) {
+                advanceTo(cycle + 1);
+            }
+            break;
+          }
+          case StaticOp::Kind::Jump:
+            c.branches += 1;
+            advanceTo(cycle + 1);
+            break;
+          case StaticOp::Kind::CallRet: {
+            // Calls and returns change frames: drain outstanding
+            // writes.
+            const long latest = scoreboard_.maxOutstanding(cycle);
+            scoreboard_.clear();
+            advanceTo(latest);
+            advanceTo(cycle + 1);
+            break;
+          }
+          case StaticOp::Kind::Plain:
+            break;
         }
-        return;
     }
-    for (std::size_t i = 0; i < count; ++i) {
-        const TraceEntry entry = entries[i];
-        const std::uint32_t flags = entry.flags();
-        std::int64_t memAddr = 0;
-        if ((flags & traceHasMemAddr) != 0)
-            memAddr = *addrs++;
-        priceRecord(row(entry.staticId()), flags, memAddr);
-    }
-}
 
-namespace
-{
+    c.dynInstrs += count;
+    cycle_ = cycle;
+    slots_ = slots;
+    branchSlots_ = branchSlots;
+    counters_ = c;
+}
 
 /** Counter-name leaf for each LatencyClass, in enum order. */
 constexpr const char *latencyClassNames[] = {
@@ -184,25 +407,34 @@ constexpr const char *latencyClassNames[] = {
     "load",    "store",   "branch",  "pred_define",
 };
 
-} // namespace
-
 SimResult
 CycleModel::finish(std::int64_t exitValue, std::string output)
 {
-    result_.cycles = static_cast<std::uint64_t>(cycle_ + 1);
-    result_.exitValue = exitValue;
-    result_.output = std::move(output);
+    const Counters &c = counters_;
+    SimResult result;
+    result.cycles = static_cast<std::uint64_t>(cycle_ + 1);
+    result.dynInstrs = c.dynInstrs;
+    result.nullified = c.nullified;
+    result.branches = c.branches;
+    result.condBranches = c.condBranches;
+    result.mispredicts = c.mispredicts;
+    result.loads = c.loads;
+    result.stores = c.stores;
+    result.icacheMisses = c.icacheMisses;
+    result.dcacheMisses = c.dcacheMisses;
+    result.exitValue = exitValue;
+    result.output = std::move(output);
 
-    StatsSnapshot &stats = result_.stats;
-    static_assert(std::size(latencyClassNames) == 9,
+    StatsSnapshot &stats = result.stats;
+    static_assert(std::size(latencyClassNames) == numLatencyClasses,
                   "one name per LatencyClass");
     for (std::size_t i = 0; i < numLatencyClasses; ++i) {
         stats.setCounter(std::string("sim.issue.") +
                              latencyClassNames[i],
-                         issuedByClass_[i]);
+                         c.issuedByClass[i]);
     }
     stats.setCounter("sim.btb.lookups", btb_.lookups());
-    stats.setCounter("sim.btb.mispredicts", result_.mispredicts);
+    stats.setCounter("sim.btb.mispredicts", c.mispredicts);
     stats.setCounter("sim.btb.replacements", btb_.replacements());
     stats.setCounter("sim.icache.hits", icache_.hits());
     stats.setCounter("sim.icache.misses", icache_.misses());
@@ -215,91 +447,35 @@ CycleModel::finish(std::int64_t exitValue, std::string output)
     stats.setCounter("sim.dcache.conflict_misses",
                      dcache_.conflictMisses());
     stats.setCounter("sim.slots.width_stall_cycles",
-                     widthStallCycles_);
+                     c.widthStallCycles);
     stats.setCounter("sim.slots.branch_stall_cycles",
-                     branchStallCycles_);
-    return result_;
+                     c.branchStallCycles);
+    return result;
 }
 
+/**
+ * Panic unless every entry of the span names a row of a
+ * @p rows-row table. A trace loaded from the artifact store is
+ * outside input: its entry ids are never checked against its ops
+ * table on load.
+ */
 void
-CycleModel::setReady(const StaticOpRow &row, long when)
+checkStaticIds(const TraceEntry *entries, std::size_t count,
+               std::size_t rows)
 {
-    if (row.dest.valid())
-        scoreboard_.setDest(row.dest, when);
-    const Reg *predDests = regPool_ + row.regBegin + row.srcRegCount;
-    for (std::uint16_t i = 0; i < row.predDestCount; ++i) {
-        // Accumulated predicates become ready when the *latest*
-        // contribution completes.
-        scoreboard_.accumulate(predDests[i], when);
-    }
-    if ((row.traits & rowIsPredAll) != 0) {
-        // Whole-file write: conservatively mark every predicate
-        // register known so far.
-        scoreboard_.setAllPred(when);
-    }
-}
-
-void
-CycleModel::advanceTo(long target)
-{
-    if (target > cycle_) {
-        cycle_ = target;
-        slots_ = 0;
-        branchSlots_ = 0;
+    std::uint32_t maxId = 0;
+    for (std::size_t i = 0; i < count; ++i)
+        maxId = std::max(maxId, entries[i].staticId());
+    if (count != 0 && maxId >= rows) [[unlikely]] {
+        panic("static id ", maxId, " outside the trace's op table (",
+              rows, " ops)");
     }
 }
-
-/** Drain outstanding writes (used at call boundaries). */
-void
-CycleModel::drain()
-{
-    long latest = scoreboard_.maxOutstanding(cycle_);
-    scoreboard_.clear();
-    advanceTo(latest);
-}
-
-void
-CycleModel::handleControl(const StaticOpRow &row, bool taken)
-{
-    // A taken transfer redirects fetch: its target instructions
-    // issue from the next cycle (they were not in this fetch
-    // group). Mispredictions additionally cost the 2-cycle
-    // penalty of §4.1. Correctly-predicted not-taken branches
-    // are free beyond their branch slot.
-    switch (static_cast<StaticOp::Kind>(row.kind)) {
-      case StaticOp::Kind::CondBranch: {
-        result_.branches += 1;
-        result_.condBranches += 1;
-        if (btb_.predictAndTrain(row.addr, taken) != taken) {
-            result_.mispredicts += 1;
-            advanceTo(cycle_ + 1 + config_.machine.mispredictPenalty);
-        } else if (taken) {
-            advanceTo(cycle_ + 1);
-        }
-        return;
-      }
-      case StaticOp::Kind::Jump:
-        result_.branches += 1;
-        advanceTo(cycle_ + 1);
-        return;
-      case StaticOp::Kind::CallRet:
-        // Calls and returns: frame changes; drain outstanding
-        // writes.
-        drain();
-        advanceTo(cycle_ + 1);
-        return;
-      case StaticOp::Kind::Plain:
-        return;
-    }
-}
-
-namespace
-{
 
 /**
  * Price one lane of configs with a single pass over the trace. The
  * address side stream is decoded only when some lane member models
- * real caches, and handed only to those members.
+ * real caches, and read only by those members.
  */
 void
 replayLane(const TraceBuffer &trace, const ReplayTable &table,
@@ -317,10 +493,9 @@ replayLane(const TraceBuffer &trace, const ReplayTable &table,
     std::size_t count = 0;
     const std::int64_t *addrs = nullptr;
     while (cursor.next(entries, count, addrs)) {
-        for (CycleModel &model : models) {
-            model.onChunk(entries, count,
-                          model.readsAddresses() ? addrs : nullptr);
-        }
+        checkStaticIds(entries, count, table.size());
+        for (CycleModel &model : models)
+            model.onChunk(entries, count, addrs);
     }
     for (std::size_t i = 0; i < models.size(); ++i) {
         out[i] = models[i].finish(trace.run().exitValue,
