@@ -30,8 +30,8 @@
  * precomputes everything the timing model needs per static
  * instruction — fetch address, opcode, guard/source/destination
  * registers, and branch classification — exactly once. It also
- * publishes per-class register-index bounds so the cycle model can
- * size its dense scoreboard once (sim/scoreboard.hh).
+ * publishes per-class register-index bounds, from which replay lays
+ * out its flat scoreboard once (sim/scoreboard.hh).
  */
 
 #ifndef PREDILP_TRACE_TRACE_HH
@@ -209,8 +209,8 @@ class StaticIndex
     /**
      * Exclusive upper bound on register indices of class @p cls
      * anywhere in the program (computed once from the per-function
-     * virtual-register counters). Sizes the cycle model's dense
-     * scoreboard.
+     * virtual-register counters). Sizes the cycle model's flat
+     * scoreboard, which indexes no register at or past it.
      */
     int
     regBound(RegClass cls) const
