@@ -269,6 +269,10 @@ parseArtifact(const std::uint8_t *data, std::size_t size)
         throw TraceCorruptError(
             "artifact record count disagrees with chunk table");
 
+    // Size each table from the bytes that hold it before allocating:
+    // a checksum-valid header may still declare more than the file.
+    if (opsCount > r.remaining() / kOpBytes)
+        throw TraceCorruptError("artifact ops table overruns the file");
     parsed.ops.resize(opsCount);
     for (StaticOp &op : parsed.ops) {
         op.addr = r.i64();
@@ -299,6 +303,9 @@ parseArtifact(const std::uint8_t *data, std::size_t size)
                 "artifact op register range overruns the pool");
     }
 
+    if (regPoolCount > r.remaining() / kRegBytes)
+        throw TraceCorruptError(
+            "artifact register pool overruns the file");
     parsed.regPool.resize(regPoolCount);
     for (Reg &reg : parsed.regPool) {
         reg = r.reg(parsed.regBounds);

@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <optional>
 #include <string>
 #include <utility>
@@ -512,6 +513,53 @@ TEST(ArtifactStore, OpsReplayCannotIndexAreRejected)
         EXPECT_EQ(store.repairs(), 1u);
         EXPECT_FALSE(fs::exists(store.objectPath(key)));
     }
+}
+
+TEST(ArtifactStore, TableCountPastTheFileIsRejectedBeforeAllocating)
+{
+    // A correctly checksummed header whose register-pool count
+    // (payload u64 at file offset 80) claims far more entries than
+    // the file holds must be refused as corrupt and quarantined, not
+    // sized into a vector: a throw from the allocation would escape
+    // load() and fail every later load of the key the same way.
+    // 2^62 is past max_size(), so even a loader without the check
+    // throws before allocating.
+    constexpr std::uint64_t claimed = std::uint64_t{1} << 62;
+    ASSERT_GT(claimed, std::vector<Reg>().max_size());
+    TraceBuffer buffer(StaticIndex({StaticOp{}}, {}, {0, 0, 0}));
+    buffer.append(0, 0, 0);
+    const std::string dir = freshDir("store-table-count");
+    ArtifactStore store(dir, StoreMode::ReadWrite);
+    const std::string key = ArtifactStore::keyFor("src", "cell");
+    ASSERT_TRUE(store.save(key, buffer));
+    const std::string path = store.objectPath(key);
+    auto info = inspectArtifact(path);
+    ASSERT_TRUE(info.has_value());
+
+    std::string bytes;
+    {
+        std::ifstream in(path, std::ios::binary);
+        bytes.assign(std::istreambuf_iterator<char>(in), {});
+    }
+    ASSERT_EQ(bytes.size(), info->fileBytes);
+    auto putU64 = [&](std::size_t offset, std::uint64_t value) {
+        for (int i = 0; i < 8; ++i)
+            bytes[offset + i] = static_cast<char>(value >> (8 * i));
+    };
+    constexpr std::size_t headerBytes = 32;
+    putU64(80, claimed);
+    putU64(info->checksumOffset,
+           xxh64(bytes.data() + headerBytes, bytes.size() - headerBytes));
+    {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out << bytes;
+        ASSERT_TRUE(out.good());
+    }
+
+    EXPECT_EQ(store.load(key), nullptr);
+    EXPECT_EQ(store.repairs(), 1u);
+    EXPECT_FALSE(fs::exists(path));
+    EXPECT_EQ(fileCount(fs::path(dir) / "quarantine"), 1u);
 }
 
 TEST(ArtifactStore, FormatVersionOneHeaderIsRejected)
