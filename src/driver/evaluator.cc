@@ -1,8 +1,9 @@
 #include "driver/evaluator.hh"
 
 #include <algorithm>
+#include <exception>
 #include <sstream>
-#include <unordered_set>
+#include <string_view>
 
 #include "driver/certified.hh"
 #include "driver/reproducer.hh"
@@ -56,8 +57,8 @@ flagsKey(const EvalRequest &request, Model model)
 
 /**
  * Identity of a captured trace: the compiled program (workload,
- * scale, model, machine, canonical ablation flags) plus the capture
- * fuel.
+ * scale, model, @p sim's machine, canonical ablation flags) plus
+ * @p sim's capture fuel.
  *
  * Deliberately machine-only (not the full SimConfig digest): traces
  * depend on what the scheduler emitted and how far emulation ran,
@@ -66,24 +67,25 @@ flagsKey(const EvalRequest &request, Model model)
  */
 std::string
 traceKey(const Workload &workload, const EvalRequest &request,
-         Model model, const MachineConfig &machine,
-         std::uint64_t fuel)
+         Model model, const SimConfig &sim)
 {
     std::ostringstream os;
     os << workload.name << "|s" << request.scale << "|m"
-       << static_cast<int>(model) << '|' << machineKey(machine)
-       << '|' << flagsKey(request, model) << "|f" << fuel;
+       << static_cast<int>(model) << '|' << machineKey(sim.machine)
+       << '|' << flagsKey(request, model) << "|f" << sim.maxDynInstrs;
     return os.str();
 }
 
 /**
- * Full provenance of one priced cell. A pure function of
- * (workload, request, model, sim), so the BENCH/sweep emitters and
- * the certified records in the store agree on every digest.
+ * Full provenance of one priced cell, whose trace key is @p tkey. A
+ * pure function of (workload, request, model, sim), so the
+ * BENCH/sweep emitters and the certified records in the store agree
+ * on every digest.
  */
 CellProvenance
 cellProvenance(const Workload &workload, const EvalRequest &request,
-               Model model, const SimConfig &sim)
+               Model model, const SimConfig &sim,
+               const std::string &tkey)
 {
     CellProvenance prov;
     prov.workload = workload.name;
@@ -95,10 +97,65 @@ cellProvenance(const Workload &workload, const EvalRequest &request,
     prov.sourceSha256 = sha256Hex(workload.source);
     prov.pipelineDigest = passPipelineDigest(model, request.ablation);
     prov.configDigest = sim.configDigest();
-    prov.traceDigest = ArtifactStore::keyFor(
-        workload.source, traceKey(workload, request, model,
-                                  sim.machine, sim.maxDynInstrs));
+    prov.traceDigest = ArtifactStore::keyFor(workload.source, tkey);
     return prov;
+}
+
+/** @p request's workloads (empty = the whole suite), in order. */
+std::vector<const Workload *>
+selectWorkloads(const EvalRequest &request)
+{
+    std::vector<const Workload *> selected;
+    if (request.workloads.empty()) {
+        for (const Workload &workload : allWorkloads())
+            selected.push_back(&workload);
+        return selected;
+    }
+    for (const std::string &name : request.workloads) {
+        const Workload *workload = findWorkload(name);
+        if (workload == nullptr)
+            throw FatalError("unknown workload '" + name + "'");
+        selected.push_back(workload);
+    }
+    return selected;
+}
+
+/**
+ * The record of a cell that failed with @p error under fault
+ * isolation, plus a self-contained reproducer file under
+ * @p reproducerDir when that is set.
+ */
+CellError
+cellError(const std::exception_ptr &error, const Workload &workload,
+          const EvalRequest &request, Model model, bool baseline,
+          const std::string &input, const std::string &reproducerDir)
+{
+    CellError cell;
+    cell.workload = workload.name;
+    cell.model = modelName(model);
+    cell.baseline = baseline;
+    cell.kind = classifyException(error);
+    try {
+        std::rethrow_exception(error);
+    } catch (const std::exception &e) {
+        cell.message = e.what();
+    } catch (...) {
+        cell.message = "non-standard exception";
+    }
+    if (!reproducerDir.empty()) {
+        ReproducerSpec spec;
+        spec.title =
+            workload.name + "-" + cell.model + (baseline ? "-base" : "");
+        spec.model = cell.model;
+        spec.ablation = request.ablation;
+        spec.scale = request.scale;
+        spec.kind = cell.kind;
+        spec.message = cell.message;
+        spec.input = input;
+        spec.source = workload.source;
+        cell.reproducerPath = writeReproducer(reproducerDir, spec);
+    }
+    return cell;
 }
 
 /**
@@ -136,9 +193,9 @@ SuiteEvaluator::SuiteEvaluator(int threads) : pool_(threads)
           "counters.captured_records", "counters.replayed_records",
           "counters.batch_fallbacks", "emu.decodes",
           "emu.decoded_bytes", "emu.records.threaded",
-          "emu.records.interp", "emu.backend_fallbacks", "store.hit",
-          "store.miss", "store.repair", "store.write",
-          "store.bytes_mapped", "store.result_hit", "store.result_miss",
+          "emu.records.interp", "store.hit", "store.miss",
+          "store.repair", "store.write", "store.bytes_mapped",
+          "store.result_hit", "store.result_miss",
           "store.result_repair", "store.result_write"})
         stats_.counter(name);
     for (const char *name :
@@ -314,9 +371,7 @@ SuiteEvaluator::referenceFor(const Workload &workload,
 SuiteEvaluator::TracePtr
 SuiteEvaluator::traceFor(const Workload &workload,
                          const EvalRequest &request, Model model,
-                         const MachineConfig &machine,
-                         const std::string &input,
-                         std::uint64_t fuel,
+                         const SimConfig &sim, const std::string &input,
                          const std::string &key)
 {
     return cachedCompute(
@@ -335,7 +390,7 @@ SuiteEvaluator::traceFor(const Workload &workload,
                     return fromDisk;
             }
             CompileOptions opts =
-                makeCompileOptions(request, model, machine, input,
+                makeCompileOptions(request, model, sim.machine, input,
                                    policy_.verifyEachPass);
             // Every machine's compile of this model clones one
             // shared formed program; only the scheduler runs per
@@ -371,39 +426,17 @@ SuiteEvaluator::traceFor(const Workload &workload,
                     .add(decoded->memoryBytes());
             }
             std::unique_ptr<TraceBuffer> buffer;
-            bool capturedThreaded = threaded;
             {
                 ScopedTimer timer(unit.timer("phases.emulate_seconds"));
-                if (threaded) {
-                    try {
-                        buffer = captureDecoded(*decoded, input,
-                                                fuel);
-                    } catch (const Error &e) {
-                        // Degradation ladder, rung 1: a trap in the
-                        // threaded engine retries on the interpreter
-                        // oracle — slower, architecturally
-                        // identical, so the published trace (and
-                        // every cell priced from it) is unchanged.
-                        warn(detail::formatMessage(
-                            "threaded capture failed for ",
-                            workload.name, " (",
-                            classifyException(
-                                std::current_exception()),
-                            ": ", e.what(),
-                            "); retrying on the interpreter"));
-                        unit.counter("emu.backend_fallbacks").add();
-                        capturedThreaded = false;
-                        buffer = capture(*prog, input, fuel,
-                                         EmuBackend::Interp);
-                    }
-                } else {
-                    buffer = capture(*prog, input, fuel,
-                                     EmuBackend::Interp);
-                }
+                buffer = threaded
+                             ? captureDecoded(*decoded, input,
+                                              sim.maxDynInstrs)
+                             : capture(*prog, input, sim.maxDynInstrs,
+                                       EmuBackend::Interp);
                 unit.counter("counters.captures").add();
             }
-            unit.counter(capturedThreaded ? "emu.records.threaded"
-                                          : "emu.records.interp")
+            unit.counter(threaded ? "emu.records.threaded"
+                                  : "emu.records.interp")
                 .add(buffer->size());
             RunResult reference = referenceFor(
                 workload, input, request.scale);
@@ -427,8 +460,6 @@ SuiteEvaluator::traceFor(const Workload &workload,
                 // trace came from and under which config it was
                 // first captured (the trace itself is shared by
                 // every config with the same machine and fuel).
-                SimConfig captureSim = request.sim;
-                captureSim.machine = machine;
                 JsonValue prov = JsonValue::makeObject({
                     {"format_version",
                      JsonValue::makeInt(ArtifactStore::formatVersion)},
@@ -440,14 +471,13 @@ SuiteEvaluator::traceFor(const Workload &workload,
                     {"scale", JsonValue::makeInt(request.scale)},
                     {"ablation",
                      JsonValue::makeString(flagsKey(request, model))},
-                    {"fuel", JsonValue::makeInt(
-                                 static_cast<std::int64_t>(fuel))},
+                    {"fuel", JsonValue::makeInt(static_cast<std::int64_t>(
+                                 sim.maxDynInstrs))},
                     {"emu_backend",
                      JsonValue::makeString(
                          emuBackendName(defaultEmuBackend()))},
                     {"config_digest",
-                     JsonValue::makeString(
-                         captureSim.configDigest())},
+                     JsonValue::makeString(sim.configDigest())},
                     {"source_sha256",
                      JsonValue::makeString(
                          sha256Hex(workload.source))},
@@ -508,297 +538,190 @@ SuiteEvaluator::publishCertified(const CellProvenance &prov,
     }
 }
 
-SimResult
-SuiteEvaluator::cellResult(const Workload &workload,
-                           const EvalRequest &request, Model model,
-                           const MachineConfig &machine,
-                           const SimConfig &sim,
-                           const std::string &input)
-{
-    std::string tkey = traceKey(workload, request, model, machine,
-                                sim.maxDynInstrs);
-    // The priced-result key extends the trace identity with the full
-    // SimConfig digest: any config axis (cache geometry, BTB shape,
-    // predictor, penalties) forces a fresh replay, while the trace
-    // above is still shared.
-    std::string rkey = tkey + "##" + sim.configDigest();
-    return cachedCompute(
-        mutex_, results_, rkey, stats_, "counters.result_cache_hits",
-        [&] {
-            // Second tier: the cell's certified record. A served
-            // cell maps no trace, replays nothing and is not
-            // republished.
-            std::optional<CellProvenance> prov;
-            if (store_ != nullptr) {
-                prov = cellProvenance(workload, request, model, sim);
-                if (std::optional<SimResult> served = servedResult(*prov))
-                    return std::move(*served);
-            }
-            TracePtr trace =
-                traceFor(workload, request, model, machine, input,
-                         sim.maxDynInstrs, tkey);
-            SimResult priced;
-            {
-                UnitStats unit(stats_);
-                ScopedTimer timer(unit.timer("phases.simulate_seconds"));
-                unit.counter("counters.replays").add();
-                unit.counter("counters.replayed_records")
-                    .add(trace->size());
-                priced = replay(*trace, sim);
-            }
-            if (prov)
-                publishCertified(*prov, priced);
-            return priced;
-        });
-}
-
-BenchmarkResult
-SuiteEvaluator::evaluateCells(const Workload &workload,
-                              const EvalRequest &request)
-{
-    BenchmarkResult result;
-    result.name = workload.name;
-    const std::vector<Model> models = request.effectiveModels();
-    std::string input = workload.makeInput(
-        workload.defaultScale * request.scale);
-
-    // Cell 0: the 1-issue Superblock baseline denominator (paper
-    // §4.1), sharing every non-machine axis of the request's config;
-    // cells 1..n: the requested models at the request's machine.
-    std::vector<SimResult> cells(models.size() + 1);
-    std::vector<CellError> errors;
-    std::mutex errorMutex;
-    pool_.parallelFor(models.size() + 1, [&](std::size_t i) {
-        const bool baseline = i == 0;
-        const Model model =
-            baseline ? Model::Superblock : models[i - 1];
-        SimConfig sim = request.sim;
-        if (baseline)
-            sim.machine = issue1();
-        try {
-            cells[i] = cellResult(workload, request, model,
-                                  sim.machine, sim, input);
-        } catch (...) {
-            // Strict policy: let the pool rethrow the first failure.
-            if (!policy_.isolateFaults)
-                throw;
-            // Isolated policy: degrade this cell to a structured
-            // error record (plus a reproducer file when configured)
-            // and let the rest of the suite complete.
-            std::exception_ptr ep = std::current_exception();
-            CellError error;
-            error.workload = workload.name;
-            error.model = modelName(model);
-            error.baseline = baseline;
-            error.kind = classifyException(ep);
-            try {
-                std::rethrow_exception(ep);
-            } catch (const std::exception &e) {
-                error.message = e.what();
-            } catch (...) {
-                error.message = "non-standard exception";
-            }
-            if (!policy_.reproducerDir.empty()) {
-                ReproducerSpec spec;
-                spec.title = workload.name + "-" + error.model +
-                             (baseline ? "-base" : "");
-                spec.model = error.model;
-                spec.ablation = request.ablation;
-                spec.scale = request.scale;
-                spec.kind = error.kind;
-                spec.message = error.message;
-                spec.input = input;
-                spec.source = workload.source;
-                error.reproducerPath =
-                    writeReproducer(policy_.reproducerDir, spec);
-            }
-            std::lock_guard<std::mutex> lock(errorMutex);
-            errors.push_back(std::move(error));
-        }
-    });
-
-    result.baseCycles = cells[0].cycles;
-    for (std::size_t i = 0; i < models.size(); ++i) {
-        result.models[models[i]] = std::move(cells[i + 1]);
-        result.provenance[models[i]] =
-            cellProvenance(workload, request, models[i],
-                           request.sim);
-    }
-    result.errors = std::move(errors);
-    return result;
-}
-
 EvalResponse
 SuiteEvaluator::evaluate(const EvalRequest &request)
 {
-    std::vector<const Workload *> selected;
-    if (request.workloads.empty()) {
-        for (const Workload &workload : allWorkloads())
-            selected.push_back(&workload);
-    } else {
-        for (const std::string &name : request.workloads) {
-            const Workload *workload = findWorkload(name);
-            if (workload == nullptr)
-                throw FatalError("unknown workload '" + name + "'");
-            selected.push_back(workload);
-        }
-    }
-    EvalResponse response;
-    response.requestDigest = request.requestDigest();
-    response.results.resize(selected.size());
-    pool_.parallelFor(selected.size(), [&](std::size_t i) {
-        response.results[i] = evaluateCells(*selected[i], request);
-    });
-    return response;
+    return std::move(evaluateBatch({request}).front());
 }
 
-void
-SuiteEvaluator::seedResult(const std::string &rkey, SimResult result)
+namespace
 {
-    std::promise<SimResult> promise;
-    std::shared_future<SimResult> future =
-        promise.get_future().share();
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        // Never overwrite: a concurrent evaluate() may already own
-        // (or have finished) this key; its value is equally valid.
-        if (!results_.emplace(rkey, future).second)
-            return;
-    }
-    promise.set_value(std::move(result));
-}
+
+/** A slot's cell index when results_ already held its result. */
+constexpr std::size_t noCell = static_cast<std::size_t>(-1);
+
+/** One cell position of a row: its config, keys and provenance. */
+struct Slot
+{
+    Model model = Model::Superblock;
+    SimConfig sim;
+    std::string tkey;
+    std::string rkey;
+    CellProvenance prov;
+    /** The cell this call prices for the slot, or noCell. */
+    std::size_t cell = noCell;
+};
+
+/**
+ * One (request, workload) row. Slot 0 is the 1-issue Superblock
+ * baseline denominator (paper §4.1), sharing every non-machine axis
+ * of the request's config; slots 1..n are the requested models at
+ * the request's machine.
+ */
+struct Row
+{
+    std::size_t request = 0;
+    const Workload *workload = nullptr;
+    std::string input;
+    std::vector<Slot> slots;
+};
+
+/** One distinct result key this call prices, keyed by its first slot. */
+struct Cell
+{
+    const Row *row = nullptr;
+    const Slot *slot = nullptr;
+    SimResult result;
+    std::exception_ptr error;
+};
+
+} // namespace
 
 std::vector<EvalResponse>
 SuiteEvaluator::evaluateBatch(const std::vector<EvalRequest> &requests)
 {
-    /**
-     * One trace's worth of pending work: every not-yet-priced
-     * SimConfig whose cell maps to the same trace key, plus the
-     * identity needed to produce that trace. Configs within a group
-     * differ only in non-machine axes (or belong to different
-     * requests sharing a machine) — trace keys are machine-only.
-     */
-    struct BatchGroup
-    {
-        const Workload *workload = nullptr;
-        const EvalRequest *request = nullptr;
-        Model model = Model::Superblock;
-        MachineConfig machine;
-        std::string input;
-        std::string tkey;
-        std::vector<std::string> rkeys;
-        std::vector<SimConfig> configs;
-        /** Each config's cell provenance (store on only). */
-        std::vector<CellProvenance> provs;
-    };
-
-    // --- plan: enumerate cells, dedup by result key, group by
-    // trace key (deterministic first-appearance order) ---
-    std::vector<BatchGroup> groups;
-    std::unordered_map<std::string, std::size_t> groupIndex;
-    std::unordered_set<std::string> plannedRkeys;
-    for (const EvalRequest &request : requests) {
-        std::vector<const Workload *> selected;
-        if (request.workloads.empty()) {
-            for (const Workload &workload : allWorkloads())
-                selected.push_back(&workload);
-        } else {
-            for (const std::string &name : request.workloads) {
-                // Unknown names throw from the assembly-phase
-                // evaluate() below, where the error is attributable
-                // to its request; the planner just skips them.
-                if (const Workload *workload = findWorkload(name))
-                    selected.push_back(workload);
-            }
-        }
+    // --- plan: rows first, so an unknown workload costs no work ---
+    std::vector<Row> rows;
+    for (std::size_t r = 0; r < requests.size(); ++r) {
+        for (const Workload *workload : selectWorkloads(requests[r]))
+            rows.push_back(Row{r, workload, {}, {}});
+    }
+    pool_.parallelFor(rows.size(), [&](std::size_t i) {
+        Row &row = rows[i];
+        const EvalRequest &request = requests[row.request];
+        const Workload &workload = *row.workload;
+        row.input =
+            workload.makeInput(workload.defaultScale * request.scale);
         const std::vector<Model> models = request.effectiveModels();
-        for (const Workload *workload : selected) {
-            std::string input = workload->makeInput(
-                workload->defaultScale * request.scale);
-            for (std::size_t i = 0; i < models.size() + 1; ++i) {
-                const bool baseline = i == 0;
-                const Model model =
-                    baseline ? Model::Superblock : models[i - 1];
-                SimConfig sim = request.sim;
-                if (baseline)
-                    sim.machine = issue1();
-                std::string tkey =
-                    traceKey(*workload, request, model, sim.machine,
-                             sim.maxDynInstrs);
-                std::string rkey = tkey + "##" + sim.configDigest();
-                if (!plannedRkeys.insert(rkey).second)
-                    continue;
-                {
-                    std::lock_guard<std::mutex> lock(mutex_);
-                    if (results_.find(rkey) != results_.end())
-                        continue;
+        row.slots.resize(models.size() + 1);
+        for (std::size_t s = 0; s < row.slots.size(); ++s) {
+            Slot &slot = row.slots[s];
+            slot.model = s == 0 ? Model::Superblock : models[s - 1];
+            slot.sim = request.sim;
+            if (s == 0)
+                slot.sim.machine = issue1();
+            slot.tkey = traceKey(workload, request, slot.model, slot.sim);
+            // The priced-result key extends the trace identity with
+            // the full SimConfig digest: any config axis (cache
+            // geometry, BTB shape, predictor, penalties) forces a
+            // fresh replay, while the trace is still shared.
+            slot.rkey = slot.tkey + "##" + slot.sim.configDigest();
+            slot.prov = cellProvenance(workload, request, slot.model,
+                                       slot.sim, slot.tkey);
+        }
+    });
+
+    // Dedup slots into cells by result key, then group the cells by
+    // trace key in first-appearance order.
+    std::vector<Cell> cells;
+    std::vector<std::vector<std::size_t>> groups;
+    std::uint64_t hits = 0;
+    {
+        std::unordered_map<std::string_view, std::size_t> cellOf;
+        std::unordered_map<std::string_view, std::size_t> groupOf;
+        std::lock_guard<std::mutex> lock(mutex_);
+        for (Row &row : rows) {
+            for (Slot &slot : row.slots) {
+                auto [cell, fresh] = cellOf.emplace(slot.rkey, noCell);
+                if (fresh && results_.count(slot.rkey) == 0) {
+                    cell->second = cells.size();
+                    cells.push_back(Cell{&row, &slot, {}, {}});
+                    auto [group, added] =
+                        groupOf.emplace(slot.tkey, groups.size());
+                    if (added)
+                        groups.emplace_back();
+                    groups[group->second].push_back(cell->second);
+                } else {
+                    hits += 1;
                 }
-                std::optional<CellProvenance> prov;
-                if (store_ != nullptr) {
-                    prov =
-                        cellProvenance(*workload, request, model, sim);
-                    if (std::optional<SimResult> served =
-                            servedResult(*prov)) {
-                        seedResult(rkey, std::move(*served));
-                        continue;
-                    }
-                }
-                auto [it, inserted] =
-                    groupIndex.emplace(tkey, groups.size());
-                if (inserted) {
-                    groups.push_back(BatchGroup{
-                        workload, &request, model, sim.machine,
-                        input, std::move(tkey), {}, {}, {}});
-                }
-                BatchGroup &group = groups[it->second];
-                group.rkeys.push_back(std::move(rkey));
-                group.configs.push_back(sim);
-                if (prov)
-                    group.provs.push_back(std::move(*prov));
+                slot.cell = cell->second;
             }
         }
     }
-
-    // --- execute: trace-major batch passes. Each group maps its
-    // trace once and prices every pending config against it. ---
-    auto runGroup = [&](const BatchGroup &group,
-                        ThreadPool *lanePool) {
+    {
         UnitStats unit(stats_);
-        try {
-            FAULT_POINT("eval.replay.batch");
-            TracePtr trace = traceFor(
-                *group.workload, *group.request, group.model,
-                group.machine, group.input,
-                group.configs.front().maxDynInstrs, group.tkey);
-            std::vector<SimResult> priced;
-            {
-                ScopedTimer timer(unit.timer("phases.simulate_seconds"));
-                priced = replayBatch(*trace, group.configs, lanePool);
-            }
+        unit.counter("counters.result_cache_hits").add(hits);
+    }
+
+    // --- execute: each group maps its trace once and prices every
+    // pending config against it ---
+    auto price = [&](const std::vector<Cell *> &batch,
+                     ThreadPool *lanePool) {
+        const Row &row = *batch.front()->row;
+        const Slot &first = *batch.front()->slot;
+        TracePtr trace =
+            traceFor(*row.workload, requests[row.request], first.model,
+                     first.sim, row.input, first.tkey);
+        std::vector<SimConfig> configs;
+        configs.reserve(batch.size());
+        for (const Cell *cell : batch)
+            configs.push_back(cell->slot->sim);
+        std::vector<SimResult> priced;
+        {
+            UnitStats unit(stats_);
+            ScopedTimer timer(unit.timer("phases.simulate_seconds"));
+            priced = replayBatch(*trace, configs, lanePool);
             unit.counter("counters.replays").add(priced.size());
             unit.counter("counters.replayed_records")
                 .add(trace->size() * priced.size());
-            for (std::size_t i = 0; i < priced.size(); ++i) {
-                // Batched cells certify exactly like unbatched ones:
-                // the record's provenance comes from the config that
-                // keyed the cell, not from the group.
-                if (store_ != nullptr)
-                    publishCertified(group.provs[i], priced[i]);
-                seedResult(group.rkeys[i], std::move(priced[i]));
+        }
+        for (std::size_t i = 0; i < batch.size(); ++i) {
+            if (store_ != nullptr)
+                publishCertified(batch[i]->slot->prov, priced[i]);
+            batch[i]->result = std::move(priced[i]);
+        }
+    };
+    auto runGroup = [&](const std::vector<std::size_t> &group,
+                        ThreadPool *lanePool) {
+        // A served cell maps no trace, replays nothing and is not
+        // republished.
+        std::vector<Cell *> pending;
+        for (std::size_t index : group) {
+            Cell &cell = cells[index];
+            if (store_ != nullptr) {
+                if (std::optional<SimResult> served =
+                        servedResult(cell.slot->prov)) {
+                    cell.result = std::move(*served);
+                    continue;
+                }
             }
+            pending.push_back(&cell);
+        }
+        if (pending.empty())
+            return;
+        try {
+            FAULT_POINT("eval.replay.batch");
+            price(pending, lanePool);
         } catch (...) {
-            // Degradation ladder, rung 2: leave the group unseeded.
-            // The assembly pass below recomputes these cells
-            // sequentially through cellResult() and applies the
-            // failure policy (strict rethrow or CellError isolation)
-            // exactly as the unbatched path would. Counted and
-            // warned so a batch that silently lost its amortization
-            // is visible in the merged timing.
-            unit.counter("counters.batch_fallbacks").add();
+            // Retry each cell alone, once. The caches evicted
+            // whatever failed, so the retry recomputes it; a cell
+            // that fails again keeps its own exception for the
+            // assembly's failure policy.
+            {
+                UnitStats unit(stats_);
+                unit.counter("counters.batch_fallbacks").add();
+            }
             warn(detail::formatMessage(
-                "batch group for trace '", group.tkey, "' failed (",
-                classifyException(std::current_exception()),
-                "); falling back to sequential recompute"));
+                "batch group for trace '", pending.front()->slot->tkey,
+                "' failed (", classifyException(std::current_exception()),
+                "); retrying its cells one at a time"));
+            for (Cell *cell : pending) {
+                try {
+                    price({cell}, nullptr);
+                } catch (...) {
+                    cell->error = std::current_exception();
+                }
+            }
         }
     };
     if (groups.size() == 1) {
@@ -811,13 +734,50 @@ SuiteEvaluator::evaluateBatch(const std::vector<EvalRequest> &requests)
         });
     }
 
-    // --- assemble: through THE entry point, so ordering, fault
-    // isolation, and response shape are exactly evaluate()'s; every
-    // seeded cell is a result-cache hit. ---
-    std::vector<EvalResponse> responses;
-    responses.reserve(requests.size());
-    for (const EvalRequest &request : requests)
-        responses.push_back(evaluate(request));
+    // --- assemble: cache what was priced, then read every slot back
+    // in request order under the failure policy ---
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        for (Cell &cell : cells) {
+            if (!cell.error)
+                results_.emplace(cell.slot->rkey, std::move(cell.result));
+        }
+    }
+    // results_ only grows and never changes an entry, so a reference
+    // taken under the lock stays valid after it.
+    auto cached = [&](const std::string &rkey) -> const SimResult & {
+        std::lock_guard<std::mutex> lock(mutex_);
+        return results_.at(rkey);
+    };
+    std::vector<EvalResponse> responses(requests.size());
+    for (std::size_t r = 0; r < requests.size(); ++r)
+        responses[r].requestDigest = requests[r].requestDigest();
+    for (Row &row : rows) {
+        const EvalRequest &request = requests[row.request];
+        BenchmarkResult &result =
+            responses[row.request].results.emplace_back();
+        result.name = row.workload->name;
+        for (Slot &slot : row.slots) {
+            const bool baseline = &slot == &row.slots.front();
+            const std::exception_ptr error =
+                slot.cell == noCell ? nullptr : cells[slot.cell].error;
+            if (error && !policy_.isolateFaults)
+                std::rethrow_exception(error);
+            if (error) {
+                result.errors.push_back(
+                    cellError(error, *row.workload, request, slot.model,
+                              baseline, row.input,
+                              policy_.reproducerDir));
+            }
+            if (baseline) {
+                result.baseCycles = error ? 0 : cached(slot.rkey).cycles;
+                continue;
+            }
+            result.models[slot.model] =
+                error ? SimResult{} : cached(slot.rkey);
+            result.provenance[slot.model] = std::move(slot.prov);
+        }
+    }
     return responses;
 }
 

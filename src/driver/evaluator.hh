@@ -27,13 +27,11 @@
  * scheduler is the only pass that reads the machine, so the
  * machines of Figures 8-10 share one formation per model.
  *
- * Evaluation fans out over a ThreadPool — across the workloads of an
- * EvalRequest and across model cells inside each workload row — with
- * results assembled by index, so output is deterministic and
- * identical for every thread count. evaluate(const EvalRequest&) is
- * the single entry point; evaluateBatch() amortizes many requests by
- * grouping their cells by trace key and pricing each trace's configs
- * in one replayBatch() pass.
+ * One path computes every cell: evaluateBatch() plans the cells of
+ * all its requests, executes one trace-major replayBatch() pass per
+ * trace, and assembles the responses by index, so output is
+ * deterministic and identical for every thread count.
+ * evaluate(const EvalRequest &) is evaluateBatch() of one request.
  */
 
 #ifndef PREDILP_DRIVER_EVALUATOR_HH
@@ -81,11 +79,11 @@ struct BenchTiming
 
 /**
  * How the evaluator handles failing cells. Strict (the default):
- * the first failure propagates out of evaluate() as its typed
- * exception. Isolated: a throwing cell degrades to a CellError
- * record on the BenchmarkResult — with a self-contained reproducer
- * file when reproducerDir is set — and every other cell completes
- * normally.
+ * the first failure propagates out of evaluate() and
+ * evaluateBatch() as its typed exception. Isolated: a throwing cell
+ * degrades to a CellError record on the BenchmarkResult — with a
+ * self-contained reproducer file when reproducerDir is set — and
+ * every other cell completes normally.
  */
 struct EvalPolicy
 {
@@ -127,32 +125,39 @@ class SuiteEvaluator
     const EvalPolicy &policy() const { return policy_; }
 
     /**
-     * THE evaluation entry point: run @p request's workloads (empty
-     * = whole suite) under its models (empty = all three), each cell
-     * at the request's full SimConfig plus the 1-issue Superblock
-     * baseline denominator. Workloads and cells fan out over the
-     * pool; results are assembled by index in request order, so the
-     * response is deterministic for every thread count. Unknown
-     * workload names throw FatalError (requests are user input).
+     * Run @p request's workloads (empty = whole suite) under its
+     * models (empty = all three), each cell at the request's full
+     * SimConfig plus the 1-issue Superblock baseline denominator:
+     * evaluateBatch({request})[0].
      */
     EvalResponse evaluate(const EvalRequest &request);
 
     /**
-     * Batched evaluation of many requests: plan every cell up front
-     * (with the store on, serving what it can from the certified
-     * records), group the pending work by trace key — trace keys are
-     * machine-only by design, so cells that vary only cache/BTB/
-     * predictor axes share a group, as do the 1-issue baseline
-     * denominators of a whole sweep — then dispatch trace-major
-     * replayBatch() passes across the pool. Each captured trace is
-     * loaded and walked once for *all* of its pending configs
-     * instead of once per cell. The priced results seed the result
-     * cache and responses are assembled through evaluate(), so the
-     * output is bit-identical to calling evaluate() per request,
-     * index-aligned with @p requests. A group that fails during the
-     * batch phase is left unseeded; the assembly pass recomputes it
-     * and applies the failure policy exactly as the unbatched path
-     * would.
+     * Evaluate many requests through the one pricing path, returning
+     * responses index-aligned with @p requests.
+     *
+     * Plan: resolve every request's workloads (an unknown name
+     * throws FatalError before any work runs), then, in parallel
+     * over (request, workload) rows, key each cell and compute its
+     * provenance once. Slots dedup into cells by result key; a slot
+     * whose key repeats within the call, or that an earlier call
+     * priced, counts a result-cache hit. The cells group by trace
+     * key — trace keys are machine-only by design, so cells that
+     * vary only cache/BTB/predictor axes share a group, as do the
+     * 1-issue baselines of a whole sweep.
+     *
+     * Execute, in parallel over groups (a lone group spreads its
+     * lanes over the pool instead): serve each cell's certified
+     * record (store on), then price the rest from one walk of their
+     * trace and publish their records. A group that throws is
+     * retried once, one cell at a time (counters.batch_fallbacks);
+     * the caches evict failures, so the retry recomputes, and a cell
+     * whose retry throws keeps that exception.
+     *
+     * Assemble, in request order: priced cells join the result
+     * cache; failed ones never do. Under the strict policy the first
+     * failing cell's exception is rethrown with its type intact;
+     * under isolation each failing cell becomes a CellError.
      */
     std::vector<EvalResponse>
     evaluateBatch(const std::vector<EvalRequest> &requests);
@@ -222,18 +227,18 @@ class SuiteEvaluator
                         const EvalRequest &request,
                         const FormOptions &opts);
 
+    /**
+     * The trace under @p key of @p model's compile for @p sim's
+     * machine, captured on @p input to @p sim's fuel: from the
+     * in-process cache, else from the store's trace tier, else
+     * compiled, captured and checked against the reference run.
+     */
     TracePtr traceFor(const Workload &workload,
                       const EvalRequest &request, Model model,
-                      const MachineConfig &machine,
-                      const std::string &input, std::uint64_t fuel,
+                      const SimConfig &sim, const std::string &input,
                       const std::string &key);
     RunResult referenceFor(const Workload &workload,
                            const std::string &input, int scale);
-    SimResult cellResult(const Workload &workload,
-                         const EvalRequest &request, Model model,
-                         const MachineConfig &machine,
-                         const SimConfig &sim,
-                         const std::string &input);
 
     /**
      * The result tier (store on only): @p prov's certified record,
@@ -249,20 +254,6 @@ class SuiteEvaluator
     void publishCertified(const CellProvenance &prov,
                           const SimResult &result);
 
-    /**
-     * Publish a batch-priced result under @p rkey as an
-     * already-ready cache entry; a no-op when the key is present
-     * (another thread computed or seeded it first).
-     */
-    void seedResult(const std::string &rkey, SimResult result);
-
-    /**
-     * One workload's row of @p request: the baseline denominator
-     * cell plus one cell per model, fanned out over the pool.
-     */
-    BenchmarkResult evaluateCells(const Workload &workload,
-                                  const EvalRequest &request);
-
     EvalPolicy policy_;
     std::unique_ptr<ArtifactStore> store_;
     ThreadPool pool_;
@@ -271,8 +262,8 @@ class SuiteEvaluator
         traces_;
     std::unordered_map<std::string, std::shared_future<RunResult>>
         references_;
-    std::unordered_map<std::string, std::shared_future<SimResult>>
-        results_;
+    /** Priced cells by result key; entries never change once in. */
+    std::unordered_map<std::string, SimResult> results_;
     std::unordered_map<std::string, std::shared_future<SnapshotPtr>>
         snapshots_;
     std::unordered_map<std::string, std::shared_future<FormedPtr>>

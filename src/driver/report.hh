@@ -49,7 +49,9 @@ struct BenchmarkResult
     /**
      * Per-model cell provenance: the digests backing this cell's
      * certified record and predilp_diff's evidence. Filled by
-     * SuiteEvaluator alongside `models` (absent for failed cells).
+     * SuiteEvaluator alongside `models`, failed cells included: an
+     * isolated failure keeps its provenance beside a zeroed
+     * SimResult and its CellError.
      */
     std::map<Model, CellProvenance> provenance;
     /** Failed cells (empty unless fault isolation caught any). */

@@ -3,8 +3,10 @@
  * SuiteEvaluator tests: results are identical for every thread
  * count, repeated evaluation hits the caches instead of recompiling,
  * one evaluator reuses captured traces across simulation
- * configurations (the trace-once/replay-many contract), and compiles
- * that differ only by machine share one formed program.
+ * configurations (the trace-once/replay-many contract), compiles
+ * that differ only by machine share one formed program, unknown
+ * workloads throw before any work, and a failed trace group retries
+ * its cells one at a time so only the cells that fail again fail.
  */
 
 #include <gtest/gtest.h>
@@ -108,7 +110,7 @@ TEST(SuiteEvaluator, StatsPrintEveryLeafFromConstruction)
     // tier's store.result_* by name.
     SuiteEvaluator evaluator(1);
     const StatsSnapshot stats = evaluator.stats();
-    EXPECT_EQ(stats.counters().size(), 29u);
+    EXPECT_EQ(stats.counters().size(), 28u);
     EXPECT_EQ(stats.timers().size(), 4u);
     for (const auto &[name, value] : stats.counters())
         EXPECT_EQ(value, 0u) << name;
@@ -401,23 +403,82 @@ TEST(SuiteEvaluator, EvaluateBatchMatchesSequentialEvaluation)
               requests.size() * subset.size() * 4);
 }
 
-TEST(SuiteEvaluator, EvaluateBatchSeedsResultCache)
+TEST(SuiteEvaluator, RepeatedBatchIsAllResultCacheHits)
 {
-    // The assembly pass must find every batch-priced cell in the
-    // result cache: cells = 4 per workload per request, all hits.
+    // A repeat of the same batch finds every slot already priced: it
+    // compiles, captures and replays nothing, and counts each of the
+    // 4 slots per workload per request as a result-cache hit.
     std::vector<EvalRequest> requests;
     EvalRequest real = requestFor(smallConfig(), subset);
     real.sim.perfectCaches = false;
     requests.push_back(requestFor(smallConfig(), subset));
     requests.push_back(std::move(real));
+    const std::uint64_t slots = requests.size() * subset.size() * 4;
 
-    SuiteEvaluator evaluator(1);
-    evaluator.evaluateBatch(requests);
-    const StatsSnapshot stats = evaluator.stats();
-    EXPECT_EQ(stats.counter("counters.result_cache_hits"),
-              requests.size() * subset.size() * 4);
-    EXPECT_EQ(stats.counter("counters.replays"),
-              requests.size() * subset.size() * 4);
+    SuiteEvaluator evaluator(2);
+    const std::vector<EvalResponse> first =
+        evaluator.evaluateBatch(requests);
+    const StatsSnapshot cold = evaluator.stats();
+    EXPECT_EQ(cold.counter("counters.result_cache_hits"), 0u);
+    EXPECT_EQ(cold.counter("counters.replays"), slots);
+
+    const std::vector<EvalResponse> second =
+        evaluator.evaluateBatch(requests);
+    const StatsSnapshot warm = evaluator.stats();
+    for (const char *counter :
+         {"counters.compiles", "counters.captures", "counters.replays"})
+        EXPECT_EQ(warm.counter(counter), cold.counter(counter)) << counter;
+    EXPECT_EQ(warm.counter("counters.result_cache_hits"), slots);
+    ASSERT_EQ(second.size(), first.size());
+    for (std::size_t i = 0; i < first.size(); ++i)
+        expectResultsEq(second[i].results, first[i].results);
+}
+
+TEST(SuiteEvaluator, UnknownWorkloadThrowsBeforeAnyWork)
+{
+    // Every request's workloads resolve before any cell is priced, so
+    // a bad name late in a batch costs no compile.
+    SuiteEvaluator evaluator(2);
+    const std::vector<EvalRequest> requests = {
+        requestFor(smallConfig(), {"cmp"}),
+        requestFor(smallConfig(), {"nope"})};
+    EXPECT_THROW(evaluator.evaluateBatch(requests), FatalError);
+    EXPECT_EQ(evaluator.stats().counter("counters.compiles"), 0u);
+}
+
+TEST(SuiteEvaluator, RefusedConfigFailsOnlyItsOwnCells)
+{
+    // 48 KiB of 64-byte direct-mapped lines is 768 sets, which the
+    // cache model refuses; set on the struct, the geometry skips the
+    // request parser's check. The bad request shares every trace
+    // group with the good one, so each group's batched replay
+    // panics. The one-cell retry then prices the good cells and
+    // fails only the bad ones.
+    EvalRequest good = requestFor(smallConfig(), {"cmp"});
+    good.sim.perfectCaches = false;
+    EvalRequest bad = good;
+    bad.sim.cacheSizeBytes = 48 * 1024;
+
+    SuiteEvaluator fresh(1);
+    const EvalResponse expected = fresh.evaluate(good);
+
+    SuiteEvaluator isolated(2);
+    EvalPolicy policy;
+    policy.isolateFaults = true;
+    isolated.setPolicy(policy);
+    const std::vector<EvalResponse> responses =
+        isolated.evaluateBatch({good, bad});
+    ASSERT_EQ(responses.size(), 2u);
+    EXPECT_TRUE(responses[0].results.at(0).errors.empty());
+    expectResultsEq(responses[0].results, expected.results);
+    const BenchmarkResult &refused = responses[1].results.at(0);
+    ASSERT_EQ(refused.errors.size(), 4u);
+    for (const CellError &error : refused.errors)
+        EXPECT_EQ(error.kind, "PanicError");
+    EXPECT_EQ(isolated.stats().counter("counters.batch_fallbacks"), 4u);
+
+    SuiteEvaluator strict(2);
+    EXPECT_THROW(strict.evaluateBatch({good, bad}), PanicError);
 }
 
 TEST(SuiteEvaluator, VerifyEachPassPolicyMatchesDefaultResults)
@@ -530,33 +591,47 @@ TEST(SuiteEvaluator, OrTreeFlipFormsOnlyCondMoveAnew)
 TEST(SuiteEvaluator, FailedFormationIsEvictedAndFormedAgain)
 {
     // One Superblock formation serves both cells of the row: the
-    // 1-issue baseline and the 8-issue cell. Its first attempt
-    // throws. Each cell either waited on that attempt and saw its
-    // error, or arrived after the eviction and formed it again;
-    // none is served a cached failure.
-    faultpoints::resetForTest();
-    faultpoints::armFromSpec("eval.form=once");
-    SuiteEvaluator evaluator(4);
-    EvalPolicy policy;
-    policy.isolateFaults = true;
-    evaluator.setPolicy(policy);
+    // 1-issue baseline and the 8-issue cell. A failed attempt is
+    // evicted, never served from the cache.
     const EvalRequest request =
         requestFor(smallConfig(), {"cmp"}, {Model::Superblock});
+    EvalPolicy policy;
+    policy.isolateFaults = true;
+    faultpoints::resetForTest();
+    SuiteEvaluator fresh(1);
+    const auto expected = fresh.evaluate(request).results;
+
+    // A formation that always throws fails both cells, the retry
+    // included, and forms nothing.
+    faultpoints::armFromSpec("eval.form=prob:1");
+    SuiteEvaluator evaluator(4);
+    evaluator.setPolicy(policy);
     const BenchmarkResult failed = evaluator.evaluate(request).results.at(0);
-    ASSERT_FALSE(failed.errors.empty());
+    ASSERT_EQ(failed.errors.size(), 2u);
     for (const CellError &error : failed.errors)
         EXPECT_EQ(error.kind, "FaultInjectedError");
-    EXPECT_EQ(failed.errors.size() +
-                  evaluator.stats().counter("counters.formations"),
-              2u);
+    EXPECT_EQ(evaluator.stats().counter("counters.formations"), 0u);
 
-    // The next request forms it (again) and matches a fault-free run.
+    // Disarmed, the next request forms it and matches a fault-free
+    // run.
+    faultpoints::resetForTest();
     const auto healed = evaluator.evaluate(request).results;
     EXPECT_TRUE(healed.at(0).errors.empty());
     EXPECT_EQ(evaluator.stats().counter("counters.formations"), 1u);
+    expectFiguresEq(healed, expected);
+
+    // A first attempt that throws once heals inside the call: the
+    // failed group's retry forms the program again.
+    faultpoints::armFromSpec("eval.form=once");
+    SuiteEvaluator retried(4);
+    retried.setPolicy(policy);
+    const auto once = retried.evaluate(request).results;
     faultpoints::resetForTest();
-    SuiteEvaluator fresh(1);
-    expectFiguresEq(healed, fresh.evaluate(request).results);
+    EXPECT_TRUE(once.at(0).errors.empty());
+    const StatsSnapshot stats = retried.stats();
+    EXPECT_GE(stats.counter("counters.batch_fallbacks"), 1u);
+    EXPECT_EQ(stats.counter("counters.formations"), 1u);
+    expectFiguresEq(once, expected);
 }
 
 } // namespace

@@ -1,10 +1,10 @@
 /**
  * @file
- * Evaluator degradation-ladder tests, driven by injected faults: a
- * threaded-capture trap retries on the interpreter oracle, a failed
- * batch group falls back to sequential recompute, an artifact that
+ * Self-healing tests, driven by injected faults: a trace group that
+ * fails once (a threaded-capture trap, a compile, a batched replay)
+ * heals through the evaluator's one-cell retry, an artifact that
  * fails validation is quarantined and recomputed (including two
- * processes racing on the same corrupted artifact), and every rung
+ * processes racing on the same corrupted artifact), and every heal
  * reproduces the clean run's results bit-identically. Plus the
  * classifyException taxonomy for non-predilp exceptions.
  */
@@ -137,10 +137,10 @@ corruptEveryArtifact(const std::string &dir)
     ASSERT_GT(corrupted, 0u) << "no artifacts under " << dir;
 }
 
-TEST_F(SelfHeal, ThreadedCaptureTrapFallsBackToInterpreter)
+TEST_F(SelfHeal, ThreadedCaptureTrapHealsOnRetry)
 {
     if (defaultEmuBackend() != EmuBackend::Threaded)
-        GTEST_SKIP() << "interp backend has no fallback rung";
+        GTEST_SKIP() << "the interp backend runs no threaded capture";
     EvalRequest request = cmpRequest();
     SuiteEvaluator clean(2);
     const std::string expected = fingerprint(clean.evaluate(request));
@@ -149,9 +149,9 @@ TEST_F(SelfHeal, ThreadedCaptureTrapFallsBackToInterpreter)
     SuiteEvaluator healed(2);
     EXPECT_EQ(fingerprint(healed.evaluate(request)), expected);
     const StatsSnapshot stats = healed.stats();
-    EXPECT_EQ(stats.counter("emu.backend_fallbacks"), 1u);
-    // The fallback capture ran on the interpreter.
-    EXPECT_GT(stats.counter("emu.records.interp"), 0u);
+    EXPECT_EQ(stats.counter("counters.batch_fallbacks"), 1u);
+    // The retry captured on the threaded engine again.
+    EXPECT_EQ(stats.counter("emu.records.interp"), 0u);
 }
 
 TEST_F(SelfHeal, FailedBatchGroupRecomputesSequentially)
@@ -174,19 +174,35 @@ TEST_F(SelfHeal, FailedBatchGroupRecomputesSequentially)
 
 TEST_F(SelfHeal, IsolatedCellRecordsInjectedFaultKind)
 {
-    faultpoints::armFromSpec("eval.compile=once");
-    SuiteEvaluator evaluator(2);
     EvalPolicy policy;
     policy.isolateFaults = true;
-    evaluator.setPolicy(policy);
-    EvalResponse response = evaluator.evaluate(cmpRequest());
+    SuiteEvaluator clean(2);
+    const EvalResponse expected = clean.evaluate(cmpRequest());
+
+    // A compile that always throws fails every cell, the retry
+    // included, and each records the injected fault's kind.
+    faultpoints::armFromSpec("eval.compile=prob:1");
+    SuiteEvaluator failing(2);
+    failing.setPolicy(policy);
+    EvalResponse response = failing.evaluate(cmpRequest());
     ASSERT_EQ(response.results.size(), 1u);
-    std::size_t injected = 0;
-    for (const CellError &error : response.results[0].errors) {
+    EXPECT_EQ(response.results[0].errors.size(), 4u);
+    for (const CellError &error : response.results[0].errors)
         EXPECT_EQ(error.kind, "FaultInjectedError");
-        injected += 1;
-    }
-    EXPECT_EQ(injected, 1u);
+
+    // A compile that throws once heals inside the call, and the
+    // retry reuses the formations the failed attempt left cached.
+    faultpoints::resetForTest();
+    faultpoints::armFromSpec("eval.compile=once");
+    SuiteEvaluator healed(2);
+    healed.setPolicy(policy);
+    response = healed.evaluate(cmpRequest());
+    EXPECT_TRUE(response.results.at(0).errors.empty());
+    EXPECT_EQ(fingerprint(response), fingerprint(expected));
+    const StatsSnapshot stats = healed.stats();
+    EXPECT_GE(stats.counter("counters.batch_fallbacks"), 1u);
+    EXPECT_EQ(stats.counter("counters.formations"),
+              clean.stats().counter("counters.formations"));
 }
 
 TEST_F(SelfHeal, ClassifyExceptionTypesForeignExceptions)
