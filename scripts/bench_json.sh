@@ -51,7 +51,7 @@ export PREDILP_STORE_MODE="${PREDILP_STORE_MODE:-rw}"
 cd bench-out
 
 # Under fault injection the size thresholds and warm zero-work
-# counters are skipped (degradation rungs re-emulate on purpose) — but
+# counters are skipped (retries and repairs re-emulate on purpose) — but
 # every shape check and every bit-identity contract is kept: injected
 # faults must never change the figures.
 if [ -n "${PREDILP_FAULTS:-}" ]; then

@@ -10,8 +10,9 @@
 # CI) one at a time as `<point>=once` through PREDILP_FAULTS. Each run
 # must exit 0, report timing.fault.<point>.fired >= 1 (the point
 # really bit) and render cells byte-identical to the baseline — every
-# injected throw must be healed by a degradation-ladder rung, never
-# absorbed into the results.
+# injected throw must be healed, by the evaluator's one-cell retry of
+# a failed trace group or by the store's quarantine-and-recompute,
+# never absorbed into the results.
 #
 # Kill pass: SIGKILL inside the store's publish window (`crash` at
 # store.publish.rename, the temp artifact staged) must kill the run
