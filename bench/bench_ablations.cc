@@ -70,10 +70,6 @@ main()
         table.addRow(
             {name, modelName(m),
              formatFixed(meanSpeedup(evaluator, name, c, m), 3)});
-        // Rows share priced results (which survive this), never raw
-        // traces, so dropping traces per row bounds peak memory
-        // without changing any counter.
-        evaluator.releaseTraces();
         std::cout << "." << std::flush;
     };
 

@@ -1,14 +1,16 @@
 /**
  * @file
  * One-process reproduction of every figure and table in §5 of the
- * paper, sharing a single SuiteEvaluator so work is never repeated:
+ * paper, priced as one SuiteEvaluator::evaluateBatch() call so work
+ * is never repeated:
  *
  *  - the 1-issue Superblock baseline is compiled/traced once and
  *    priced for all four figures;
- *  - Figure 11 replays Figure 8's 8-issue/1-branch traces under the
- *    real-cache pricing (caches never change the instruction stream);
+ *  - Figure 11 shares Figure 8's 8-issue/1-branch trace groups and
+ *    prices them under real caches in the same walk (caches never
+ *    change the instruction stream);
  *  - Tables 2 and 3 are read straight out of Figure 8's results
- *    (result-cache hits, no new work at all).
+ *    (no new work at all).
  *
  * The `-- cache:` line printed here shows the trace-once/replay-many
  * savings: 150 compiles where pricing each figure on its own would
@@ -38,19 +40,12 @@ main()
     EvalRequest fig11 = fig08;
     fig11.sim.perfectCaches = false;
 
-    // Figure 11 replays Figure 8's traces (only the pricing
-    // differs), so evaluate it right after Figure 8 and drop the
-    // captured traces before each remaining machine sweep: peak
-    // trace residency is one machine's worth instead of three, and
-    // every counter (compiles, captures, cache hits) is unchanged —
-    // Figures 9/10 share only priced results, which survive
-    // releaseTraces().
-    auto r08 = evaluator.evaluate(fig08).results;
-    auto r11 = evaluator.evaluate(fig11).results;
-    evaluator.releaseTraces();
-    auto r09 = evaluator.evaluate(fig09).results;
-    evaluator.releaseTraces();
-    auto r10 = evaluator.evaluate(fig10).results;
+    const std::vector<EvalResponse> responses =
+        evaluator.evaluateBatch({fig08, fig09, fig10, fig11});
+    const auto &r08 = responses[0].results;
+    const auto &r09 = responses[1].results;
+    const auto &r10 = responses[2].results;
+    const auto &r11 = responses[3].results;
 
     printSpeedupFigure(
         std::cout,

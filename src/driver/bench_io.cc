@@ -80,10 +80,7 @@ printPhaseTiming(std::ostream &os, const StatsSnapshot &stats,
        << n("counters.prefix_compiles") << " prefix), "
        << n("counters.captures") << " emulations, "
        << n("counters.replays") << " replays, "
-       << n("counters.trace_cache_hits") << " trace hits, "
-       << n("counters.result_cache_hits") << " result hits, "
-       << n("counters.trace_peak_bytes") / (1024 * 1024)
-       << " MiB traces peak\n";
+       << n("counters.result_cache_hits") << " result hits\n";
     if (n("emu.decodes") + n("emu.records.threaded") +
             n("emu.records.interp") >
         0) {

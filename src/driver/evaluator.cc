@@ -1,9 +1,10 @@
 #include "driver/evaluator.hh"
 
-#include <algorithm>
 #include <exception>
+#include <map>
 #include <sstream>
 #include <string_view>
+#include <utility>
 
 #include "driver/certified.hh"
 #include "driver/reproducer.hh"
@@ -22,14 +23,13 @@ namespace
 CompileOptions
 makeCompileOptions(const EvalRequest &request, Model model,
                    const MachineConfig &machine,
-                   const std::string &input, bool verifyEachPass)
+                   const std::string &input)
 {
     CompileOptions opts;
     opts.model = model;
     opts.machine = machine;
     opts.profileInput = input;
     opts.ablation = request.ablation;
-    opts.verifyEachPass = verifyEachPass;
     return opts;
 }
 
@@ -187,8 +187,7 @@ SuiteEvaluator::SuiteEvaluator(int threads) : pool_(threads)
          {"counters.compiles", "counters.formations",
           "counters.prefix_compiles",
           "counters.prefix_cache_hits", "counters.captures",
-          "counters.replays", "counters.trace_cache_hits",
-          "counters.result_cache_hits",
+          "counters.replays", "counters.result_cache_hits",
           "counters.reference_cache_hits", "counters.captured_bytes",
           "counters.captured_records", "counters.replayed_records",
           "counters.batch_fallbacks", "emu.decodes",
@@ -309,7 +308,7 @@ SuiteEvaluator::snapshotFor(const Workload &workload,
             StatsRegistry perPrefix;
             auto snapshot = std::make_shared<FrontendSnapshot>(
                 compilePrefix(workload.source, input, profileFuel,
-                              &perPrefix, policy_.verifyEachPass));
+                              &perPrefix));
             compileStats_.merge(perPrefix);
             unit.counter("counters.prefix_compiles").add();
             return snapshot;
@@ -374,133 +373,105 @@ SuiteEvaluator::traceFor(const Workload &workload,
                          const SimConfig &sim, const std::string &input,
                          const std::string &key)
 {
-    return cachedCompute(
-        mutex_, traces_, key, stats_, "counters.trace_cache_hits",
-        [&]() -> TracePtr {
-            // Second tier: the persistent artifact store. A hit
-            // skips compile, capture, and the reference-divergence
-            // check entirely — artifacts were verified against the
-            // oracle before they were published, and the checksum
-            // guards the bytes — so warm runs pay zero emulation.
-            std::string storeKey;
-            if (store_ != nullptr) {
-                storeKey =
-                    ArtifactStore::keyFor(workload.source, key);
-                if (TracePtr fromDisk = store_->load(storeKey))
-                    return fromDisk;
-            }
-            CompileOptions opts =
-                makeCompileOptions(request, model, sim.machine, input,
-                                   policy_.verifyEachPass);
-            // Every machine's compile of this model clones one
-            // shared formed program; only the scheduler runs per
-            // compile. Waiting for the formation is not compile
-            // time: its owner times it.
-            FormedPtr formed = formedFor(workload, request, opts);
-            UnitStats unit(stats_);
-            std::unique_ptr<Program> prog;
-            {
-                ScopedTimer timer(unit.timer("phases.compile_seconds"));
-                FAULT_POINT("eval.compile");
-                // Each compile records into its own registry (the
-                // worker owns it, unsynchronized); the additive
-                // merge below makes the aggregate independent of
-                // thread count and completion order.
-                StatsRegistry perCompile;
-                prog = scheduleFormed(*formed, opts, &perCompile);
-                compileStats_.merge(perCompile);
-                unit.counter("counters.compiles").add();
-            }
-            // The threaded backend splits capture into a decode and
-            // the engine run; only the latter counts as emulation
-            // time. Each trace key is captured once, so the decoded
-            // form dies with this capture.
-            const bool threaded =
-                defaultEmuBackend() == EmuBackend::Threaded;
-            std::unique_ptr<DecodedProgram> decoded;
-            if (threaded) {
-                ScopedTimer timer(unit.timer("emu.decode_seconds"));
-                decoded = std::make_unique<DecodedProgram>(*prog);
-                unit.counter("emu.decodes").add();
-                unit.counter("emu.decoded_bytes")
-                    .add(decoded->memoryBytes());
-            }
-            std::unique_ptr<TraceBuffer> buffer;
-            {
-                ScopedTimer timer(unit.timer("phases.emulate_seconds"));
-                buffer = threaded
-                             ? captureDecoded(*decoded, input,
-                                              sim.maxDynInstrs)
-                             : capture(*prog, input, sim.maxDynInstrs,
-                                       EmuBackend::Interp);
-                unit.counter("counters.captures").add();
-            }
-            unit.counter(threaded ? "emu.records.threaded"
-                                  : "emu.records.interp")
-                .add(buffer->size());
-            RunResult reference = referenceFor(
-                workload, input, request.scale);
-            const RunResult &run = buffer->run();
-            if (run.output != reference.output ||
-                run.exitValue != reference.exitValue ||
-                run.memHash != reference.memHash) {
-                throw DivergenceError(detail::formatMessage(
-                    modelName(model), " diverged from reference on ",
-                    workload.name, ": exit ", run.exitValue, " vs ",
-                    reference.exitValue, ", output ",
-                    run.output.size(), " vs ",
-                    reference.output.size(), " bytes",
-                    run.output == reference.output ? " (equal)"
-                                                   : " (differ)",
-                    ", memHash ", run.memHash, " vs ",
-                    reference.memHash));
-            }
-            if (store_ != nullptr) {
-                // Provenance section of the artifact: where this
-                // trace came from and under which config it was
-                // first captured (the trace itself is shared by
-                // every config with the same machine and fuel).
-                JsonValue prov = JsonValue::makeObject({
-                    {"format_version",
-                     JsonValue::makeInt(ArtifactStore::formatVersion)},
-                    {"store_key", JsonValue::makeString(storeKey)},
-                    {"cell_key", JsonValue::makeString(key)},
-                    {"workload",
-                     JsonValue::makeString(workload.name)},
-                    {"model", JsonValue::makeString(modelKey(model))},
-                    {"scale", JsonValue::makeInt(request.scale)},
-                    {"ablation",
-                     JsonValue::makeString(flagsKey(request, model))},
-                    {"fuel", JsonValue::makeInt(static_cast<std::int64_t>(
-                                 sim.maxDynInstrs))},
-                    {"emu_backend",
-                     JsonValue::makeString(
-                         emuBackendName(defaultEmuBackend()))},
-                    {"config_digest",
-                     JsonValue::makeString(sim.configDigest())},
-                    {"source_sha256",
-                     JsonValue::makeString(
-                         sha256Hex(workload.source))},
-                    {"pipeline_digest",
-                     JsonValue::makeString(passPipelineDigest(
-                         model, request.ablation))},
-                    {"records",
-                     JsonValue::makeInt(static_cast<std::int64_t>(
-                         buffer->size()))},
-                });
-                store_->save(storeKey, *buffer, prov.dump() + "\n");
-            }
-            const std::uint64_t bytes = buffer->memoryBytes();
-            unit.counter("counters.captured_bytes").add(bytes);
-            unit.counter("counters.captured_records")
-                .add(buffer->size());
-            {
-                std::lock_guard<std::mutex> lock(mutex_);
-                traceBytes_ += bytes;
-                tracePeakBytes_ = std::max(tracePeakBytes_, traceBytes_);
-            }
-            return TracePtr(std::move(buffer));
+    // The persistent artifact store first. A hit skips compile,
+    // capture, and the reference-divergence check entirely —
+    // artifacts were verified against the oracle before they were
+    // published, and the checksum guards the bytes — so warm runs
+    // pay zero emulation.
+    std::string storeKey;
+    if (store_ != nullptr) {
+        storeKey = ArtifactStore::keyFor(workload.source, key);
+        if (TracePtr fromDisk = store_->load(storeKey))
+            return fromDisk;
+    }
+    CompileOptions opts =
+        makeCompileOptions(request, model, sim.machine, input);
+    // Every machine's compile of this model clones one shared formed
+    // program; only the scheduler runs per compile. Waiting for the
+    // formation is not compile time: its owner times it.
+    FormedPtr formed = formedFor(workload, request, opts);
+    UnitStats unit(stats_);
+    std::unique_ptr<Program> prog;
+    {
+        ScopedTimer timer(unit.timer("phases.compile_seconds"));
+        FAULT_POINT("eval.compile");
+        // Each compile records into its own registry (the worker
+        // owns it, unsynchronized); the additive merge below makes
+        // the aggregate independent of thread count and completion
+        // order.
+        StatsRegistry perCompile;
+        prog = scheduleFormed(*formed, opts, &perCompile);
+        compileStats_.merge(perCompile);
+        unit.counter("counters.compiles").add();
+    }
+    // The threaded backend splits capture into a decode and the
+    // engine run; only the latter counts as emulation time. The
+    // decoded form dies with this capture.
+    const bool threaded = defaultEmuBackend() == EmuBackend::Threaded;
+    std::unique_ptr<DecodedProgram> decoded;
+    if (threaded) {
+        ScopedTimer timer(unit.timer("emu.decode_seconds"));
+        decoded = std::make_unique<DecodedProgram>(*prog);
+        unit.counter("emu.decodes").add();
+        unit.counter("emu.decoded_bytes").add(decoded->memoryBytes());
+    }
+    std::unique_ptr<TraceBuffer> buffer;
+    {
+        ScopedTimer timer(unit.timer("phases.emulate_seconds"));
+        buffer = threaded ? captureDecoded(*decoded, input,
+                                           sim.maxDynInstrs)
+                          : capture(*prog, input, sim.maxDynInstrs,
+                                    EmuBackend::Interp);
+        unit.counter("counters.captures").add();
+    }
+    unit.counter(threaded ? "emu.records.threaded"
+                          : "emu.records.interp")
+        .add(buffer->size());
+    RunResult reference = referenceFor(workload, input, request.scale);
+    const RunResult &run = buffer->run();
+    if (run.output != reference.output ||
+        run.exitValue != reference.exitValue ||
+        run.memHash != reference.memHash) {
+        throw DivergenceError(detail::formatMessage(
+            modelName(model), " diverged from reference on ",
+            workload.name, ": exit ", run.exitValue, " vs ",
+            reference.exitValue, ", output ", run.output.size(), " vs ",
+            reference.output.size(), " bytes",
+            run.output == reference.output ? " (equal)" : " (differ)",
+            ", memHash ", run.memHash, " vs ", reference.memHash));
+    }
+    if (store_ != nullptr) {
+        // Provenance section of the artifact: where this trace came
+        // from and under which config it was first captured (the
+        // trace itself is shared by every config with the same
+        // machine and fuel).
+        JsonValue prov = JsonValue::makeObject({
+            {"format_version",
+             JsonValue::makeInt(ArtifactStore::formatVersion)},
+            {"store_key", JsonValue::makeString(storeKey)},
+            {"cell_key", JsonValue::makeString(key)},
+            {"workload", JsonValue::makeString(workload.name)},
+            {"model", JsonValue::makeString(modelKey(model))},
+            {"scale", JsonValue::makeInt(request.scale)},
+            {"ablation", JsonValue::makeString(flagsKey(request, model))},
+            {"fuel", JsonValue::makeInt(
+                         static_cast<std::int64_t>(sim.maxDynInstrs))},
+            {"emu_backend",
+             JsonValue::makeString(emuBackendName(defaultEmuBackend()))},
+            {"config_digest", JsonValue::makeString(sim.configDigest())},
+            {"source_sha256",
+             JsonValue::makeString(sha256Hex(workload.source))},
+            {"pipeline_digest",
+             JsonValue::makeString(
+                 passPipelineDigest(model, request.ablation))},
+            {"records", JsonValue::makeInt(
+                            static_cast<std::int64_t>(buffer->size()))},
         });
+        store_->save(storeKey, *buffer, prov.dump() + "\n");
+    }
+    unit.counter("counters.captured_bytes").add(buffer->memoryBytes());
+    unit.counter("counters.captured_records").add(buffer->size());
+    return TracePtr(std::move(buffer));
 }
 
 std::optional<SimResult>
@@ -572,7 +543,8 @@ struct Row
 {
     std::size_t request = 0;
     const Workload *workload = nullptr;
-    std::string input;
+    /** The input of the row's (workload, scale), one per call. */
+    const std::string *input = nullptr;
     std::vector<Slot> slots;
 };
 
@@ -591,17 +563,29 @@ std::vector<EvalResponse>
 SuiteEvaluator::evaluateBatch(const std::vector<EvalRequest> &requests)
 {
     // --- plan: rows first, so an unknown workload costs no work ---
+    // Rows of one (workload, scale) point at one input (map nodes
+    // never move), and the distinct inputs are made in parallel.
     std::vector<Row> rows;
+    std::map<std::pair<const Workload *, int>, std::string> inputs;
     for (std::size_t r = 0; r < requests.size(); ++r) {
-        for (const Workload *workload : selectWorkloads(requests[r]))
-            rows.push_back(Row{r, workload, {}, {}});
+        for (const Workload *workload : selectWorkloads(requests[r])) {
+            const std::string &input =
+                inputs[{workload, requests[r].scale}];
+            rows.push_back(Row{r, workload, &input, {}});
+        }
     }
+    std::vector<decltype(inputs)::value_type *> entries;
+    for (auto &entry : inputs)
+        entries.push_back(&entry);
+    pool_.parallelFor(entries.size(), [&](std::size_t i) {
+        auto &[key, input] = *entries[i];
+        const auto &[workload, scale] = key;
+        input = workload->makeInput(workload->defaultScale * scale);
+    });
     pool_.parallelFor(rows.size(), [&](std::size_t i) {
         Row &row = rows[i];
         const EvalRequest &request = requests[row.request];
         const Workload &workload = *row.workload;
-        row.input =
-            workload.makeInput(workload.defaultScale * request.scale);
         const std::vector<Model> models = request.effectiveModels();
         row.slots.resize(models.size() + 1);
         for (std::size_t s = 0; s < row.slots.size(); ++s) {
@@ -653,15 +637,17 @@ SuiteEvaluator::evaluateBatch(const std::vector<EvalRequest> &requests)
         unit.counter("counters.result_cache_hits").add(hits);
     }
 
-    // --- execute: each group maps its trace once and prices every
-    // pending config against it ---
-    auto price = [&](const std::vector<Cell *> &batch,
+    // --- execute: each group obtains its trace once, prices every
+    // pending config against it and drops it when the group ends ---
+    auto obtain = [&](const Cell &cell) {
+        const Row &row = *cell.row;
+        return traceFor(*row.workload, requests[row.request],
+                        cell.slot->model, cell.slot->sim, *row.input,
+                        cell.slot->tkey);
+    };
+    auto price = [&](const TraceBuffer &trace,
+                     const std::vector<Cell *> &batch,
                      ThreadPool *lanePool) {
-        const Row &row = *batch.front()->row;
-        const Slot &first = *batch.front()->slot;
-        TracePtr trace =
-            traceFor(*row.workload, requests[row.request], first.model,
-                     first.sim, row.input, first.tkey);
         std::vector<SimConfig> configs;
         configs.reserve(batch.size());
         for (const Cell *cell : batch)
@@ -670,10 +656,10 @@ SuiteEvaluator::evaluateBatch(const std::vector<EvalRequest> &requests)
         {
             UnitStats unit(stats_);
             ScopedTimer timer(unit.timer("phases.simulate_seconds"));
-            priced = replayBatch(*trace, configs, lanePool);
+            priced = replayBatch(trace, configs, lanePool);
             unit.counter("counters.replays").add(priced.size());
             unit.counter("counters.replayed_records")
-                .add(trace->size() * priced.size());
+                .add(trace.size() * priced.size());
         }
         for (std::size_t i = 0; i < batch.size(); ++i) {
             if (store_ != nullptr)
@@ -699,14 +685,18 @@ SuiteEvaluator::evaluateBatch(const std::vector<EvalRequest> &requests)
         }
         if (pending.empty())
             return;
+        TracePtr trace;
         try {
             FAULT_POINT("eval.replay.batch");
-            price(pending, lanePool);
+            trace = obtain(*pending.front());
+            price(*trace, pending, lanePool);
         } catch (...) {
-            // Retry each cell alone, once. The caches evicted
-            // whatever failed, so the retry recomputes it; a cell
-            // that fails again keeps its own exception for the
-            // assembly's failure policy.
+            // Retry each cell alone, once, against the group's trace;
+            // if obtaining it threw, the first cell to retry obtains it
+            // again and the rest share it. The caches evicted whatever
+            // failed, so the retry recomputes it; a cell that fails
+            // again keeps its own exception for the assembly's failure
+            // policy.
             {
                 UnitStats unit(stats_);
                 unit.counter("counters.batch_fallbacks").add();
@@ -717,7 +707,9 @@ SuiteEvaluator::evaluateBatch(const std::vector<EvalRequest> &requests)
                 "); retrying its cells one at a time"));
             for (Cell *cell : pending) {
                 try {
-                    price({cell}, nullptr);
+                    if (trace == nullptr)
+                        trace = obtain(*cell);
+                    price(*trace, {cell}, nullptr);
                 } catch (...) {
                     cell->error = std::current_exception();
                 }
@@ -766,7 +758,7 @@ SuiteEvaluator::evaluateBatch(const std::vector<EvalRequest> &requests)
             if (error) {
                 result.errors.push_back(
                     cellError(error, *row.workload, request, slot.model,
-                              baseline, row.input,
+                              baseline, *row.input,
                               policy_.reproducerDir));
             }
             if (baseline) {
@@ -781,14 +773,6 @@ SuiteEvaluator::evaluateBatch(const std::vector<EvalRequest> &requests)
     return responses;
 }
 
-void
-SuiteEvaluator::releaseTraces()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    traces_.clear();
-    traceBytes_ = 0;
-}
-
 StatsSnapshot
 SuiteEvaluator::compileStats() const
 {
@@ -801,9 +785,6 @@ SuiteEvaluator::stats() const
     StatsSnapshot s = stats_.snapshot();
     if (store_ != nullptr)
         s.merge(store_->stats());
-    std::lock_guard<std::mutex> lock(mutex_);
-    s.setCounter("counters.trace_bytes", traceBytes_);
-    s.setCounter("counters.trace_peak_bytes", tracePeakBytes_);
     return s;
 }
 

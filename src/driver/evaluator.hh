@@ -2,20 +2,23 @@
  * @file
  * SuiteEvaluator: cached, parallel evaluation of the benchmark suite.
  *
- * Trace-once/replay-many: every (workload, model, machine,
- * ablation-flag) combination is compiled and functionally emulated at
- * most once per evaluator; the captured TraceBuffer is then replayed
- * under as many SimConfigs as callers request (perfect vs. real
- * caches, different BTBs, ...). Cache keys canonicalize ablation
- * flags that cannot affect a model's compilation (e.g. the OR-tree
- * flag for the Superblock model), so ablation sweeps reuse aggres-
- * sively. Reference (oracle) runs and priced SimResults are cached
- * too.
+ * Trace-once/replay-many: within one evaluateBatch() call, every
+ * (workload, model, machine, ablation-flag) combination is compiled
+ * and functionally emulated at most once; the TraceBuffer is replayed
+ * under every SimConfig the call requests (perfect vs. real caches,
+ * different BTBs, ...), then dropped. Across calls only the store's
+ * trace tier reuses a trace, so with the store off a caller pricing
+ * one machine in two calls captures twice: batch the requests or turn
+ * the store on, as every binary in this repository does. Cache keys
+ * canonicalize ablation flags that cannot affect a model's
+ * compilation (e.g. the OR-tree flag for the Superblock model), so
+ * ablation sweeps reuse aggressively. Reference (oracle) runs and
+ * priced SimResults are cached for the evaluator's lifetime.
  *
- * With the store on, each in-process cache has a persistent second
- * tier: `.trc` artifacts under the trace cache, and the sealed
- * certified records under the result cache. A cell whose record is
- * valid is served from it without mapping or replaying its trace.
+ * With the store on, each trace group first maps its `.trc` artifact,
+ * and the sealed certified records are a second tier under the result
+ * cache. A cell whose record is valid is served from it without
+ * mapping or replaying its trace.
  *
  * Compilation itself is split, with a cache at each seam: the
  * model-independent front end (parse + classical opt + primary
@@ -89,16 +92,14 @@ struct EvalPolicy
 {
     /** Degrade failing cells to CellError records. */
     bool isolateFaults = false;
-    /** Run the IR verifier after every compiler pass. */
-    bool verifyEachPass = false;
     /** Directory for reproducer files ("" = don't write any). */
     std::string reproducerDir;
     /**
-     * Persistent artifact-store tiers (second level under the
-     * in-process trace and result caches). Off by default; the
-     * SuiteEvaluator constructor seeds these from PREDILP_STORE /
-     * PREDILP_STORE_MODE so benches and CI opt in without code
-     * changes, and setPolicy can override both afterwards.
+     * Persistent artifact-store tiers (traces, which each trace group
+     * maps first, and records under the in-process result cache).
+     * Off by default; the SuiteEvaluator constructor seeds these from
+     * PREDILP_STORE / PREDILP_STORE_MODE so benches and CI opt in
+     * without code changes, and setPolicy can override both.
      */
     StoreMode storeMode = StoreMode::Off;
     /** Store root directory (ignored while storeMode is Off). */
@@ -148,9 +149,10 @@ class SuiteEvaluator
      *
      * Execute, in parallel over groups (a lone group spreads its
      * lanes over the pool instead): serve each cell's certified
-     * record (store on), then price the rest from one walk of their
-     * trace and publish their records. A group that throws is
-     * retried once, one cell at a time (counters.batch_fallbacks);
+     * record (store on), then price the rest from one walk of the
+     * group's trace, publish their records and drop the trace. A
+     * group that throws is retried once, one cell at a time
+     * (counters.batch_fallbacks), against its trace if it had one;
      * the caches evict failures, so the retry recomputes, and a cell
      * whose retry throws keeps that exception.
      *
@@ -163,16 +165,17 @@ class SuiteEvaluator
     evaluateBatch(const std::vector<EvalRequest> &requests);
 
     /**
-     * Drop all cached TraceBuffers (priced SimResults and formed
-     * programs stay cached). Call between workload batches to bound
-     * resident memory.
+     * Does nothing: a trace lives only as long as its trace group.
+     * Kept only for the benchmark harness under perfbench/, which
+     * calls it between figures and is kept fixed like BenchTiming; a
+     * change to the benchmark deletes that call and this method.
      */
-    void releaseTraces();
+    void releaseTraces() {}
 
     /**
      * Harness counters and phase timers so far, under the leaf names
      * of the "timing" section of BENCH_*.json: counters.* (work done,
-     * cache hits, trace bytes), phases.*_seconds, emu.* (decode and
+     * cache hits, captured bytes), phases.*_seconds, emu.* (decode and
      * per-backend records) and the store.* counters of both store
      * tiers. Every leaf is present from construction, zero until
      * work lands on it. Seconds are summed over pool threads.
@@ -220,8 +223,8 @@ class SuiteEvaluator
      * canonical ablation flags): @p opts' form stage
      * (formFromSnapshot) resumed from snapshotFor, computed once and
      * scheduled by every trace compile that differs only by machine
-     * or fuel. Kept for the evaluator's lifetime, across
-     * releaseTraces().
+     * or fuel. Kept for the evaluator's lifetime, so later calls on
+     * other machines schedule it without forming it again.
      */
     FormedPtr formedFor(const Workload &workload,
                         const EvalRequest &request,
@@ -230,8 +233,9 @@ class SuiteEvaluator
     /**
      * The trace under @p key of @p model's compile for @p sim's
      * machine, captured on @p input to @p sim's fuel: from the
-     * in-process cache, else from the store's trace tier, else
-     * compiled, captured and checked against the reference run.
+     * store's trace tier, else compiled, captured, checked against
+     * the reference run and published. Not cached: the caller's
+     * trace group holds it while it prices and then drops it.
      */
     TracePtr traceFor(const Workload &workload,
                       const EvalRequest &request, Model model,
@@ -257,9 +261,7 @@ class SuiteEvaluator
     EvalPolicy policy_;
     std::unique_ptr<ArtifactStore> store_;
     ThreadPool pool_;
-    mutable std::mutex mutex_;
-    std::unordered_map<std::string, std::shared_future<TracePtr>>
-        traces_;
+    std::mutex mutex_;
     std::unordered_map<std::string, std::shared_future<RunResult>>
         references_;
     /** Priced cells by result key; entries never change once in. */
@@ -276,9 +278,6 @@ class SuiteEvaluator
      * on thread count.
      */
     StatsRegistry stats_;
-    /** Resident and high-water captured-trace bytes (under mutex_). */
-    std::uint64_t traceBytes_ = 0;
-    std::uint64_t tracePeakBytes_ = 0;
 
     /** Merged per-compile pass stats (internally synchronized). */
     StatsRegistry compileStats_;

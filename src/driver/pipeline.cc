@@ -349,8 +349,7 @@ compileForModel(const std::string &source, const CompileOptions &opts,
 FrontendSnapshot
 compilePrefix(const std::string &source,
               const std::string &profileInput,
-              std::uint64_t maxProfileInstrs, StatsRegistry *stats,
-              bool verifyEachPass)
+              std::uint64_t maxProfileInstrs, StatsRegistry *stats)
 {
     std::unique_ptr<Program> prog = compileSource(source);
     verifyOrThrow(*prog, "frontend");
@@ -360,7 +359,6 @@ compilePrefix(const std::string &source,
     PassContext ctx(registry);
     ctx.profileInput = profileInput;
     ctx.profileFuel = maxProfileInstrs;
-    ctx.verifyAfterEach = verifyEachPass;
 
     PassManager prefix = buildPrefixPipeline();
     prefix.run(*prog, ctx);

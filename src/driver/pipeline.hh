@@ -180,8 +180,7 @@ FrontendSnapshot compilePrefix(const std::string &source,
                                const std::string &profileInput,
                                std::uint64_t maxProfileInstrs =
                                    2'000'000'000ull,
-                               StatsRegistry *stats = nullptr,
-                               bool verifyEachPass = false);
+                               StatsRegistry *stats = nullptr);
 
 /**
  * Run the form stage from @p snapshot: clone the prefix program,

@@ -45,9 +45,10 @@
  *
  * The store also keeps certified result records (saveResult /
  * loadResult): sealed JSON under `results/`, one per priced cell.
- * They are the second tier under the evaluator's result cache, the
- * way artifacts are the second tier under its trace cache, and
- * `predilp_diff` joins them across runs to classify figure drift.
+ * They are the second tier under the evaluator's result cache, as
+ * artifacts are the tier each of its trace groups maps before it
+ * compiles, and `predilp_diff` joins them across runs to classify
+ * figure drift.
  *
  * Counters (store.hit / store.miss / store.repair /
  * store.bytes_mapped / store.write) count the trace tier and export

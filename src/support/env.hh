@@ -9,17 +9,23 @@
  *
  *   PREDILP_STORE       artifact-store root directory ("" = store
  *                       tier off unless set programmatically).
- *   PREDILP_STORE_MODE  "ro" = read-only; anything else (default
- *                       "rw") = read-write.
+ *   PREDILP_STORE_MODE  "ro" = read-only; "rw", empty or unset =
+ *                       read-write.
  *   PREDILP_THREADS     worker-thread override for auto-sized
  *                       ThreadPools; <= 0 or unparsable values are
  *                       warned about and ignored.
  *   PREDILP_EMU         emulator backend: "interp" forces the
- *                       switch-dispatch interpreter; default is the
- *                       pre-decoded threaded engine.
+ *                       switch-dispatch interpreter; "threaded",
+ *                       empty or unset = the pre-decoded threaded
+ *                       engine.
  *   PREDILP_FAULTS      deterministic fault-injection spec (see
  *                       support/faultpoint.hh for the grammar);
  *                       unset/empty = no fault points armed.
+ *
+ * fromEnvironment() throws FatalError naming any other
+ * PREDILP_STORE_MODE or PREDILP_EMU value, as arming a bad
+ * PREDILP_FAULTS spec does, so a typo never silently selects the
+ * default.
  *
  * fromEnvironment() re-reads the environment on every call (tests
  * setenv() between constructions); callers that want one-time
@@ -41,13 +47,13 @@ struct EnvConfig
     /** PREDILP_STORE ("" when unset). */
     std::string storeDir;
 
-    /** PREDILP_STORE_MODE == "ro". */
+    /** PREDILP_STORE_MODE == "ro" (else "rw", empty or unset). */
     bool storeReadOnly = false;
 
     /** Validated PREDILP_THREADS (0 = unset/invalid = auto). */
     int threads = 0;
 
-    /** Raw PREDILP_EMU value ("" when unset). */
+    /** PREDILP_EMU: "interp", "threaded" or "" (unset). */
     std::string emuBackend;
 
     /** Raw PREDILP_FAULTS spec ("" when unset). */

@@ -2,19 +2,24 @@
  * @file
  * SuiteEvaluator tests: results are identical for every thread
  * count, repeated evaluation hits the caches instead of recompiling,
- * one evaluator reuses captured traces across simulation
- * configurations (the trace-once/replay-many contract), compiles
- * that differ only by machine share one formed program, unknown
- * workloads throw before any work, and a failed trace group retries
- * its cells one at a time so only the cells that fail again fail.
+ * a trace is priced under every simulation configuration of its call
+ * and reused by a later call only through the store (the
+ * trace-once/replay-many contract), compiles that differ only by
+ * machine share one formed program, unknown workloads and
+ * environment values throw before any work, and a failed trace group
+ * retries its cells one at a time so only the cells that fail again
+ * fail.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <filesystem>
 #include <fstream>
 
 #include "driver/evaluator.hh"
 #include "support/diag.hh"
+#include "support/env.hh"
 #include "support/faultpoint.hh"
 
 namespace predilp
@@ -22,7 +27,19 @@ namespace predilp
 namespace
 {
 
+namespace fs = std::filesystem;
+
 const std::vector<std::string> subset = {"cmp", "qsort", "wc"};
+
+/** An empty directory under the test temp dir. */
+std::string
+freshDir(const std::string &name)
+{
+    fs::path dir = fs::path(testing::TempDir()) / name;
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    return dir.string();
+}
 
 EvalRequest
 smallConfig()
@@ -110,7 +127,7 @@ TEST(SuiteEvaluator, StatsPrintEveryLeafFromConstruction)
     // tier's store.result_* by name.
     SuiteEvaluator evaluator(1);
     const StatsSnapshot stats = evaluator.stats();
-    EXPECT_EQ(stats.counters().size(), 28u);
+    EXPECT_EQ(stats.counters().size(), 25u);
     EXPECT_EQ(stats.timers().size(), 4u);
     for (const auto &[name, value] : stats.counters())
         EXPECT_EQ(value, 0u) << name;
@@ -119,7 +136,7 @@ TEST(SuiteEvaluator, StatsPrintEveryLeafFromConstruction)
     for (const char *leaf : {"store.result_hit", "store.result_miss",
                              "store.result_repair", "store.result_write"})
         EXPECT_EQ(stats.counters().count(leaf), 1u) << leaf;
-    EXPECT_EQ(stats.counters().count("counters.trace_peak_bytes"), 1u);
+    EXPECT_EQ(stats.counters().count("counters.captured_bytes"), 1u);
     EXPECT_EQ(stats.counters().count("counters.formations"), 1u);
 }
 
@@ -163,29 +180,45 @@ TEST(SuiteEvaluator, RepeatHitsResultCache)
               warm.counter("counters.result_cache_hits"));
 }
 
-TEST(SuiteEvaluator, TracesReusedAcrossSimConfigs)
+TEST(SuiteEvaluator, TracesAreReusedAcrossCallsThroughTheStore)
 {
+    // A trace lives as long as its trace group, so a later call
+    // reuses it only through the store's trace tier. Real caches
+    // change only the pricing: with the store on, the real-cache
+    // call maps every trace the perfect-cache call published and
+    // compiles and captures nothing.
     EvalRequest perfect = smallConfig();
     EvalRequest real = smallConfig();
     real.sim.perfectCaches = false;
+    const std::uint64_t cellsPerCall = 4 * subset.size();
 
-    SuiteEvaluator evaluator(1);
-    evalSuite(evaluator, perfect, subset);
-    const StatsSnapshot cold = evaluator.stats();
-
-    evalSuite(evaluator, real, subset);
-    const StatsSnapshot warm = evaluator.stats();
-    // Real caches change only the pricing: no recompilation or
-    // re-emulation, every cell replayed from the cached trace.
+    SuiteEvaluator stored(1);
+    EvalPolicy policy;
+    policy.storeMode = StoreMode::ReadWrite;
+    policy.storeDir = freshDir("predilp-eval-trace-tier");
+    stored.setPolicy(policy);
+    evalSuite(stored, perfect, subset);
+    const StatsSnapshot cold = stored.stats();
+    const auto fromStore = evalSuite(stored, real, subset);
+    const StatsSnapshot warm = stored.stats();
+    EXPECT_EQ(warm.counter("store.hit"),
+              cold.counter("store.hit") + cellsPerCall);
     EXPECT_EQ(warm.counter("counters.compiles"),
               cold.counter("counters.compiles"));
     EXPECT_EQ(warm.counter("counters.captures"),
               cold.counter("counters.captures"));
-    EXPECT_EQ(warm.counter("counters.trace_cache_hits"),
-              cold.counter("counters.trace_cache_hits") +
-                  4 * subset.size());
     EXPECT_EQ(warm.counter("counters.replays"),
-              cold.counter("counters.replays") + 4 * subset.size());
+              cold.counter("counters.replays") + cellsPerCall);
+
+    // With the store off, the second call captures every trace
+    // again; the reference runs stay cached.
+    SuiteEvaluator unstored(1);
+    evalSuite(unstored, perfect, subset);
+    const std::uint64_t captures =
+        unstored.stats().counter("counters.captures");
+    expectResultsEq(evalSuite(unstored, real, subset), fromStore);
+    EXPECT_EQ(unstored.stats().counter("counters.captures"),
+              captures + cellsPerCall);
 }
 
 TEST(SuiteEvaluator, ModelSubsetEvaluatesOnlyThatModel)
@@ -201,26 +234,6 @@ TEST(SuiteEvaluator, ModelSubsetEvaluatesOnlyThatModel)
     EXPECT_GT(r.speedup(Model::FullPred), 0.0);
     // Baseline + one model: exactly two compiles.
     EXPECT_EQ(evaluator.stats().counter("counters.compiles"), 2u);
-}
-
-TEST(SuiteEvaluator, ReleaseTracesKeepsResults)
-{
-    EvalRequest config = smallConfig();
-    SuiteEvaluator evaluator(1);
-    auto first = evalSuite(evaluator, config, subset);
-    const std::uint64_t peak =
-        evaluator.stats().counter("counters.trace_peak_bytes");
-    EXPECT_GT(evaluator.stats().counter("counters.trace_bytes"), 0u);
-    evaluator.releaseTraces();
-    EXPECT_EQ(evaluator.stats().counter("counters.trace_bytes"), 0u);
-    EXPECT_EQ(evaluator.stats().counter("counters.trace_peak_bytes"),
-              peak);
-    // Priced results survive the trace drop.
-    auto second = evalSuite(evaluator, config, subset);
-    expectResultsEq(first, second);
-    // Per workload: 4 capturing emulations + 1 reference run.
-    EXPECT_EQ(evaluator.stats().counter("counters.captures"),
-              first.size() * 5);
 }
 
 TEST(SuiteEvaluator, UnknownWorkloadPanics)
@@ -265,8 +278,7 @@ TEST(SuiteEvaluator, FailedComputationIsEvictedForRetry)
         evalOne(evaluator, *workload, tiny, {Model::FullPred}),
         EmuTrap);
     // The model compile lands before the capture traps, so a real
-    // retry recompiles; a poisoned cache would instead resolve the
-    // retry as a trace-cache hit with no new compile.
+    // retry recompiles instead of resolving to a stale failure.
     const StatsSnapshot cold = evaluator.stats();
     EXPECT_GT(cold.counter("counters.compiles"), 0u);
     EXPECT_THROW(
@@ -275,8 +287,6 @@ TEST(SuiteEvaluator, FailedComputationIsEvictedForRetry)
     const StatsSnapshot warm = evaluator.stats();
     EXPECT_GT(warm.counter("counters.compiles"),
               cold.counter("counters.compiles"));
-    EXPECT_EQ(warm.counter("counters.trace_cache_hits"),
-              cold.counter("counters.trace_cache_hits"));
 }
 
 TEST(SuiteEvaluator, IsolatedTrapCellDegradesToErrorAndReproducer)
@@ -446,14 +456,55 @@ TEST(SuiteEvaluator, UnknownWorkloadThrowsBeforeAnyWork)
     EXPECT_EQ(evaluator.stats().counter("counters.compiles"), 0u);
 }
 
+TEST(SuiteEvaluator, UnknownEnvironmentValuesThrowAndWriteNothing)
+{
+    // A store mode or emulator backend outside the accepted values
+    // throws at construction, before the store is opened, instead of
+    // falling back to read-write or to the threaded engine.
+    const std::string dir = freshDir("predilp-eval-env");
+    ASSERT_EQ(setenv("PREDILP_STORE", dir.c_str(), 1), 0);
+    const std::vector<std::pair<const char *, const char *>> bad = {
+        {"PREDILP_STORE_MODE", "readonly"},
+        {"PREDILP_STORE_MODE", "RO"},
+        {"PREDILP_EMU", "interpreter"}};
+    for (const auto &[name, value] : bad) {
+        ASSERT_EQ(setenv(name, value, 1), 0);
+        EXPECT_THROW(
+            {
+                SuiteEvaluator evaluator(1);
+                evaluator.evaluate(
+                    requestFor(smallConfig(), {"cmp"}, {Model::FullPred}));
+            },
+            FatalError)
+            << name << '=' << value;
+        ASSERT_EQ(unsetenv(name), 0);
+    }
+    ASSERT_EQ(unsetenv("PREDILP_STORE"), 0);
+    EXPECT_TRUE(fs::is_empty(dir));
+
+    // The accepted values; empty means the default.
+    for (const char *value : {"", "rw", "ro"}) {
+        ASSERT_EQ(setenv("PREDILP_STORE_MODE", value, 1), 0);
+        EXPECT_EQ(EnvConfig::fromEnvironment().storeReadOnly,
+                  std::string(value) == "ro");
+    }
+    ASSERT_EQ(unsetenv("PREDILP_STORE_MODE"), 0);
+    for (const char *value : {"", "interp", "threaded"}) {
+        ASSERT_EQ(setenv("PREDILP_EMU", value, 1), 0);
+        EXPECT_EQ(EnvConfig::fromEnvironment().emuBackend, value);
+    }
+    ASSERT_EQ(unsetenv("PREDILP_EMU"), 0);
+}
+
 TEST(SuiteEvaluator, RefusedConfigFailsOnlyItsOwnCells)
 {
     // 48 KiB of 64-byte direct-mapped lines is 768 sets, which the
     // cache model refuses; set on the struct, the geometry skips the
     // request parser's check. The bad request shares every trace
     // group with the good one, so each group's batched replay
-    // panics. The one-cell retry then prices the good cells and
-    // fails only the bad ones.
+    // panics. The one-cell retry then prices the good cells against
+    // the group's trace, capturing nothing again, and fails only the
+    // bad ones.
     EvalRequest good = requestFor(smallConfig(), {"cmp"});
     good.sim.perfectCaches = false;
     EvalRequest bad = good;
@@ -461,6 +512,10 @@ TEST(SuiteEvaluator, RefusedConfigFailsOnlyItsOwnCells)
 
     SuiteEvaluator fresh(1);
     const EvalResponse expected = fresh.evaluate(good);
+    // Four traces and one reference run.
+    const std::uint64_t goodCaptures =
+        fresh.stats().counter("counters.captures");
+    EXPECT_EQ(goodCaptures, 5u);
 
     SuiteEvaluator isolated(2);
     EvalPolicy policy;
@@ -476,29 +531,10 @@ TEST(SuiteEvaluator, RefusedConfigFailsOnlyItsOwnCells)
     for (const CellError &error : refused.errors)
         EXPECT_EQ(error.kind, "PanicError");
     EXPECT_EQ(isolated.stats().counter("counters.batch_fallbacks"), 4u);
+    EXPECT_EQ(isolated.stats().counter("counters.captures"), goodCaptures);
 
     SuiteEvaluator strict(2);
     EXPECT_THROW(strict.evaluateBatch({good, bad}), PanicError);
-}
-
-TEST(SuiteEvaluator, VerifyEachPassPolicyMatchesDefaultResults)
-{
-    // Running the verifier after every pass is purely observational:
-    // cycle-for-cycle identical results, just slower compiles.
-    EvalRequest config = smallConfig();
-    SuiteEvaluator verifying(1);
-    EvalPolicy policy;
-    policy.verifyEachPass = true;
-    verifying.setPolicy(policy);
-    SuiteEvaluator plain(1);
-    const Workload *workload = findWorkload("cmp");
-    ASSERT_NE(workload, nullptr);
-    BenchmarkResult a = evalOne(verifying, *workload, config);
-    BenchmarkResult b = evalOne(plain, *workload, config);
-    EXPECT_EQ(a.baseCycles, b.baseCycles);
-    ASSERT_EQ(a.models.size(), b.models.size());
-    for (const auto &[model, sim] : a.models)
-        EXPECT_EQ(sim.cycles, b.models.at(model).cycles);
 }
 
 /** Every certified figure of every cell, plus the baselines. */
@@ -519,11 +555,11 @@ expectFiguresEq(const std::vector<BenchmarkResult> &a,
 
 TEST(SuiteEvaluator, FigureSetSharesOneFormationPerModel)
 {
-    // bench_figures_all's four requests, in its order: Figures 8 and
-    // 11 on the paper machine, then Figures 9 and 10 on the 2-branch
-    // and 4-issue machines. Only the scheduler reads the machine, so
-    // the 150 compiles schedule 45 formed programs (15 workloads x 3
-    // models; the 1-issue baselines reuse the Superblock ones).
+    // bench_figures_all's four requests, priced as it prices them:
+    // one batch of Figures 8, 9, 10 and 11, where Figure 11 shares
+    // Figure 8's trace groups. Only the scheduler reads the machine,
+    // so the 150 compiles schedule 45 formed programs (15 workloads x
+    // 3 models; the 1-issue baselines reuse the Superblock ones).
     EvalRequest fig08;
     fig08.sim = SimConfig::paperMachine();
     EvalRequest fig09 = fig08;
@@ -534,12 +570,12 @@ TEST(SuiteEvaluator, FigureSetSharesOneFormationPerModel)
     fig11.sim.perfectCaches = false;
 
     SuiteEvaluator shared(4);
-    const auto r08 = shared.evaluate(fig08).results;
-    const auto r11 = shared.evaluate(fig11).results;
-    shared.releaseTraces();
-    const auto r09 = shared.evaluate(fig09).results;
-    shared.releaseTraces();
-    const auto r10 = shared.evaluate(fig10).results;
+    const std::vector<EvalResponse> responses =
+        shared.evaluateBatch({fig08, fig09, fig10, fig11});
+    const auto &r08 = responses[0].results;
+    const auto &r09 = responses[1].results;
+    const auto &r10 = responses[2].results;
+    const auto &r11 = responses[3].results;
     const StatsSnapshot stats = shared.stats();
     EXPECT_EQ(stats.counter("counters.compiles"), 150u);
     EXPECT_EQ(stats.counter("counters.formations"), 45u);
