@@ -56,7 +56,7 @@ meanSpeedup(SuiteEvaluator &evaluator, const std::string &rowName,
 
 int
 main()
-{
+try {
     WallTimer wall;
     EvalRequest base;
     base.sim.machine = issue8Branch1();
@@ -113,4 +113,9 @@ main()
                    evaluator.threadCount(),
                    evaluator.compileStats());
     return 0;
+} catch (const std::exception &e) {
+    // A bad environment value (say, a PREDILP_FAULTS spec naming no
+    // fault point) is a user error: name it and exit 1.
+    std::cerr << "bench_ablations: " << e.what() << "\n";
+    return 1;
 }

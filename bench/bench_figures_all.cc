@@ -23,7 +23,7 @@
 
 int
 main()
-{
+try {
     using namespace predilp;
     WallTimer wall;
     SuiteEvaluator evaluator;
@@ -84,4 +84,9 @@ main()
                    evaluator.threadCount(),
                    evaluator.compileStats());
     return 0;
+} catch (const std::exception &e) {
+    // A bad environment value (say, a PREDILP_FAULTS spec naming no
+    // fault point) is a user error: name it and exit 1.
+    std::cerr << "bench_figures_all: " << e.what() << "\n";
+    return 1;
 }

@@ -25,11 +25,6 @@
 # emulation seconds, and figure output bit-identical to the cold
 # run. It republishes the records it replays.
 #
-# Interp-backend pass: reruns everything with PREDILP_EMU=interp
-# against a separate (cold) store and requires figure output
-# bit-identical to the threaded cold pass, so CI catches
-# threaded-vs-interp emulation drift the unit suite might miss.
-#
 # Usage: scripts/bench_json.sh [bench-binary...]; defaults to the
 # figures benchmark (Figures 8-11, Tables 2-3) and the ablation
 # table. Every bench must be evaluator-driven: it writes figure
@@ -47,7 +42,6 @@ fi
 
 mkdir -p bench-out
 export PREDILP_STORE="${PREDILP_STORE:-$PWD/bench-out/store}"
-export PREDILP_STORE_MODE="${PREDILP_STORE_MODE:-rw}"
 cd bench-out
 
 # Under fault injection the size thresholds and warm zero-work
@@ -267,54 +261,3 @@ echo "== trace-tier warm pass (certified records removed) =="
 rm -rf "${PREDILP_STORE}/results"
 run_benches
 warm_gate traces "${jsons[@]}"
-
-# Interp-backend pass: force the interpreter backend against a
-# separate, empty store so every evaluator bench actually re-captures
-# with the interpreter, then require figure output bit-identical to
-# the threaded cold pass. Catches threaded-vs-interp emulation drift.
-echo "== interp-backend pass (figures drift check) =="
-export PREDILP_EMU=interp
-export PREDILP_STORE="${PREDILP_STORE}-interp"
-rm -rf "${PREDILP_STORE}"
-run_benches
-
-python3 - "${jsons[@]}" <<'EOF'
-import json
-import sys
-
-failed = False
-
-
-def fail(msg):
-    global failed
-    failed = True
-    print(f"error: {msg}", file=sys.stderr)
-
-
-for path in sys.argv[1:]:
-    with open(path) as f:
-        interp = json.load(f)
-    if "benchmarks" not in interp:
-        fail(f"{path}: no figure output")
-        continue
-
-    emu = interp["timing"].get("emu", {})
-    threaded_runs = emu.get("backend", {}).get("threaded")
-    if threaded_runs is None:
-        fail(f"{path}: no timing.emu.backend.threaded")
-    elif threaded_runs != 0:
-        fail(f"{path}: interp pass still used the threaded backend "
-             f"({threaded_runs} runs)")
-    if emu.get("records", {}).get("interp", 0) == 0:
-        fail(f"{path}: interp pass captured no interpreter records")
-
-    with open(f"cold/{path}") as f:
-        cold = json.load(f)
-    if interp["benchmarks"] != cold["benchmarks"]:
-        fail(f"{path}: interpreter-backend figure output differs "
-             f"from threaded cold run")
-    else:
-        print(f"ok: {path} interp figures == threaded figures")
-
-sys.exit(1 if failed else 0)
-EOF

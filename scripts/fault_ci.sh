@@ -43,7 +43,6 @@ OUT=bench-out/fault-ci
 rm -rf "${OUT}"
 mkdir -p "${OUT}"
 export PREDILP_STORE="${PWD}/${OUT}/store"
-export PREDILP_STORE_MODE=rw
 
 cat > "${OUT}/grid.json" <<'EOF'
 {

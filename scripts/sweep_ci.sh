@@ -24,7 +24,6 @@ cd "$(dirname "$0")/.."
 
 mkdir -p bench-out
 export PREDILP_STORE="${PREDILP_STORE:-$PWD/bench-out/sweep-store}"
-export PREDILP_STORE_MODE="${PREDILP_STORE_MODE:-rw}"
 cd bench-out
 
 cat > sweep_grid.json <<'EOF'

@@ -15,9 +15,6 @@ timingSnapshot(const StatsSnapshot &stats, double wallSeconds,
     StatsSnapshot s = stats;
     s.setSeconds("elapsed_seconds", wallSeconds);
     s.setCounter("threads", static_cast<std::uint64_t>(threads));
-    s.setCounter("emu.backend.threaded",
-                 defaultEmuBackend() == EmuBackend::Threaded ? 1
-                                                             : 0);
     const double replaySeconds = s.seconds("phases.simulate_seconds");
     if (replaySeconds > 0) {
         s.setSeconds("throughput.replay_records_per_sec",
@@ -29,8 +26,7 @@ timingSnapshot(const StatsSnapshot &stats, double wallSeconds,
     if (captureSeconds > 0) {
         s.setSeconds("throughput.emulate_records_per_sec",
                      static_cast<double>(
-                         s.counter("emu.records.threaded") +
-                         s.counter("emu.records.interp")) /
+                         s.counter("emu.records.threaded")) /
                          captureSeconds);
     }
     if (const std::uint64_t records =
@@ -81,15 +77,11 @@ printPhaseTiming(std::ostream &os, const StatsSnapshot &stats,
        << n("counters.captures") << " emulations, "
        << n("counters.replays") << " replays, "
        << n("counters.result_cache_hits") << " result hits\n";
-    if (n("emu.decodes") + n("emu.records.threaded") +
-            n("emu.records.interp") >
-        0) {
-        os << "-- emu: " << emuBackendName(defaultEmuBackend())
-           << " backend | decode " << seconds("emu.decode_seconds")
+    if (n("emu.decodes") + n("emu.records.threaded") > 0) {
+        os << "-- emu: decode " << seconds("emu.decode_seconds")
            << "s (" << n("emu.decodes") << " decodes, "
            << n("emu.decoded_bytes") / 1024 << " KiB) | records "
-           << n("emu.records.threaded") << " threaded, "
-           << n("emu.records.interp") << " interp\n";
+           << n("emu.records.threaded") << " threaded\n";
     }
     // A fully served warm run touches only the result tier, so
     // either tier's traffic prints the line.

@@ -33,15 +33,6 @@ makeCompileOptions(const EvalRequest &request, Model model,
     return opts;
 }
 
-std::string
-machineKey(const MachineConfig &m)
-{
-    // Shared with the certified records' machine identity so a cell
-    // in the store and a cell in a cache key name the same machine
-    // by the same string.
-    return machineIdentity(m);
-}
-
 /**
  * Ablation flags that can affect @p model's compilation, in
  * canonical form (AblationFlags::canonicalFor pins flags the
@@ -58,7 +49,8 @@ flagsKey(const EvalRequest &request, Model model)
 /**
  * Identity of a captured trace: the compiled program (workload,
  * scale, model, @p sim's machine, canonical ablation flags) plus
- * @p sim's capture fuel.
+ * @p sim's capture fuel. The machine is named by machineIdentity, as
+ * in the certified records.
  *
  * Deliberately machine-only (not the full SimConfig digest): traces
  * depend on what the scheduler emitted and how far emulation ran,
@@ -71,7 +63,7 @@ traceKey(const Workload &workload, const EvalRequest &request,
 {
     std::ostringstream os;
     os << workload.name << "|s" << request.scale << "|m"
-       << static_cast<int>(model) << '|' << machineKey(sim.machine)
+       << static_cast<int>(model) << '|' << machineIdentity(sim.machine)
        << '|' << flagsKey(request, model) << "|f" << sim.maxDynInstrs;
     return os.str();
 }
@@ -191,9 +183,9 @@ SuiteEvaluator::SuiteEvaluator(int threads) : pool_(threads)
           "counters.reference_cache_hits", "counters.captured_bytes",
           "counters.captured_records", "counters.replayed_records",
           "counters.batch_fallbacks", "emu.decodes",
-          "emu.decoded_bytes", "emu.records.threaded",
-          "emu.records.interp", "store.hit", "store.miss",
-          "store.repair", "store.write", "store.bytes_mapped",
+          "emu.decoded_bytes", "emu.records.threaded", "store.hit",
+          "store.miss", "store.repair", "store.write",
+          "store.bytes_mapped",
           "store.result_hit", "store.result_miss",
           "store.result_repair", "store.result_write"})
         stats_.counter(name);
@@ -202,13 +194,12 @@ SuiteEvaluator::SuiteEvaluator(int threads) : pool_(threads)
           "phases.simulate_seconds", "emu.decode_seconds"})
         stats_.timer(name);
     // Opt-in persistence without code changes, via the one
-    // documented reader of PREDILP_STORE / PREDILP_STORE_MODE
-    // (EnvConfig). setPolicy can still override both.
+    // documented reader of PREDILP_STORE (EnvConfig). setPolicy can
+    // still override it.
     EnvConfig env = EnvConfig::fromEnvironment();
     if (!env.storeDir.empty()) {
         policy_.storeDir = env.storeDir;
-        policy_.storeMode = env.storeReadOnly ? StoreMode::ReadOnly
-                                              : StoreMode::ReadWrite;
+        policy_.storeMode = StoreMode::ReadWrite;
     }
     // PREDILP_FAULTS arms here too, so every evaluator-driven binary
     // honours it. The arm is latched once per process, so a second
@@ -359,10 +350,7 @@ SuiteEvaluator::referenceFor(const Workload &workload,
             ScopedTimer timer(unit.timer("phases.emulate_seconds"));
             unit.counter("counters.captures").add();
             RunResult ref = runReference(workload.source, input);
-            unit.counter(defaultEmuBackend() == EmuBackend::Threaded
-                             ? "emu.records.threaded"
-                             : "emu.records.interp")
-                .add(ref.dynInstrs);
+            unit.counter("emu.records.threaded").add(ref.dynInstrs);
             return ref;
         });
 }
@@ -404,12 +392,11 @@ SuiteEvaluator::traceFor(const Workload &workload,
         compileStats_.merge(perCompile);
         unit.counter("counters.compiles").add();
     }
-    // The threaded backend splits capture into a decode and the
-    // engine run; only the latter counts as emulation time. The
-    // decoded form dies with this capture.
-    const bool threaded = defaultEmuBackend() == EmuBackend::Threaded;
+    // Capture splits into a decode and the engine run; only the
+    // latter counts as emulation time. The decoded form dies with
+    // this capture.
     std::unique_ptr<DecodedProgram> decoded;
-    if (threaded) {
+    {
         ScopedTimer timer(unit.timer("emu.decode_seconds"));
         decoded = std::make_unique<DecodedProgram>(*prog);
         unit.counter("emu.decodes").add();
@@ -418,28 +405,13 @@ SuiteEvaluator::traceFor(const Workload &workload,
     std::unique_ptr<TraceBuffer> buffer;
     {
         ScopedTimer timer(unit.timer("phases.emulate_seconds"));
-        buffer = threaded ? captureDecoded(*decoded, input,
-                                           sim.maxDynInstrs)
-                          : capture(*prog, input, sim.maxDynInstrs,
-                                    EmuBackend::Interp);
+        buffer = captureDecoded(*decoded, input, sim.maxDynInstrs);
         unit.counter("counters.captures").add();
     }
-    unit.counter(threaded ? "emu.records.threaded"
-                          : "emu.records.interp")
-        .add(buffer->size());
-    RunResult reference = referenceFor(workload, input, request.scale);
-    const RunResult &run = buffer->run();
-    if (run.output != reference.output ||
-        run.exitValue != reference.exitValue ||
-        run.memHash != reference.memHash) {
-        throw DivergenceError(detail::formatMessage(
-            modelName(model), " diverged from reference on ",
-            workload.name, ": exit ", run.exitValue, " vs ",
-            reference.exitValue, ", output ", run.output.size(), " vs ",
-            reference.output.size(), " bytes",
-            run.output == reference.output ? " (equal)" : " (differ)",
-            ", memHash ", run.memHash, " vs ", reference.memHash));
-    }
+    unit.counter("emu.records.threaded").add(buffer->size());
+    checkReference(buffer->run(),
+                   referenceFor(workload, input, request.scale),
+                   modelName(model) + " on " + workload.name);
     if (store_ != nullptr) {
         // Provenance section of the artifact: where this trace came
         // from and under which config it was first captured (the
@@ -498,8 +470,6 @@ void
 SuiteEvaluator::publishCertified(const CellProvenance &prov,
                                  const SimResult &result)
 {
-    if (store_->mode() != StoreMode::ReadWrite)
-        return;
     // Best-effort like save(): a refusal degrades to a thinner
     // result tier, never a failed evaluation.
     if (store_->saveResult(certifiedResultKey(prov),
@@ -544,7 +514,10 @@ struct Row
     std::size_t request = 0;
     const Workload *workload = nullptr;
     /** The input of the row's (workload, scale), one per call. */
-    const std::string *input = nullptr;
+    std::string *input = nullptr;
+    /** Whether this row is the first of its (workload, scale), and
+     * so makes the input the others share. */
+    bool makesInput = false;
     std::vector<Slot> slots;
 };
 
@@ -564,28 +537,25 @@ SuiteEvaluator::evaluateBatch(const std::vector<EvalRequest> &requests)
 {
     // --- plan: rows first, so an unknown workload costs no work ---
     // Rows of one (workload, scale) point at one input (map nodes
-    // never move), and the distinct inputs are made in parallel.
+    // never move); the first of them makes it in the row fan-out,
+    // and nothing reads an input before the fan-out ends.
     std::vector<Row> rows;
     std::map<std::pair<const Workload *, int>, std::string> inputs;
     for (std::size_t r = 0; r < requests.size(); ++r) {
         for (const Workload *workload : selectWorkloads(requests[r])) {
-            const std::string &input =
-                inputs[{workload, requests[r].scale}];
-            rows.push_back(Row{r, workload, &input, {}});
+            auto [input, first] =
+                inputs.try_emplace({workload, requests[r].scale});
+            rows.push_back(Row{r, workload, &input->second, first, {}});
         }
     }
-    std::vector<decltype(inputs)::value_type *> entries;
-    for (auto &entry : inputs)
-        entries.push_back(&entry);
-    pool_.parallelFor(entries.size(), [&](std::size_t i) {
-        auto &[key, input] = *entries[i];
-        const auto &[workload, scale] = key;
-        input = workload->makeInput(workload->defaultScale * scale);
-    });
     pool_.parallelFor(rows.size(), [&](std::size_t i) {
         Row &row = rows[i];
         const EvalRequest &request = requests[row.request];
         const Workload &workload = *row.workload;
+        if (row.makesInput) {
+            *row.input =
+                workload.makeInput(workload.defaultScale * request.scale);
+        }
         const std::vector<Model> models = request.effectiveModels();
         row.slots.resize(models.size() + 1);
         for (std::size_t s = 0; s < row.slots.size(); ++s) {

@@ -97,9 +97,10 @@ struct EvalPolicy
     /**
      * Persistent artifact-store tiers (traces, which each trace group
      * maps first, and records under the in-process result cache).
-     * Off by default; the SuiteEvaluator constructor seeds these from
-     * PREDILP_STORE / PREDILP_STORE_MODE so benches and CI opt in
-     * without code changes, and setPolicy can override both.
+     * Off by default; the SuiteEvaluator constructor turns it on
+     * (read-write, the store's only mode) when PREDILP_STORE names a
+     * directory, so benches and CI opt in without code changes, and
+     * setPolicy can override both fields.
      */
     StoreMode storeMode = StoreMode::Off;
     /** Store root directory (ignored while storeMode is Off). */
@@ -139,10 +140,11 @@ class SuiteEvaluator
      *
      * Plan: resolve every request's workloads (an unknown name
      * throws FatalError before any work runs), then, in parallel
-     * over (request, workload) rows, key each cell and compute its
-     * provenance once. Slots dedup into cells by result key; a slot
-     * whose key repeats within the call, or that an earlier call
-     * priced, counts a result-cache hit. The cells group by trace
+     * over (request, workload) rows, make each distinct input once
+     * and key each cell and compute its provenance once. Slots dedup
+     * into cells by result key; a slot whose key repeats within the
+     * call, or that an earlier call priced, counts a result-cache
+     * hit. The cells group by trace
      * key — trace keys are machine-only by design, so cells that
      * vary only cache/BTB/predictor axes share a group, as do the
      * 1-issue baselines of a whole sweep.
@@ -176,7 +178,7 @@ class SuiteEvaluator
      * Harness counters and phase timers so far, under the leaf names
      * of the "timing" section of BENCH_*.json: counters.* (work done,
      * cache hits, captured bytes), phases.*_seconds, emu.* (decode and
-     * per-backend records) and the store.* counters of both store
+     * threaded-engine records) and the store.* counters of both store
      * tiers. Every leaf is present from construction, zero until
      * work lands on it. Seconds are summed over pool threads.
      */
@@ -253,8 +255,8 @@ class SuiteEvaluator
      */
     std::optional<SimResult> servedResult(const CellProvenance &prov);
 
-    /** Publish @p prov's certified record (read-write store only),
-     * counting store.result_write. */
+    /** Publish @p prov's certified record, counting
+     * store.result_write when the store takes it. */
     void publishCertified(const CellProvenance &prov,
                           const SimResult &result);
 

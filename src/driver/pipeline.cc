@@ -434,4 +434,20 @@ runReference(const std::string &source, const std::string &input,
     return emu.run(input, opts);
 }
 
+void
+checkReference(const RunResult &run, const RunResult &reference,
+               const std::string &what)
+{
+    if (run.exitValue == reference.exitValue &&
+        run.output == reference.output &&
+        run.memHash == reference.memHash)
+        return;
+    throw DivergenceError(detail::formatMessage(
+        what, " diverged from reference: exit ", run.exitValue, " vs ",
+        reference.exitValue, ", output ", run.output.size(), " vs ",
+        reference.output.size(), " bytes",
+        run.output == reference.output ? " (equal)" : " (differ)",
+        ", memHash ", run.memHash, " vs ", reference.memHash));
+}
+
 } // namespace predilp

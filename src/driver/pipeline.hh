@@ -244,6 +244,14 @@ RunResult runReference(const std::string &source,
                        std::uint64_t maxDynInstrs =
                            2'000'000'000ull);
 
+/**
+ * The oracle check every compiled run passes: throw DivergenceError,
+ * naming @p what, unless @p run reproduces @p reference's
+ * architectural result (exit value, output and final memory hash).
+ */
+void checkReference(const RunResult &run, const RunResult &reference,
+                    const std::string &what);
+
 } // namespace predilp
 
 #endif // PREDILP_DRIVER_PIPELINE_HH

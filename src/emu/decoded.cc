@@ -12,41 +12,6 @@ namespace predilp
 namespace
 {
 
-/**
- * Static-instruction prototype, mirroring StaticIndex::addOp() field
- * for field except regBegin (assigned at interning time, because ids
- * and pool offsets depend on first *dynamic* appearance order).
- */
-StaticOp
-makeProto(const Function &fn, const Instruction &instr,
-          const AddressMap &addresses)
-{
-    StaticOp op;
-    op.addr = addresses.addressOf(&fn, &instr);
-    op.op = instr.op();
-    op.guard = instr.guard();
-    op.dest = instr.dest();
-    std::uint16_t srcRegs = 0;
-    for (const auto &src : instr.srcs()) {
-        if (src.isReg())
-            srcRegs += 1;
-    }
-    op.srcRegCount = srcRegs;
-    op.predDestCount =
-        static_cast<std::uint16_t>(instr.predDests().size());
-    op.isBranch = instr.isControlTransfer() || instr.isCall();
-    op.isLoad = instr.isLoad();
-    op.isStore = instr.isStore();
-    op.isPredAll = instr.isPredAll();
-    if (instr.isCondBranch())
-        op.kind = StaticOp::Kind::CondBranch;
-    else if (instr.isJump())
-        op.kind = StaticOp::Kind::Jump;
-    else if (instr.isCall() || instr.isRet())
-        op.kind = StaticOp::Kind::CallRet;
-    return op;
-}
-
 /** Lowers the instructions of one function. */
 class Lowerer
 {
@@ -85,23 +50,16 @@ class Lowerer
           const std::vector<std::int32_t> &offsets,
           const Program &prog)
     {
-        StaticOp proto = makeProto(fn_, instr, addresses_);
+        StaticOp proto = staticOpOf(fn_, instr, addresses_);
 
         DecodedOp op;
         op.handler = hdl::of(instr.op());
         op.irId = instr.id();
         op.speculative = instr.speculative();
 
-        // Interning reg list, in StaticIndex::addOp() pool order:
-        // register sources first, then pred-define destinations.
         op.regListBegin =
             static_cast<std::uint32_t>(df_.internRegs.size());
-        for (const auto &src : instr.srcs()) {
-            if (src.isReg())
-                df_.internRegs.push_back(src.reg());
-        }
-        for (const auto &pd : instr.predDests())
-            df_.internRegs.push_back(pd.reg);
+        appendStaticOperands(instr, df_.internRegs);
 
         bool guardOk = true;
         std::string failMsg;
@@ -616,23 +574,12 @@ lowerFunction(const Function &fn, const Program &prog,
 } // namespace
 
 DecodedProgram::DecodedProgram(const Program &prog)
+    : regBounds_(registerBounds(prog))
 {
     AddressMap addresses(prog);
     std::unordered_map<const Function *, int> ordinals;
-    for (const auto &fn : prog.functions()) {
-        ordinals.emplace(fn.get(),
-                         static_cast<int>(ordinals.size()));
-        // Register bounds, exactly as StaticIndex's Program
-        // constructor computes them (the trace interner of a
-        // decoded capture starts from these).
-        auto bound = [this](RegClass cls, int n) {
-            auto i = static_cast<std::size_t>(cls);
-            regBounds_[i] = std::max(regBounds_[i], n);
-        };
-        bound(RegClass::Int, fn->numIntRegs());
-        bound(RegClass::Float, fn->numFloatRegs());
-        bound(RegClass::Pred, fn->numPredRegs());
-    }
+    for (const auto &fn : prog.functions())
+        ordinals.emplace(fn.get(), static_cast<int>(ordinals.size()));
 
     functions_.reserve(prog.functions().size());
     std::uint32_t idBase = 0;

@@ -17,9 +17,9 @@
  *
  * A DecodedProgram is fully self-contained: it snapshots the initial
  * memory image, the static-instruction prototypes the trace interner
- * needs, and every string a trap message can mention, so it may
- * outlive the Program it was decoded from (SuiteEvaluator caches
- * decoded programs across workload scales and sim configs).
+ * needs (trace/trace.hh's staticOpOf), and every string a trap
+ * message can mention, so it may outlive the Program it was decoded
+ * from.
  *
  * Invariant: for any program and input, the threaded backend and the
  * interpreter produce bit-identical traces, identical RunResults, and
@@ -215,7 +215,7 @@ class DecodedProgram
         return initialMemory_;
     }
 
-    /** Per-class register bounds, as StaticIndex computes them. */
+    /** The program's registerBounds() (trace/trace.hh). */
     const std::array<int, 3> &regBounds() const { return regBounds_; }
 
     /** Total decoded ops across all functions (id-array size). */

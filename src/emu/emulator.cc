@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "emu/decoded.hh"
-#include "support/env.hh"
 #include "support/logging.hh"
 
 namespace predilp
@@ -662,16 +661,6 @@ class Interp
 };
 
 } // namespace
-
-EmuBackend
-defaultEmuBackend()
-{
-    static const EmuBackend cached =
-        EnvConfig::fromEnvironment().emuBackend == "interp"
-            ? EmuBackend::Interp
-            : EmuBackend::Threaded;
-    return cached;
-}
 
 const char *
 emuBackendName(EmuBackend backend)

@@ -10,6 +10,11 @@
  * Figure 7): they rewrote predicated code into PA-RISC bit
  * manipulation so a real machine could trace it; we execute the
  * predicated IR natively, which is functionally identical.
+ *
+ * Two backends implement it. Every profile, reference run and
+ * capture runs on the pre-decoded threaded engine (emu/decoded.hh);
+ * the tree-walking interpreter is its oracle, run only where a
+ * caller names EmuBackend::Interp or streams to a generic TraceSink.
  */
 
 #ifndef PREDILP_EMU_EMULATOR_HH
@@ -67,9 +72,10 @@ struct RunResult
  * Emulator backend selection. Both backends implement the same
  * architectural semantics; the interpreter walks the IR directly and
  * is the reference oracle, the threaded backend executes a flat
- * pre-decoded instruction stream (emu/decoded.hh) an order of
- * magnitude faster. Their traces are bit-identical by construction
- * (enforced by tests/emu/backend_diff_test.cc).
+ * pre-decoded instruction stream an order of magnitude faster. Their
+ * traces are bit-identical by construction, which
+ * tests/emu/backend_diff_test.cc checks on every trace the figure
+ * benches capture.
  */
 enum class EmuBackend : std::uint8_t
 {
@@ -77,11 +83,12 @@ enum class EmuBackend : std::uint8_t
     Threaded, ///< pre-decoded threaded-code engine.
 };
 
-/**
- * Process-wide default backend: Threaded, unless the PREDILP_EMU
- * environment variable says "interp". Read once and cached.
- */
-EmuBackend defaultEmuBackend();
+/** The backend every run uses unless it names one: Threaded. */
+constexpr EmuBackend
+defaultEmuBackend()
+{
+    return EmuBackend::Threaded;
+}
 
 /** @return "interp" or "threaded". */
 const char *emuBackendName(EmuBackend backend);

@@ -86,8 +86,8 @@ class Engine
           profile_(profile)
     {
         if constexpr (Capture) {
-            // Capture runs never profile (the evaluator profiles
-            // during compilation, on the interpreter); Engine<true>
+            // Capture runs never profile (compilation profiles in
+            // runs of its own, on Engine<false>); Engine<true>
             // relies on this to drop the profile plumbing from the
             // hot loop.
             panicIf(profile != nullptr,
@@ -971,7 +971,8 @@ captureDecoded(const DecodedProgram &dp, const std::string &input,
                std::uint64_t maxDynInstrs)
 {
     // Cold entry (once per capture, never per record): a trap here
-    // exercises the evaluator's interpreter-oracle fallback.
+    // fails the capture's trace group, which the evaluator retries
+    // one cell at a time.
     FAULT_POINT("emu.threaded.capture");
     auto buffer =
         std::make_unique<TraceBuffer>(StaticIndex(dp.regBounds()));

@@ -101,11 +101,15 @@ runDifferentialOracle(std::uint64_t seed, const OracleOptions &opts)
 
     GeneratedProgram gen = generateProgram(seed, opts.generator);
 
-    auto recordFailure = [&](const std::string &configName) {
+    // @p config is the failing compile, or nullptr for the reference
+    // run. Its model and flags head the reproducer, so replaying it
+    // by hand compiles the program that failed.
+    auto recordFailure = [&](const std::string &name,
+                             const OracleConfig *config) {
         std::exception_ptr ep = std::current_exception();
         OracleFailure failure;
         failure.seed = seed;
-        failure.config = configName;
+        failure.config = name;
         failure.kind = classifyException(ep);
         try {
             std::rethrow_exception(ep);
@@ -116,11 +120,14 @@ runDifferentialOracle(std::uint64_t seed, const OracleOptions &opts)
         }
         if (!opts.reproducerDir.empty()) {
             ReproducerSpec spec;
-            spec.title = "fuzz-seed-" + std::to_string(seed) + "-" +
-                         configName;
+            spec.title =
+                "fuzz-seed-" + std::to_string(seed) + "-" + name;
             spec.seed = seed;
             spec.hasSeed = true;
-            spec.model = configName;
+            if (config != nullptr) {
+                spec.model = modelName(config->model);
+                spec.ablation = config->ablation;
+            }
             spec.kind = failure.kind;
             spec.message = failure.message;
             spec.input = gen.input;
@@ -140,7 +147,7 @@ runDifferentialOracle(std::uint64_t seed, const OracleOptions &opts)
         // A generated program must never fail its reference run —
         // this is a generator bug (or a frontend/emulator bug the
         // generator exposed), worth a reproducer either way.
-        recordFailure("reference");
+        recordFailure("reference", nullptr);
         return result;
     }
 
@@ -161,20 +168,7 @@ runDifferentialOracle(std::uint64_t seed, const OracleOptions &opts)
             std::unique_ptr<TraceBuffer> buffer =
                 capture(*prog, gen.input, opts.fuel);
             const RunResult &run = buffer->run();
-            if (run.exitValue != reference.exitValue ||
-                run.output != reference.output ||
-                run.memHash != reference.memHash) {
-                throw DivergenceError(detail::formatMessage(
-                    config.name,
-                    " diverged from reference: exit ",
-                    run.exitValue, " vs ", reference.exitValue,
-                    ", output ", run.output.size(), " vs ",
-                    reference.output.size(), " bytes",
-                    run.output == reference.output ? " (equal)"
-                                                   : " (differ)",
-                    ", memHash ", run.memHash, " vs ",
-                    reference.memHash));
-            }
+            checkReference(run, reference, config.name);
 
             // Replay agreement: pricing the captured trace must
             // reproduce the emulation's architectural result.
@@ -192,7 +186,7 @@ runDifferentialOracle(std::uint64_t seed, const OracleOptions &opts)
             }
             ++result.configsRun;
         } catch (...) {
-            recordFailure(config.name);
+            recordFailure(config.name, &config);
         }
     }
     return result;

@@ -49,7 +49,7 @@ struct OracleOptions
 struct OracleFailure
 {
     std::uint64_t seed = 0;
-    std::string config; ///< e.g. "FullPred" or "CondMove/no-orTree".
+    std::string config; ///< e.g. "FullPred" or "Cond. Move/flip-orTree".
     /** Taxonomy label from classifyException(). */
     std::string kind;
     std::string message;

@@ -751,15 +751,13 @@ readSealedJson(const std::string &path, bool *present)
 }
 
 ArtifactStore::ArtifactStore(std::string dir, StoreMode mode)
-    : dir_(std::move(dir)), mode_(mode)
+    : dir_(std::move(dir))
 {
-    panicIf(mode_ == StoreMode::Off,
+    panicIf(mode == StoreMode::Off,
             "ArtifactStore constructed with StoreMode::Off");
     panicIf(dir_.empty(), "ArtifactStore needs a directory");
-    if (mode_ == StoreMode::ReadWrite) {
-        std::error_code ec;
-        fs::create_directories(fs::path(dir_) / "objects", ec);
-    }
+    std::error_code ec;
+    fs::create_directories(fs::path(dir_) / "objects", ec);
 }
 
 std::string
@@ -827,12 +825,9 @@ ArtifactStore::load(const std::string &key)
         hits_.fetch_add(1, std::memory_order_relaxed);
         bytesMapped_.fetch_add(mapping->size(),
                                std::memory_order_relaxed);
-        if (mode_ == StoreMode::ReadWrite) {
-            // Touch the artifact so the GC's LRU sweep sees use.
-            std::error_code ec;
-            fs::last_write_time(
-                path, fs::file_time_type::clock::now(), ec);
-        }
+        // Touch the artifact so the GC's LRU sweep sees use.
+        std::error_code ec;
+        fs::last_write_time(path, fs::file_time_type::clock::now(), ec);
         return buffer;
     } catch (const TraceCorruptError &) {
         misses_.fetch_add(1, std::memory_order_relaxed);
@@ -847,8 +842,6 @@ ArtifactStore::save(const std::string &key,
                     const TraceBuffer &buffer,
                     const std::string &provenanceJson)
 {
-    if (mode_ != StoreMode::ReadWrite)
-        return false;
     const std::string path = objectPath(key);
     std::error_code ec;
     fs::create_directories(fs::path(path).parent_path(), ec);
@@ -902,10 +895,7 @@ ArtifactStore::loadProvenance(const std::string &key) const
 void
 ArtifactStore::quarantine(const std::string &path) const
 {
-    // Never trust — and never re-read — a corrupt artifact. In
-    // read-only mode leave the file for a writer to repair.
-    if (mode_ != StoreMode::ReadWrite)
-        return;
+    // Never trust — and never re-read — a corrupt artifact.
     std::error_code ec;
     fs::path qdir = fs::path(dir_) / "quarantine";
     fs::create_directories(qdir, ec);
@@ -937,8 +927,6 @@ bool
 ArtifactStore::saveResult(const std::string &key,
                           const JsonValue &record)
 {
-    if (mode_ != StoreMode::ReadWrite)
-        return false;
     const std::string path = resultPath(key);
     std::error_code ec;
     fs::create_directories(fs::path(path).parent_path(), ec);

@@ -26,9 +26,10 @@
  * magic, version, declared length, and an XXH64 payload checksum
  * (store/xxh64.hh) before trusting a single byte, and bound every
  * section against the file size. Any mismatch quarantines the file
- * (read-write mode) and reports a miss, so the caller transparently
- * recomputes and re-saves — corrupt artifacts are repaired, never
- * trusted.
+ * and reports a miss, so the caller transparently recomputes and
+ * re-saves — corrupt artifacts are repaired, never trusted. A store
+ * is always read-write: every open handle may publish, touch and
+ * quarantine.
  *
  * Format v3 writes an artifact as a gather list: the serialized
  * metadata head, then the entry and varint streams straight from the
@@ -72,11 +73,10 @@
 namespace predilp
 {
 
-/** How (and whether) an evaluator uses the on-disk store. */
+/** Whether an evaluator uses the on-disk store. */
 enum class StoreMode
 {
     Off,       ///< no persistent caching.
-    ReadOnly,  ///< load hits, never write or quarantine.
     ReadWrite, ///< load hits, save misses, quarantine corruption.
 };
 
@@ -117,11 +117,13 @@ class ArtifactStore
 
     /**
      * Open (creating directories as needed) a store rooted at
-     * @p dir. @p mode must not be Off.
+     * @p dir. @p mode must be ReadWrite, the only mode a store has;
+     * the parameter and mode() stay for the benchmark harness under
+     * perfbench/, which is kept fixed so its runs stay comparable.
      */
     ArtifactStore(std::string dir, StoreMode mode);
 
-    StoreMode mode() const { return mode_; }
+    StoreMode mode() const { return StoreMode::ReadWrite; }
     const std::string &dir() const { return dir_; }
 
     /**
@@ -134,18 +136,18 @@ class ArtifactStore
 
     /**
      * Load the artifact for @p key, or nullptr on miss. A present
-     * but invalid file counts a repair, is quarantined (read-write
-     * mode), and reports as a miss so the caller recomputes. On a
-     * hit the returned buffer replays out of the file mapping.
+     * but invalid file counts a repair, is quarantined, and reports
+     * as a miss so the caller recomputes. On a hit the returned
+     * buffer replays out of the file mapping, and the file's mtime
+     * is touched for the GC's LRU sweep.
      */
     std::shared_ptr<const TraceBuffer> load(const std::string &key);
 
     /**
      * Serialize @p buffer under @p key: stage to a temp file (POSIX
      * write + fsync), then atomically rename into place under the
-     * store's advisory flock. No-op (returning false) in read-only
-     * mode; never throws — a filesystem refusal degrades to a cold
-     * cache, not a failure.
+     * store's advisory flock. Never throws — a filesystem refusal
+     * degrades to a cold cache (returning false), not a failure.
      *
      * @p provenanceJson is written verbatim as the artifact's
      * provenance section, covered by the payload checksum.
@@ -163,9 +165,9 @@ class ArtifactStore
     /**
      * Publish @p record as a sealed certified-result record at
      * resultPath(key) via the staged write→fsync→rename path.
-     * Read-write mode only. Records are overwritten idempotently —
-     * an evaluation that refuses a torn or stale record replays the
-     * cell and republishes it, which self-heals the record.
+     * Records are overwritten idempotently — an evaluation that
+     * refuses a torn or stale record replays the cell and
+     * republishes it, which self-heals the record.
      */
     bool saveResult(const std::string &key, const JsonValue &record);
 
@@ -199,7 +201,6 @@ class ArtifactStore
     void quarantine(const std::string &path) const;
 
     std::string dir_;
-    StoreMode mode_;
     std::atomic<std::uint64_t> hits_{0};
     std::atomic<std::uint64_t> misses_{0};
     std::atomic<std::uint64_t> repairs_{0};

@@ -5,34 +5,10 @@
 namespace predilp
 {
 
-namespace
-{
-bool verboseFlag = false;
-} // namespace
-
 void
 warn(const std::string &msg)
 {
     std::fprintf(stderr, "warn: %s\n", msg.c_str());
-}
-
-void
-inform(const std::string &msg)
-{
-    if (verboseFlag)
-        std::fprintf(stderr, "info: %s\n", msg.c_str());
-}
-
-void
-setVerbose(bool verbose)
-{
-    verboseFlag = verbose;
-}
-
-bool
-verboseEnabled()
-{
-    return verboseFlag;
 }
 
 } // namespace predilp

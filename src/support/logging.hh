@@ -48,15 +48,6 @@ panicIf(bool condition, Args &&...args)
 /** Emit a non-fatal warning to stderr. */
 void warn(const std::string &msg);
 
-/** Emit an informational message to stderr when verbose mode is on. */
-void inform(const std::string &msg);
-
-/** Globally enable or disable inform() output. */
-void setVerbose(bool verbose);
-
-/** @return whether inform() output is enabled. */
-bool verboseEnabled();
-
 } // namespace predilp
 
 #endif // PREDILP_SUPPORT_LOGGING_HH

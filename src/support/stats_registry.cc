@@ -175,13 +175,6 @@ StatsRegistry::timer(const std::string &name)
     return timers_[name];
 }
 
-Histogram &
-StatsRegistry::histogram(const std::string &name)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return histograms_[name];
-}
-
 void
 StatsRegistry::merge(const StatsRegistry &other)
 {
@@ -192,8 +185,6 @@ StatsRegistry::merge(const StatsRegistry &other)
         counters_[name].add(counter.value());
     for (const auto &[name, timer] : other.timers_)
         timers_[name].addNanos(timer.nanos());
-    for (const auto &[name, histogram] : other.histograms_)
-        histograms_[name].merge(histogram);
 }
 
 StatsSnapshot
@@ -205,12 +196,6 @@ StatsRegistry::snapshot() const
         snapshot.setCounter(name, counter.value());
     for (const auto &[name, timer] : timers_)
         snapshot.setSeconds(name, timer.seconds());
-    for (const auto &[name, histogram] : histograms_) {
-        snapshot.setCounter(name + ".count", histogram.count());
-        snapshot.setCounter(name + ".sum", histogram.sum());
-        snapshot.setCounter(name + ".min", histogram.min());
-        snapshot.setCounter(name + ".max", histogram.max());
-    }
     return snapshot;
 }
 

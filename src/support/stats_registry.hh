@@ -1,8 +1,8 @@
 /**
  * @file
  * Unified observability layer: a hierarchical registry of named
- * counters, timers, and value summaries shared by the compiler's
- * PassManager and the timing simulator.
+ * counters and timers shared by the compiler's PassManager and the
+ * timing simulator.
  *
  * Names are dot-separated scopes — `opt.cse.removed`,
  * `sim.btb.mispredict` — and a name is either a leaf or a scope,
@@ -55,52 +55,6 @@ class TimerTotal
 
   private:
     std::uint64_t nanos_ = 0;
-};
-
-/**
- * Summary histogram of recorded values: count, sum, min, max. Enough
- * to answer "how many, how big" questions (hyperblock sizes, pass
- * change counts) without per-bucket storage on the hot path.
- */
-class Histogram
-{
-  public:
-    void
-    record(std::uint64_t value)
-    {
-        count_ += 1;
-        sum_ += value;
-        if (value < min_)
-            min_ = value;
-        if (value > max_)
-            max_ = value;
-    }
-
-    std::uint64_t count() const { return count_; }
-    std::uint64_t sum() const { return sum_; }
-    /** Smallest recorded value; 0 when empty. */
-    std::uint64_t min() const { return count_ == 0 ? 0 : min_; }
-    std::uint64_t max() const { return max_; }
-
-    /** Fold @p other into this summary. */
-    void
-    merge(const Histogram &other)
-    {
-        if (other.count_ == 0)
-            return;
-        count_ += other.count_;
-        sum_ += other.sum_;
-        if (other.min_ < min_)
-            min_ = other.min_;
-        if (other.max_ > max_)
-            max_ = other.max_;
-    }
-
-  private:
-    std::uint64_t count_ = 0;
-    std::uint64_t sum_ = 0;
-    std::uint64_t min_ = UINT64_MAX;
-    std::uint64_t max_ = 0;
 };
 
 /**
@@ -167,7 +121,7 @@ class StatsSnapshot
 };
 
 /**
- * The registry: owns named counters/timers/histograms and hands out
+ * The registry: owns named counters and timers and hands out
  * stable handles. Handle creation, merge(), and snapshot() are
  * mutex-guarded; updates through handles are deliberately
  * unsynchronized (one registry per thread, merged afterwards).
@@ -185,19 +139,13 @@ class StatsRegistry
     /** Stable handle for timer @p name. */
     TimerTotal &timer(const std::string &name);
 
-    /** Stable handle for histogram @p name. */
-    Histogram &histogram(const std::string &name);
-
     /**
      * Add every stat of @p other into this registry (counters and
-     * timers add; histograms fold). @p other must be quiescent.
+     * timers add). @p other must be quiescent.
      */
     void merge(const StatsRegistry &other);
 
-    /**
-     * Freeze the current values. Histograms export as four counter
-     * leaves: <name>.count/.sum/.min/.max. Timers export in seconds.
-     */
+    /** Freeze the current values. Timers export in seconds. */
     StatsSnapshot snapshot() const;
 
   private:
@@ -205,7 +153,6 @@ class StatsRegistry
     // node_hash maps (std::map) keep handle addresses stable.
     std::map<std::string, Counter> counters_;
     std::map<std::string, TimerTotal> timers_;
-    std::map<std::string, Histogram> histograms_;
 };
 
 /** RAII guard: adds its scope's wall time to a TimerTotal. */

@@ -46,59 +46,79 @@ AddressMap::AddressMap(const Program &prog)
     }
 }
 
-StaticIndex::StaticIndex(const Program &prog) : addresses_(prog)
+StaticOp
+staticOpOf(const Function &fn, const Instruction &instr,
+           const AddressMap &addresses)
+{
+    StaticOp op;
+    op.addr = addresses.addressOf(&fn, &instr);
+    op.op = instr.op();
+    op.guard = instr.guard();
+    op.dest = instr.dest();
+    for (const auto &src : instr.srcs()) {
+        if (src.isReg())
+            op.srcRegCount += 1;
+    }
+    op.predDestCount =
+        static_cast<std::uint16_t>(instr.predDests().size());
+    op.isBranch = instr.isControlTransfer() || instr.isCall();
+    op.isLoad = instr.isLoad();
+    op.isStore = instr.isStore();
+    op.isPredAll = instr.isPredAll();
+    if (instr.isCondBranch())
+        op.kind = StaticOp::Kind::CondBranch;
+    else if (instr.isJump())
+        op.kind = StaticOp::Kind::Jump;
+    else if (instr.isCall() || instr.isRet())
+        op.kind = StaticOp::Kind::CallRet;
+    return op;
+}
+
+void
+appendStaticOperands(const Instruction &instr, std::vector<Reg> &out)
+{
+    for (const auto &src : instr.srcs()) {
+        if (src.isReg())
+            out.push_back(src.reg());
+    }
+    for (const auto &pd : instr.predDests())
+        out.push_back(pd.reg);
+}
+
+std::array<int, 3>
+registerBounds(const Program &prog)
+{
+    std::array<int, 3> bounds{};
+    auto bound = [&bounds](RegClass cls, int n) {
+        auto i = static_cast<std::size_t>(cls);
+        bounds[i] = std::max(bounds[i], n);
+    };
+    for (const auto &fn : prog.functions()) {
+        bound(RegClass::Int, fn->numIntRegs());
+        bound(RegClass::Float, fn->numFloatRegs());
+        bound(RegClass::Pred, fn->numPredRegs());
+    }
+    return bounds;
+}
+
+StaticIndex::StaticIndex(const Program &prog)
+    : addresses_(prog), regBounds_(registerBounds(prog))
 {
     idTables_.reserve(prog.functions().size());
     for (const auto &fn : prog.functions()) {
         fnOrdinals_.emplace(fn.get(), idTables_.size());
         idTables_.emplace_back(
             static_cast<std::size_t>(fn->instrIdBound()), invalidId);
-        auto bound = [this](RegClass cls, int n) {
-            auto i = static_cast<std::size_t>(cls);
-            regBounds_[i] = std::max(regBounds_[i], n);
-        };
-        bound(RegClass::Int, fn->numIntRegs());
-        bound(RegClass::Float, fn->numFloatRegs());
-        bound(RegClass::Pred, fn->numPredRegs());
     }
 }
 
 std::uint32_t
 StaticIndex::addOp(const Function *fn, const Instruction *instr)
 {
-    panicIf(ops_.size() > traceMaxStaticId,
-            "static index overflow: more than ", traceMaxStaticId + 1,
-            " static instructions cannot be packed into ",
-            traceIdBits, "-bit trace entries");
-    StaticOp op;
-    op.addr = addresses_.addressOf(fn, instr);
-    op.op = instr->op();
-    op.guard = instr->guard();
-    op.dest = instr->dest();
-    op.regBegin = static_cast<std::uint32_t>(regPool_.size());
-    for (const auto &src : instr->srcs()) {
-        if (src.isReg())
-            regPool_.push_back(src.reg());
-    }
-    op.srcRegCount = static_cast<std::uint16_t>(
-        regPool_.size() - op.regBegin);
-    for (const auto &pd : instr->predDests())
-        regPool_.push_back(pd.reg);
-    op.predDestCount = static_cast<std::uint16_t>(
-        regPool_.size() - op.regBegin - op.srcRegCount);
-    op.isBranch = instr->isControlTransfer() || instr->isCall();
-    op.isLoad = instr->isLoad();
-    op.isStore = instr->isStore();
-    op.isPredAll = instr->isPredAll();
-    if (instr->isCondBranch())
-        op.kind = StaticOp::Kind::CondBranch;
-    else if (instr->isJump())
-        op.kind = StaticOp::Kind::Jump;
-    else if (instr->isCall() || instr->isRet())
-        op.kind = StaticOp::Kind::CallRet;
-    auto id = static_cast<std::uint32_t>(ops_.size());
-    ops_.push_back(op);
-    return id;
+    std::vector<Reg> operands;
+    appendStaticOperands(*instr, operands);
+    return internDecoded(staticOpOf(*fn, *instr, addresses_),
+                         operands.data());
 }
 
 namespace

@@ -115,6 +115,28 @@ struct StaticOp
 };
 
 /**
+ * The StaticOp summary of @p instr in @p fn, every field but
+ * regBegin, which the interner assigns (StaticIndex::internDecoded).
+ * The one derivation both capture backends intern.
+ */
+StaticOp staticOpOf(const Function &fn, const Instruction &instr,
+                    const AddressMap &addresses);
+
+/**
+ * Append @p instr's pooled register operands to @p out, in the order
+ * staticOpOf counts them: register sources, then predicate
+ * destinations.
+ */
+void appendStaticOperands(const Instruction &instr,
+                          std::vector<Reg> &out);
+
+/**
+ * Per-class exclusive register-index bounds of @p prog (Int, Float,
+ * Pred), the maxima of its functions' virtual-register counters.
+ */
+std::array<int, 3> registerBounds(const Program &prog);
+
+/**
  * Dense interner of (function, instruction) pairs. Mutable only
  * while a capture is producing records; read-only — and therefore
  * safely shareable across threads — once the trace is complete.
@@ -143,18 +165,17 @@ class StaticIndex
      * Empty capture-side index for the pre-decoded backend, which
      * brings its own prototypes: only internDecoded() may add ops
      * (intern() has no id tables to consult). @p regBounds must be
-     * the bounds the Program constructor would have computed.
+     * the program's registerBounds().
      */
     explicit StaticIndex(std::array<int, 3> regBounds)
         : regBounds_(regBounds)
     {}
 
     /**
-     * Append a pre-built static op (the decoded backend's interning
-     * path; see emu/decoded.hh). @p proto is StaticIndex::addOp()'s
-     * result except regBegin, which this assigns; @p regs points at
-     * its srcRegCount + predDestCount pooled register operands. The
-     * caller tracks first-appearance itself — every call appends.
+     * Append a static op: @p proto is staticOpOf()'s summary, whose
+     * regBegin this assigns, and @p regs points at its srcRegCount +
+     * predDestCount register operands, which this pools. The caller
+     * tracks first appearance itself — every call appends.
      * @return the new op's id.
      */
     std::uint32_t internDecoded(const StaticOp &proto,

@@ -6,9 +6,8 @@
  * emulator and CycleModel, hashed and compared against the digest
  * committed beside certSchemaTag. Then the records as the store's
  * result tier: a warm evaluator serves every cell from them without
- * a replay (through evaluate and evaluateBatch), refuses and heals
- * torn, misfiled, stale and malformed records, and never writes to
- * a read-only store.
+ * a replay (through evaluate and evaluateBatch), and refuses and
+ * heals torn, misfiled, stale and malformed records.
  */
 
 #include <gtest/gtest.h>
@@ -120,10 +119,10 @@ expectSameResponse(const EvalResponse &a, const EvalResponse &b)
 
 /** A store-backed policy rooted at @p dir. */
 EvalPolicy
-storePolicy(const std::string &dir, StoreMode mode = StoreMode::ReadWrite)
+storePolicy(const std::string &dir)
 {
     EvalPolicy policy;
-    policy.storeMode = mode;
+    policy.storeMode = StoreMode::ReadWrite;
     policy.storeDir = dir;
     return policy;
 }
@@ -400,7 +399,7 @@ TEST(ResultTier, RefusedRecordsAreReplayedAndRepublished)
     cold.setPolicy(storePolicy(dir));
     const EvalResponse expected = cold.evaluate(request);
     const auto &provs = expected.results.at(0).provenance;
-    ArtifactStore store(dir, StoreMode::ReadOnly);
+    ArtifactStore store(dir, StoreMode::ReadWrite);
     const std::string target =
         store.resultPath(certifiedResultKey(provs.at(Model::FullPred)));
     const std::string other =
@@ -463,42 +462,6 @@ TEST(ResultTier, RefusedRecordsAreReplayedAndRepublished)
         ASSERT_TRUE(cell.has_value());
         EXPECT_TRUE(cell->provenance == provs.at(Model::FullPred));
     }
-}
-
-TEST(ResultTier, ReadOnlyStoreServesRecordsButWritesNothing)
-{
-    const std::string dir = freshDir("result-tier-readonly");
-    const EvalRequest request = cmpRequest();
-    SuiteEvaluator cold(1);
-    cold.setPolicy(storePolicy(dir));
-    const EvalResponse expected = cold.evaluate(request);
-
-    SuiteEvaluator served(1);
-    served.setPolicy(storePolicy(dir, StoreMode::ReadOnly));
-    expectSameResponse(served.evaluate(request), expected);
-    TierCounts r = tierCounts(served);
-    EXPECT_EQ(r.hit, 4u);
-    EXPECT_EQ(r.write, 0u);
-    EXPECT_EQ(r.replays, 0u);
-
-    // A missing record is replayed from the trace but not
-    // republished: a read-only store never changes.
-    const std::string path = ArtifactStore(dir, StoreMode::ReadOnly)
-                                 .resultPath(certifiedResultKey(
-                                     expected.results.at(0).provenance.at(
-                                         Model::Superblock)));
-    ASSERT_TRUE(fs::remove(path));
-    SuiteEvaluator replayed(1);
-    replayed.setPolicy(storePolicy(dir, StoreMode::ReadOnly));
-    expectSameResponse(replayed.evaluate(request), expected);
-    r = tierCounts(replayed);
-    EXPECT_EQ(r.hit, 3u);
-    EXPECT_EQ(r.miss, 1u);
-    EXPECT_EQ(r.repair, 0u);
-    EXPECT_EQ(r.replays, 1u);
-    EXPECT_EQ(r.write, 0u);
-    EXPECT_EQ(replayed.stats().counter("store.write"), 0u);
-    EXPECT_FALSE(fs::exists(path));
 }
 
 } // namespace

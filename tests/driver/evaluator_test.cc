@@ -5,21 +5,18 @@
  * a trace is priced under every simulation configuration of its call
  * and reused by a later call only through the store (the
  * trace-once/replay-many contract), compiles that differ only by
- * machine share one formed program, unknown workloads and
- * environment values throw before any work, and a failed trace group
- * retries its cells one at a time so only the cells that fail again
- * fail.
+ * machine share one formed program, unknown workloads throw before
+ * any work, and a failed trace group retries its cells one at a time
+ * so only the cells that fail again fail.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 
 #include "driver/evaluator.hh"
 #include "support/diag.hh"
-#include "support/env.hh"
 #include "support/faultpoint.hh"
 
 namespace predilp
@@ -127,7 +124,7 @@ TEST(SuiteEvaluator, StatsPrintEveryLeafFromConstruction)
     // tier's store.result_* by name.
     SuiteEvaluator evaluator(1);
     const StatsSnapshot stats = evaluator.stats();
-    EXPECT_EQ(stats.counters().size(), 25u);
+    EXPECT_EQ(stats.counters().size(), 24u);
     EXPECT_EQ(stats.timers().size(), 4u);
     for (const auto &[name, value] : stats.counters())
         EXPECT_EQ(value, 0u) << name;
@@ -454,46 +451,6 @@ TEST(SuiteEvaluator, UnknownWorkloadThrowsBeforeAnyWork)
         requestFor(smallConfig(), {"nope"})};
     EXPECT_THROW(evaluator.evaluateBatch(requests), FatalError);
     EXPECT_EQ(evaluator.stats().counter("counters.compiles"), 0u);
-}
-
-TEST(SuiteEvaluator, UnknownEnvironmentValuesThrowAndWriteNothing)
-{
-    // A store mode or emulator backend outside the accepted values
-    // throws at construction, before the store is opened, instead of
-    // falling back to read-write or to the threaded engine.
-    const std::string dir = freshDir("predilp-eval-env");
-    ASSERT_EQ(setenv("PREDILP_STORE", dir.c_str(), 1), 0);
-    const std::vector<std::pair<const char *, const char *>> bad = {
-        {"PREDILP_STORE_MODE", "readonly"},
-        {"PREDILP_STORE_MODE", "RO"},
-        {"PREDILP_EMU", "interpreter"}};
-    for (const auto &[name, value] : bad) {
-        ASSERT_EQ(setenv(name, value, 1), 0);
-        EXPECT_THROW(
-            {
-                SuiteEvaluator evaluator(1);
-                evaluator.evaluate(
-                    requestFor(smallConfig(), {"cmp"}, {Model::FullPred}));
-            },
-            FatalError)
-            << name << '=' << value;
-        ASSERT_EQ(unsetenv(name), 0);
-    }
-    ASSERT_EQ(unsetenv("PREDILP_STORE"), 0);
-    EXPECT_TRUE(fs::is_empty(dir));
-
-    // The accepted values; empty means the default.
-    for (const char *value : {"", "rw", "ro"}) {
-        ASSERT_EQ(setenv("PREDILP_STORE_MODE", value, 1), 0);
-        EXPECT_EQ(EnvConfig::fromEnvironment().storeReadOnly,
-                  std::string(value) == "ro");
-    }
-    ASSERT_EQ(unsetenv("PREDILP_STORE_MODE"), 0);
-    for (const char *value : {"", "interp", "threaded"}) {
-        ASSERT_EQ(setenv("PREDILP_EMU", value, 1), 0);
-        EXPECT_EQ(EnvConfig::fromEnvironment().emuBackend, value);
-    }
-    ASSERT_EQ(unsetenv("PREDILP_EMU"), 0);
 }
 
 TEST(SuiteEvaluator, RefusedConfigFailsOnlyItsOwnCells)

@@ -2,24 +2,31 @@
  * @file
  * The bit-identity gate between the two emulator backends. The
  * interpreter (emu/emulator.cc) is the reference oracle; the
- * pre-decoded threaded engine (emu/threaded.cc) must be an invisible
- * substitution: for every workload and a batch of fuzz-generated
- * programs, both backends must produce byte-identical trace streams
- * (packed entries AND the varint memory side stream, chunk by
- * chunk), field-identical StaticIndex contents, equal RunResults,
- * equal profiles, equal replay figures — and identical EmuTrap
- * kind/pc/steps/message on runs that trap.
+ * pre-decoded threaded engine (emu/threaded.cc), which runs every
+ * production profile, reference run and capture, must be an
+ * invisible substitution: for every trace the figure benches capture
+ * and a batch of fuzz-generated programs, both backends must produce
+ * byte-identical trace streams (packed entries AND the varint memory
+ * side stream, chunk by chunk), field-identical StaticIndex
+ * contents, equal RunResults, equal profiles, equal replay figures —
+ * and identical EmuTrap kind/pc/steps/message on runs that trap.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
+#include <map>
+#include <utility>
+#include <vector>
 
 #include "analysis/profile.hh"
+#include "driver/certified.hh"
 #include "driver/pipeline.hh"
 #include "emu/decoded.hh"
 #include "fuzz/generator.hh"
 #include "sim/timing.hh"
+#include "support/thread_pool.hh"
 #include "trace/replay.hh"
 #include "trace/trace.hh"
 #include "workloads/workloads.hh"
@@ -91,6 +98,41 @@ expectTraceEq(const TraceBuffer &a, const TraceBuffer &b)
     expectRunEq(a.run(), b.run());
 }
 
+/** Run @p prog on @p input under @p backend, returning its profile
+ * (and its RunResult through @p run, when given). */
+ProgramProfile
+profiled(const Program &prog, const std::string &input,
+         EmuBackend backend, RunResult *run = nullptr)
+{
+    ProgramProfile profile(prog);
+    EmuOptions opts;
+    opts.backend = backend;
+    opts.profile = &profile;
+    RunResult result = Emulator(prog).run(input, opts);
+    if (run != nullptr)
+        *run = std::move(result);
+    return profile;
+}
+
+/** Equal block and taken counts in every function of @p prog. */
+void
+expectProfileEq(const Program &prog, const ProgramProfile &a,
+                const ProgramProfile &b)
+{
+    for (const auto &fn : prog.functions()) {
+        SCOPED_TRACE(fn->name());
+        const FunctionProfile *x = a.find(fn->name());
+        const FunctionProfile *y = b.find(fn->name());
+        ASSERT_NE(x, nullptr);
+        ASSERT_NE(y, nullptr);
+        const auto blockIds = static_cast<BlockId>(fn->numBlockIds());
+        for (BlockId id = 0; id < blockIds; ++id)
+            EXPECT_EQ(x->blockCount(id), y->blockCount(id));
+        for (int id = 0; id < fn->instrIdBound(); ++id)
+            EXPECT_EQ(x->takenCount(id), y->takenCount(id));
+    }
+}
+
 std::unique_ptr<Program>
 compiled(const std::string &source, Model model,
          const std::string &input)
@@ -105,31 +147,117 @@ compiled(const std::string &source, Model model,
 constexpr Model kModels[] = {Model::Superblock, Model::CondMove,
                              Model::FullPred};
 
-TEST(BackendDiff, EveryWorkloadBitIdenticalTrace)
+/**
+ * One compiled program of the figure benches: a model with its
+ * ablation flags, scheduled for a machine.
+ */
+struct BenchProgram
 {
-    auto expectBackendsAgree = [](const Workload &workload, Model model,
-                                  const std::string &input) {
-        auto prog = compiled(workload.source, model, input);
-        auto interp =
-            capture(*prog, input, 2'000'000'000ull, EmuBackend::Interp);
-        auto threaded = capture(*prog, input, 2'000'000'000ull,
-                                EmuBackend::Threaded);
-        SCOPED_TRACE(workload.name + "/" + modelName(model) + ", " +
-                     std::to_string(input.size()) + "-byte input");
-        expectTraceEq(*interp, *threaded);
-    };
-    // Each workload runs under one model (rotating) at scale 1 to
-    // keep the suite fast; the fuzz batch below covers the full model
-    // cross product.
-    std::size_t i = 0;
-    for (const Workload &workload : allWorkloads())
-        expectBackendsAgree(workload, kModels[i++ % 3],
-                            workload.makeInput(1));
-    // One figure-set trace at full size: espresso under Full Pred. at
-    // its default input, about 467K records.
-    const Workload *espresso = findWorkload("espresso");
-    ASSERT_NE(espresso, nullptr);
-    expectBackendsAgree(*espresso, Model::FullPred, espresso->input());
+    Model model;
+    AblationFlags flags;
+    MachineConfig machine;
+};
+
+/**
+ * Every program bench_figures_all and bench_ablations capture per
+ * workload: the three models on the three figure machines (Figure 11
+ * reuses Figure 8's traces), the 1-issue Superblock baseline, and
+ * the ablation table's seven flag flips at 8-issue, 1-branch.
+ */
+std::vector<BenchProgram>
+benchPrograms()
+{
+    std::vector<BenchProgram> programs;
+    for (const MachineConfig &machine :
+         {issue8Branch1(), issue8Branch2(), issue4Branch1()}) {
+        for (Model model : kModels)
+            programs.push_back({model, {}, machine});
+    }
+    programs.push_back({Model::Superblock, {}, issue1()});
+    AblationFlags noPromotion;
+    noPromotion.promotion = false;
+    AblationFlags noCombining;
+    noCombining.branchCombining = false;
+    AblationFlags noHeightReduction;
+    noHeightReduction.heightReduction = false;
+    AblationFlags noOrTree;
+    noOrTree.orTree = false;
+    AblationFlags withSelect;
+    withSelect.useSelect = true;
+    for (const auto &[model, flags] :
+         std::vector<std::pair<Model, AblationFlags>>{
+             {Model::FullPred, noPromotion},
+             {Model::CondMove, noPromotion},
+             {Model::FullPred, noCombining},
+             {Model::FullPred, noHeightReduction},
+             {Model::CondMove, noHeightReduction},
+             {Model::CondMove, noOrTree},
+             {Model::CondMove, withSelect}}) {
+        programs.push_back({model, flags, issue8Branch1()});
+    }
+    return programs;
+}
+
+TEST(BackendDiff, EveryBenchTraceAndProfileBitIdentical)
+{
+    // Compiled the way the evaluator compiles: one prefix per
+    // workload, one formation per model and flag set, one schedule
+    // per machine, all on the workload's default input. Workloads
+    // run in parallel; each compares its own programs.
+    const std::vector<BenchProgram> programs = benchPrograms();
+    ASSERT_EQ(programs.size(), 17u);
+    const std::vector<Workload> &workloads = allWorkloads();
+    std::atomic<std::size_t> traces{0};
+    std::atomic<std::size_t> profiles{0};
+    ThreadPool pool;
+    pool.parallelFor(workloads.size(), [&](std::size_t w) {
+        const Workload &workload = workloads[w];
+        SCOPED_TRACE(workload.name);
+        const std::string input = workload.input();
+        const FrontendSnapshot snapshot =
+            compilePrefix(workload.source, input);
+        expectProfileEq(*snapshot.prog,
+                        profiled(*snapshot.prog, input,
+                                 EmuBackend::Interp),
+                        snapshot.profile);
+        profiles += 1;
+        std::map<std::string, std::unique_ptr<Program>> formed;
+        for (const BenchProgram &bench : programs) {
+            CompileOptions opts;
+            opts.model = bench.model;
+            opts.ablation = bench.flags;
+            opts.machine = bench.machine;
+            opts.profileInput = input;
+            std::unique_ptr<Program> &form =
+                formed[modelKey(bench.model) + bench.flags.key()];
+            SCOPED_TRACE(modelName(bench.model) + " " +
+                         bench.flags.key() + " on " +
+                         machineIdentity(bench.machine));
+            if (form == nullptr) {
+                form = formFromSnapshot(snapshot, opts);
+                RunResult a;
+                RunResult b;
+                const ProgramProfile x =
+                    profiled(*form, input, EmuBackend::Interp, &a);
+                const ProgramProfile y =
+                    profiled(*form, input, EmuBackend::Threaded, &b);
+                expectRunEq(a, b);
+                expectProfileEq(*form, x, y);
+                profiles += 1;
+            }
+            const std::unique_ptr<Program> prog =
+                scheduleFormed(*form, opts);
+            expectTraceEq(*capture(*prog, input, 2'000'000'000ull,
+                                   EmuBackend::Interp),
+                          *capture(*prog, input, 2'000'000'000ull,
+                                   EmuBackend::Threaded));
+            traces += 1;
+        }
+    });
+    // 255 traces; per workload, the prefix profile and one profile
+    // per formed program (3 models, 7 flag flips).
+    EXPECT_EQ(traces.load(), workloads.size() * programs.size());
+    EXPECT_EQ(profiles.load(), workloads.size() * (1 + 3 + 7));
 }
 
 TEST(BackendDiff, ReplayFiguresAgree)
@@ -186,32 +314,14 @@ TEST(BackendDiff, RunResultAndProfileAgree)
     std::string input = workload->makeInput(1);
     auto prog =
         compiled(workload->source, Model::Superblock, input);
-
-    ProgramProfile interpProfile(*prog);
-    EmuOptions interpOpts;
-    interpOpts.backend = EmuBackend::Interp;
-    interpOpts.profile = &interpProfile;
-    RunResult a = Emulator(*prog).run(input, interpOpts);
-
-    ProgramProfile threadedProfile(*prog);
-    EmuOptions threadedOpts;
-    threadedOpts.backend = EmuBackend::Threaded;
-    threadedOpts.profile = &threadedProfile;
-    RunResult b = Emulator(*prog).run(input, threadedOpts);
-
+    RunResult a;
+    RunResult b;
+    const ProgramProfile x =
+        profiled(*prog, input, EmuBackend::Interp, &a);
+    const ProgramProfile y =
+        profiled(*prog, input, EmuBackend::Threaded, &b);
     expectRunEq(a, b);
-    for (const auto &fn : prog->functions()) {
-        const FunctionProfile &x =
-            interpProfile.forFunction(fn->name());
-        const FunctionProfile &y =
-            threadedProfile.forFunction(fn->name());
-        SCOPED_TRACE(fn->name());
-        const auto blockIds = static_cast<BlockId>(fn->numBlockIds());
-        for (BlockId id = 0; id < blockIds; ++id)
-            EXPECT_EQ(x.blockCount(id), y.blockCount(id));
-        for (int id = 0; id < fn->instrIdBound(); ++id)
-            EXPECT_EQ(x.takenCount(id), y.takenCount(id));
-    }
+    expectProfileEq(*prog, x, y);
 }
 
 /** Capture the EmuTrap a run throws; fail if it completes. */

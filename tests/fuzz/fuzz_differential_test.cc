@@ -13,9 +13,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <map>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "driver/pipeline.hh"
 #include "fuzz/oracle.hh"
+#include "support/faultpoint.hh"
 
 namespace predilp
 {
@@ -55,6 +62,61 @@ TEST_P(FuzzDifferential, SeedRangeAgreesAcrossAllModels)
 INSTANTIATE_TEST_SUITE_P(
     FiveHundredSeeds, FuzzDifferential,
     testing::Range<std::uint64_t>(0, kSeeds, kSeedsPerCase));
+
+/** The rest of @p path's `// <field>: ` header line ("" if none). */
+std::string
+headerField(const std::string &path, const std::string &field)
+{
+    std::ifstream in(path);
+    const std::string prefix = "// " + field + ": ";
+    for (std::string line; std::getline(in, line);) {
+        if (line.rfind(prefix, 0) == 0)
+            return line.substr(prefix.size());
+    }
+    return "";
+}
+
+TEST(FuzzOracle, ReproducersNameTheFailingModelAndFlags)
+{
+    // A capture fault fails every compile of seed 3 (its reference
+    // run captures nothing), so each config writes a reproducer. Its
+    // header must name the config's model and ablation flags, or a
+    // developer replaying it by hand compiles another program.
+    const std::string dir = testing::TempDir() + "predilp-fuzz-repro";
+    std::filesystem::remove_all(dir);
+    OracleOptions opts;
+    opts.reproducerDir = dir;
+    faultpoints::armFromSpec("emu.threaded.capture=prob:1");
+    const OracleResult result = runDifferentialOracle(3, opts);
+    faultpoints::resetForTest();
+
+    AblationFlags noUnrolling;
+    noUnrolling.unrolling = false;
+    AblationFlags noPromotion;
+    noPromotion.promotion = false;
+    const std::map<std::string, std::pair<Model, AblationFlags>>
+        configs = {
+            {"Superblock", {Model::Superblock, {}}},
+            {"CondMove", {Model::CondMove, {}}},
+            {"FullPred", {Model::FullPred, {}}},
+            {"Cond. Move/flip-unrolling", {Model::CondMove, noUnrolling}},
+            {"Full Pred./flip-promotion", {Model::FullPred, noPromotion}},
+        };
+    ASSERT_EQ(result.failures.size(), configs.size());
+    for (const OracleFailure &failure : result.failures) {
+        SCOPED_TRACE(failure.config);
+        auto config = configs.find(failure.config);
+        ASSERT_NE(config, configs.end());
+        ASSERT_FALSE(failure.reproducerPath.empty());
+        const auto &[model, flags] = config->second;
+        EXPECT_EQ(headerField(failure.reproducerPath, "model"),
+                  modelName(model));
+        // The ablation line is the key, then the flags' names.
+        const std::string ablation =
+            headerField(failure.reproducerPath, "ablation");
+        EXPECT_EQ(ablation.substr(0, ablation.find(' ')), flags.key());
+    }
+}
 
 } // namespace
 } // namespace predilp

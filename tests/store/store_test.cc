@@ -294,31 +294,6 @@ TEST(ArtifactStore, CorruptionInEveryRegionIsDetectedAndRepaired)
     EXPECT_EQ(store.repairs(), 1u);
 }
 
-TEST(ArtifactStore, ReadOnlyModeNeverWritesOrQuarantines)
-{
-    auto buffer = captureWorkload("cmp");
-    const std::string dir = freshDir("store-readonly");
-    const std::string key = ArtifactStore::keyFor("s", "c");
-
-    ArtifactStore readOnly(dir, StoreMode::ReadOnly);
-    EXPECT_FALSE(readOnly.save(key, *buffer));
-    EXPECT_EQ(readOnly.writes(), 0u);
-    EXPECT_FALSE(fs::exists(readOnly.objectPath(key)));
-
-    // Seed via a writer, then read through the read-only handle.
-    ArtifactStore writer(dir, StoreMode::ReadWrite);
-    ASSERT_TRUE(writer.save(key, *buffer));
-    EXPECT_NE(readOnly.load(key), nullptr);
-
-    // A corrupt artifact is rejected but left in place: read-only
-    // handles must not mutate the store, even to quarantine.
-    flipByte(readOnly.objectPath(key), 0);
-    EXPECT_EQ(readOnly.load(key), nullptr);
-    EXPECT_EQ(readOnly.repairs(), 1u);
-    EXPECT_TRUE(fs::exists(readOnly.objectPath(key)));
-    EXPECT_EQ(fileCount(fs::path(dir) / "quarantine"), 0u);
-}
-
 TEST(ArtifactStore, WarmEvaluatorSkipsAllCompileAndEmulation)
 {
     const std::string dir = freshDir("store-evaluator");
@@ -635,11 +610,6 @@ TEST(ArtifactStore, CertifiedResultRecordsRoundTripSealed)
     EXPECT_TRUE(present);
     EXPECT_TRUE(store.loadResult(key).has_value());
     faultpoints::resetForTest();
-
-    // Read-only stores refuse to publish records.
-    ArtifactStore readOnly(freshDir("store-results-ro"),
-                           StoreMode::ReadOnly);
-    EXPECT_FALSE(readOnly.saveResult(key, record));
 }
 
 TEST(ArtifactStore, EvaluatorPublishesCertifiedRecords)
@@ -682,7 +652,7 @@ TEST(ArtifactStore, EvaluatorPublishesCertifiedRecords)
     EXPECT_EQ(records, result.models.size() + 1);
 
     // The records live where the in-memory provenance says.
-    ArtifactStore store(dir, StoreMode::ReadOnly);
+    ArtifactStore store(dir, StoreMode::ReadWrite);
     for (const auto &[model, prov] : result.provenance) {
         SCOPED_TRACE(modelName(model));
         std::optional<JsonValue> record =

@@ -53,9 +53,8 @@ usage(std::ostream &os, int code)
           "  --list-fault-points  print every PREDILP_FAULTS point "
           "name and exit\n"
           "\n"
-          "Environment: PREDILP_STORE, PREDILP_STORE_MODE, "
-          "PREDILP_THREADS, PREDILP_EMU,\n"
-          "PREDILP_FAULTS (see EnvConfig in "
+          "Environment: PREDILP_STORE, PREDILP_THREADS, "
+          "PREDILP_FAULTS (see EnvConfig in\n"
           "src/support/env.hh).\n";
     return code;
 }
