@@ -4,13 +4,16 @@
 # StatsSnapshot-serialized observability payload) with a strict JSON
 # parser.
 #
-# Cold pass: enforces the packed-trace size contract — the throughput
-# counters must be present and bytes-per-capture / bytes-per-entry
-# must stay under the committed thresholds (the packed 4-byte entry +
-# varint delta format sits well below them; the old 8-byte format
-# would trip both). Throughput itself is not gated here: absolute
-# rates depend on the machine, so perfbench/ judges them against the
-# parent commit's runs instead.
+# Cold pass: starts from a store with no traces and no records (the
+# previous run's records are kept aside for the drift gate; its
+# traces are deleted), so every trace is captured. Enforces the
+# packed-trace size contract — the throughput counters must be
+# present, a fault-free cold pass must capture something, and
+# bytes-per-capture / bytes-per-entry must stay under the committed
+# thresholds (the packed 4-byte entry + varint delta format sits well
+# below them; the old 8-byte format would trip both). Throughput
+# itself is not gated here: absolute rates depend on the machine, so
+# perfbench/ judges them against the parent commit's runs instead.
 #
 # Served warm pass: reruns the same binaries against the store
 # populated by the cold pass and enforces the result-tier contract —
@@ -79,6 +82,10 @@ rm -rf results-before
 if [ -d "${PREDILP_STORE}/results" ]; then
     mv "${PREDILP_STORE}/results" results-before
 fi
+# Delete the previous run's traces as well: mapped from the store, no
+# trace is captured, and the size gates below would check nothing.
+# The drift gate needs only the records.
+rm -rf "${PREDILP_STORE}/objects"
 
 echo "== cold pass (store: ${PREDILP_STORE}) =="
 run_benches
@@ -143,7 +150,12 @@ for path in sys.argv[1:]:
 
     captures = counters.get("captures", 0)
     captured_bytes = counters.get("captured_bytes", 0)
-    if captures and captured_bytes:
+    if not (captures and captured_bytes):
+        # The store holds no traces, so a cold pass that captured
+        # nothing has skipped the size gates, not passed them.
+        threshold_fail(f"{path}: cold pass captured nothing "
+                       f"({captures} captures, {captured_bytes} bytes)")
+    else:
         per_capture = captured_bytes / captures
         if per_capture > MAX_TRACE_BYTES_PER_CAPTURE:
             threshold_fail(f"{path}: {per_capture:.0f} trace bytes/capture "

@@ -13,7 +13,8 @@
  * hash, pass-pipeline digest, SimConfig digest, trace digest — plus
  * its deterministic figures, sealed with its own checksum
  * (store/store.hh sealRecord) and written through the staged
- * write→fsync→rename path. `predilp_diff` (driver/diff.hh) joins two
+ * write→rename path; a record an OS crash tore fails its seal and is
+ * replayed and republished. `predilp_diff` (driver/diff.hh) joins two
  * sets of these records by provenance identity and classifies every
  * figure delta as identical, explained by a named digest change, or
  * unexplained drift.

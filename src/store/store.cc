@@ -635,11 +635,17 @@ writeAll(int fd, const std::uint8_t *data, std::size_t size)
 
 /**
  * Stage the bytes of @p spans, in order, at a temp sibling of
- * @p path (POSIX write + fsync via retryIo), then atomically rename
- * into place under the store lock of @p dir. The one publish
- * primitive every durable store file — trace artifact, certified
- * record — goes through. A non-null @p renamePoint is polled
- * between staging and rename.
+ * @p path (POSIX write via retryIo), then atomically rename into
+ * place under the store lock of @p dir. The one publish primitive
+ * every store file — trace artifact, certified record — goes
+ * through. A non-null @p renamePoint is polled between staging and
+ * rename.
+ *
+ * No fsync: the store is a cache and every load validates what it
+ * reads, so the empty, short or zero-filled file an OS crash can
+ * leave behind the rename is a miss and one repair, never data. A
+ * killed process loses nothing the page cache holds, and the rename
+ * still keeps a live writer's partial file from every reader.
  */
 bool
 publishBytesAtomically(const std::string &dir,
@@ -666,11 +672,11 @@ publishBytesAtomically(const std::string &dir,
                                   return writeAll(fd, span.data(),
                                                   span.size());
                               });
-    // Flush before publish: rename must never expose a file the
-    // kernel could still lose the tail of on a crash.
-    if (staged)
-        staged = retryIo([&] { return ::fsync(fd) == 0; });
-    ::close(fd);
+    // close is the last call that can report a deferred write error
+    // (NFS, disk quota); a failed one must not publish a short file.
+    // It releases the descriptor even when it fails, so no retry.
+    if (::close(fd) != 0)
+        staged = false;
     // Crash here (via the fault point) dies with the staged temp on
     // disk but the canonical path untouched — the exact mid-publish
     // window the GC and retrying readers must tolerate.
@@ -849,7 +855,7 @@ ArtifactStore::save(const std::string &key,
         return false;
 
     // The provenance section rides inside the checksummed payload, so
-    // one publish makes trace and provenance durable together and a
+    // one publish stores trace and provenance together and a
     // torn write condemns both on load.
     const ArtifactImage image =
         serializeArtifact(buffer, provenanceJson);

@@ -21,14 +21,18 @@
  * passes that compiled the traced program, so a compiler change
  * misses instead of serving the old compiler's traces.
  *
- * Robustness: writers stage to a temp file, fsync it and publish
- * with an atomic rename under an advisory flock; readers validate
- * magic, version, declared length, and an XXH64 payload checksum
- * (store/xxh64.hh) before trusting a single byte, and bound every
- * section against the file size. Any mismatch quarantines the file
- * and reports a miss, so the caller transparently recomputes and
- * re-saves — corrupt artifacts are repaired, never trusted. A store
- * is always read-write: every open handle may publish, touch and
+ * Robustness: writers stage to a temp file and publish it with an
+ * atomic rename under an advisory flock, so no reader ever sees a
+ * live writer's partial file; readers validate magic, version,
+ * declared length, and an XXH64 payload checksum (store/xxh64.hh)
+ * before trusting a single byte, and bound every section against
+ * the file size. Any mismatch quarantines the file and reports a
+ * miss, so the caller transparently recomputes and re-saves —
+ * corrupt artifacts are repaired, never trusted. Publishes are not
+ * fsynced: the store is a cache, so the empty, short or zero-filled
+ * file an OS crash can leave is one such miss and one repair, and a
+ * killed process loses nothing the page cache holds. A store is
+ * always read-write: every open handle may publish, touch and
  * quarantine.
  *
  * Format v3 writes an artifact as a gather list: the serialized
@@ -40,7 +44,7 @@
  * One file per trace: the provenance JSON the evaluator records for
  * a capture (workload, cell key, digests) is a length-prefixed
  * section of the artifact itself, inside the checksummed payload. A
- * single publish makes trace and provenance durable together, and a
+ * single publish stores trace and provenance together, and a
  * single validation covers both — torn provenance is a corrupt
  * artifact, quarantined and recomputed like any other.
  *
@@ -110,8 +114,7 @@ class ArtifactStore
   public:
     /**
      * Serialized trace format version. Part of every content key and
-     * of the file header; bump on any layout or packing change, and
-     * bump the CI cache key in .github/workflows/ci.yml with it.
+     * of the file header; bump on any layout or packing change.
      */
     static constexpr std::uint32_t formatVersion = 3;
 
@@ -145,7 +148,7 @@ class ArtifactStore
 
     /**
      * Serialize @p buffer under @p key: stage to a temp file (POSIX
-     * write + fsync), then atomically rename into place under the
+     * write, unsynced), then atomically rename into place under the
      * store's advisory flock. Never throws — a filesystem refusal
      * degrades to a cold cache (returning false), not a failure.
      *
@@ -164,7 +167,7 @@ class ArtifactStore
 
     /**
      * Publish @p record as a sealed certified-result record at
-     * resultPath(key) via the staged write→fsync→rename path.
+     * resultPath(key) via the same staged write→rename path as save.
      * Records are overwritten idempotently — an evaluation that
      * refuses a torn or stale record replays the cell and
      * republishes it, which self-heals the record.

@@ -409,6 +409,20 @@ TEST(ResultTier, RefusedRecordsAreReplayedAndRepublished)
         damages = {
             {"torn",
              [&] { fs::resize_file(target, fs::file_size(target) / 2); }},
+            // What a power loss leaves of an unsynced publish.
+            {"empty", [&] { fs::resize_file(target, 0); }},
+            {"zero-filled from the midpoint",
+             [&] {
+                 const auto length = fs::file_size(target);
+                 fs::resize_file(target, length / 2);
+                 fs::resize_file(target, length);
+             }},
+            {"all zeros",
+             [&] {
+                 const auto length = fs::file_size(target);
+                 fs::resize_file(target, 0);
+                 fs::resize_file(target, length);
+             }},
             {"copied from another cell",
              [&] {
                  fs::copy_file(other, target,

@@ -6,7 +6,9 @@
  * header, provenance, entry stream, varint stream, checksum) with
  * quarantine + recompute repair, registers and opcodes replay cannot
  * index, the embedded provenance section, format-version rejection,
- * read-only mode, and the SuiteEvaluator's cold/warm trace tier:
+ * the shapes a power loss leaves of an unsynced publish, staging that
+ * never outlives a publish, and the SuiteEvaluator's cold/warm trace
+ * tier:
  * with the certified records removed, a warm evaluator performs zero
  * compiles and zero emulations yet reproduces the cold results
  * exactly. The result tier is tested in
@@ -68,6 +70,45 @@ flipByte(const std::string &path, std::size_t offset)
     f.seekp(static_cast<std::streamoff>(offset));
     f.write(&byte, 1);
     ASSERT_TRUE(f.good());
+}
+
+/** What an OS crash can leave of an unsynced publish: the file's
+ * first @c keep bytes, then zeros to @c length bytes. */
+struct CrashShape
+{
+    const char *name;
+    std::size_t keep;
+    std::size_t length;
+
+    void
+    leaveAt(const std::string &path) const
+    {
+        fs::resize_file(path, keep);
+        fs::resize_file(path, length);
+    }
+};
+
+/** The shapes a power loss leaves of a @p length-byte file that was
+ * renamed into place before its data reached the disk. */
+std::vector<CrashShape>
+powerLossShapes(std::size_t length)
+{
+    return {{"empty", 0, 0},
+            {"zero-filled from the midpoint", length / 2, length},
+            {"all zeros", 0, length}};
+}
+
+/** Every file under @p dir whose name marks a publish's staging. */
+std::vector<std::string>
+tempFiles(const fs::path &dir)
+{
+    std::vector<std::string> temps;
+    for (const auto &entry : fs::recursive_directory_iterator(dir)) {
+        if (entry.path().filename().string().find(".tmp.") !=
+            std::string::npos)
+            temps.push_back(entry.path().string());
+    }
+    return temps;
 }
 
 std::size_t
@@ -285,13 +326,31 @@ TEST(ArtifactStore, CorruptionInEveryRegionIsDetectedAndRepaired)
         EXPECT_EQ(stats.counters().at("store.hit"), 1u);
     }
 
-    // Truncation (a torn write) is detected by the length check.
-    ArtifactStore store(dir, StoreMode::ReadWrite);
-    ASSERT_TRUE(store.save(key, *buffer));
-    const std::string path = store.objectPath(key);
-    fs::resize_file(path, info->fileBytes / 2);
-    EXPECT_EQ(store.load(key), nullptr);
-    EXPECT_EQ(store.repairs(), 1u);
+    // Truncation (a torn write) is detected by the length check, and
+    // the shapes a power loss leaves of an unsynced publish by the
+    // length, magic or checksum check: each is a miss and one repair,
+    // quarantined, and a republish heals it.
+    std::vector<CrashShape> shapes = {
+        {"half length", info->fileBytes / 2, info->fileBytes / 2}};
+    for (const CrashShape &shape : powerLossShapes(info->fileBytes))
+        shapes.push_back(shape);
+    for (const CrashShape &shape : shapes) {
+        SCOPED_TRACE(shape.name);
+        ArtifactStore store(dir, StoreMode::ReadWrite);
+        ASSERT_TRUE(store.save(key, *buffer));
+        const std::string path = store.objectPath(key);
+        shape.leaveAt(path);
+        EXPECT_EQ(store.load(key), nullptr);
+        EXPECT_EQ(store.misses(), 1u);
+        EXPECT_EQ(store.repairs(), 1u);
+        EXPECT_FALSE(fs::exists(path));
+
+        ASSERT_TRUE(store.save(key, *buffer));
+        std::shared_ptr<const TraceBuffer> repaired = store.load(key);
+        ASSERT_NE(repaired, nullptr);
+        EXPECT_EQ(repaired->size(), buffer->size());
+        EXPECT_EQ(store.repairs(), 1u);
+    }
 }
 
 TEST(ArtifactStore, WarmEvaluatorSkipsAllCompileAndEmulation)
@@ -594,6 +653,19 @@ TEST(ArtifactStore, CertifiedResultRecordsRoundTripSealed)
     ASSERT_TRUE(store.saveResult(key, record));
     EXPECT_TRUE(store.loadResult(key).has_value());
 
+    // The shapes a power loss leaves of an unsynced record fail the
+    // parse or the seal: each is reported present and not served
+    // (the evaluator's one repair), and a republish heals it.
+    const std::size_t length = fs::file_size(store.resultPath(key));
+    for (const CrashShape &shape : powerLossShapes(length)) {
+        SCOPED_TRACE(shape.name);
+        shape.leaveAt(store.resultPath(key));
+        EXPECT_FALSE(store.loadResult(key, &present).has_value());
+        EXPECT_TRUE(present);
+        ASSERT_TRUE(store.saveResult(key, record));
+        EXPECT_TRUE(store.loadResult(key).has_value());
+    }
+
     // A torn publish (short write at the fault point) is likewise
     // rejected on read and healed by republish.
     faultpoints::armFromSpec(
@@ -610,6 +682,47 @@ TEST(ArtifactStore, CertifiedResultRecordsRoundTripSealed)
     EXPECT_TRUE(present);
     EXPECT_TRUE(store.loadResult(key).has_value());
     faultpoints::resetForTest();
+}
+
+TEST(ArtifactStore, PublishLeavesNoTempFile)
+{
+    faultpoints::resetForTest();
+    auto buffer = captureWorkload("cmp");
+    const std::string dir = freshDir("store-no-temp");
+    ArtifactStore store(dir, StoreMode::ReadWrite);
+    const JsonValue record = JsonValue::parse(kProvJson);
+
+    // A publish renames its staged temp into place.
+    const std::string held = ArtifactStore::keyFor("src", "held");
+    ASSERT_TRUE(store.save(held, *buffer));
+    ASSERT_TRUE(store.saveResult(held, record));
+    EXPECT_TRUE(tempFiles(dir).empty());
+    const std::optional<ArtifactInfo> complete =
+        inspectArtifact(store.objectPath(held));
+    ASSERT_TRUE(complete.has_value());
+
+    // A refused rename or a thrown write publishes nothing and
+    // leaves no temp: over a complete file, which survives intact,
+    // and where there was none, which stays absent.
+    for (const char *spec :
+         {"store.publish.rename=once", "store.publish.write=once"}) {
+        SCOPED_TRACE(spec);
+        const std::string absent = ArtifactStore::keyFor(spec, "absent");
+        for (const std::string &key : {held, absent}) {
+            faultpoints::armFromSpec(spec);
+            EXPECT_FALSE(store.save(key, *buffer));
+            faultpoints::resetForTest();
+            EXPECT_TRUE(tempFiles(dir).empty());
+        }
+        EXPECT_FALSE(fs::exists(store.objectPath(absent)));
+        const std::optional<ArtifactInfo> kept =
+            inspectArtifact(store.objectPath(held));
+        ASSERT_TRUE(kept.has_value());
+        EXPECT_EQ(kept->fileBytes, complete->fileBytes);
+    }
+    EXPECT_NE(store.load(held), nullptr);
+    EXPECT_EQ(store.repairs(), 0u);
+    EXPECT_TRUE(store.loadResult(held).has_value());
 }
 
 TEST(ArtifactStore, EvaluatorPublishesCertifiedRecords)
