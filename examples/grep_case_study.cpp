@@ -6,7 +6,9 @@
  * simultaneously — wired OR) behind a single exit; partial
  * predication needs a logical-OR chain that the or-tree optimization
  * rebalances to log2(n) depth. This example measures grep with and
- * without those two optimizations.
+ * without those two optimizations. Its two Cond. Move rows are
+ * equal: grep's lowered code holds no chain the or-tree rebalances
+ * (in this suite only wc's does).
  */
 
 #include <iostream>
@@ -29,7 +31,7 @@ run(const Workload &grep, const std::string &input, Model model,
     opts.machine = issue8Branch1();
     opts.profileInput = input;
     opts.ablation.branchCombining = combining;
-    opts.partial.orTree = orTree;
+    opts.ablation.orTree = orTree;
     SimConfig sim;
     sim.machine = opts.machine;
     return runModel(grep.source, input, opts, sim).cycles;

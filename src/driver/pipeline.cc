@@ -213,11 +213,11 @@ addFormPasses(PassManager &pm, const FormOptions &opts)
     const AblationFlags &ablation = opts.ablation;
     switch (opts.model) {
       case Model::Superblock:
-        pm.add(createSuperblockFormationPass(opts.superblock));
+        pm.add(createSuperblockFormationPass());
         break;
       case Model::FullPred:
       case Model::CondMove: {
-        HyperblockOptions hbOpts = opts.hyperblock;
+        HyperblockOptions hbOpts;
         // The paper's concluding remark: "a compiler must be
         // extremely intelligent when exploiting conditional move".
         // The cmov model pays fetch slots for both representing the
@@ -241,10 +241,10 @@ addFormPasses(PassManager &pm, const FormOptions &opts)
             opts.model == Model::FullPred) {
             pm.add(std::make_unique<ProfilePass>(
                 ProfilePass::Slot::Region));
-            pm.add(createBranchCombinePass(opts.branchCombine));
+            pm.add(createBranchCombinePass());
         }
         if (opts.model == Model::CondMove) {
-            PartialOptions partial = opts.partial;
+            PartialOptions partial;
             partial.orTree = ablation.orTree;
             partial.useSelect = ablation.useSelect;
             pm.add(createPartialLoweringPass(partial));
@@ -269,8 +269,7 @@ addFormPasses(PassManager &pm, const FormOptions &opts)
 void
 addSchedulePasses(PassManager &pm, const CompileOptions &opts)
 {
-    pm.add(createSchedulePass(opts.machine,
-                              opts.schedulerSpeculation));
+    pm.add(createSchedulePass(opts.machine));
 }
 
 } // namespace

@@ -51,10 +51,13 @@ Model modelFromKey(const std::string &key);
 
 /**
  * On/off switches for the optional predication optimizations — the
- * ablation axes of the paper's evaluation. One struct shared by
+ * ablation axes of the paper's evaluation, and the only compile
+ * choices besides the model and the machine. One struct shared by
  * CompileOptions, EvalRequest, and the evaluator's cache-key
  * canonicalization, so a flag added here is automatically part of
- * every compile, every sweep, and every trace-cache key.
+ * every compile, every sweep, every trace-cache key and every
+ * pass-pipeline digest. Every other pass threshold has one value,
+ * its pass's default.
  */
 struct AblationFlags
 {
@@ -93,24 +96,16 @@ struct AblationFlags
 };
 
 /**
- * Everything the form stage reads: all of one compilation except the
- * machine it is scheduled for. The form stage takes these options
- * and nothing else, so no formation decision can depend on the
- * machine — which is what lets one formed program serve every
- * machine (SuiteEvaluator's formation cache).
+ * Everything the form stage reads: the model, the ablation flags and
+ * the profiling run, and nothing of the machine. The passes take
+ * every other threshold from their own defaults, so a formed
+ * program depends on these fields alone — which is what lets
+ * SuiteEvaluator cache one formed program per (workload, scale,
+ * model, canonical flags) and schedule it for every machine.
  */
 struct FormOptions
 {
     Model model = Model::FullPred;
-    SuperblockOptions superblock;
-    HyperblockOptions hyperblock;
-    BranchCombineOptions branchCombine;
-    /**
-     * Partial-lowering knobs. orTree/useSelect are driven by
-     * `ablation` (the values here are overwritten when the pipeline
-     * is built); only nonExcepting is read from this field.
-     */
-    PartialOptions partial;
     /** Optional-optimization switches (one shared struct). */
     AblationFlags ablation;
     /**
@@ -130,8 +125,6 @@ struct CompileOptions : FormOptions
 {
     /** The machine the list scheduler targets. */
     MachineConfig machine;
-    /** Allow cross-branch speculation in the scheduler. */
-    bool schedulerSpeculation = true;
 };
 
 /**

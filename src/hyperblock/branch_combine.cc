@@ -11,6 +11,12 @@ namespace predilp
 namespace
 {
 
+/** Combine only exits taken with at most this probability. */
+constexpr double maxTakenProb = 0.05;
+
+/** Minimum number of combinable exits to bother. */
+constexpr std::size_t minRun = 2;
+
 /** One maximal combinable run of exit branches in a block. */
 struct Run
 {
@@ -25,8 +31,7 @@ struct Run
  */
 std::vector<Run>
 findRuns(const Function &fn, const BasicBlock &bb,
-         const FunctionProfile &profile, const Liveness &liveness,
-         const BranchCombineOptions &opts)
+         const FunctionProfile &profile, const Liveness &liveness)
 {
     const RegIndexer &indexer = liveness.indexer();
     std::vector<Run> runs;
@@ -41,7 +46,7 @@ findRuns(const Function &fn, const BasicBlock &bb,
     std::set<Reg> dispatchPreds;
 
     auto close = [&]() {
-        if (current.branchPositions.size() >= opts.minRun)
+        if (current.branchPositions.size() >= minRun)
             runs.push_back(current);
         current = Run{};
         liveAtTargets.clearAll();
@@ -63,7 +68,7 @@ findRuns(const Function &fn, const BasicBlock &bb,
                     : static_cast<double>(
                           profile.takenCount(instr.id())) /
                           static_cast<double>(entries);
-            if (prob <= opts.maxTakenProb) {
+            if (prob <= maxTakenProb) {
                 current.branchPositions.push_back(i);
                 liveAtTargets.unionWith(
                     liveness.liveIn(instr.target()));
@@ -183,8 +188,7 @@ applyRun(Function &fn, BlockId blockId, const Run &run)
 } // namespace
 
 int
-combineExitBranches(Function &fn, const FunctionProfile &profile,
-                    const BranchCombineOptions &opts)
+combineExitBranches(Function &fn, const FunctionProfile &profile)
 {
     int combined = 0;
     // Snapshot: applyRun creates decode blocks; only scan the
@@ -198,8 +202,7 @@ combineExitBranches(Function &fn, const FunctionProfile &profile,
     for (BlockId id : blocks) {
         CfgInfo cfg(fn);
         Liveness liveness(fn, cfg);
-        auto runs =
-            findRuns(fn, *fn.block(id), profile, liveness, opts);
+        auto runs = findRuns(fn, *fn.block(id), profile, liveness);
         // Apply back-to-front so positions stay valid.
         bool applied = false;
         for (auto it = runs.rbegin(); it != runs.rend(); ++it) {
@@ -224,15 +227,14 @@ combineExitBranches(Function &fn, const FunctionProfile &profile,
 }
 
 int
-combineExitBranches(Program &prog, const ProgramProfile &profile,
-                    const BranchCombineOptions &opts)
+combineExitBranches(Program &prog, const ProgramProfile &profile)
 {
     int combined = 0;
     for (auto &fn : prog.functions()) {
         const FunctionProfile *fp = profile.find(fn->name());
         if (fp == nullptr)
             continue;
-        combined += combineExitBranches(*fn, *fp, opts);
+        combined += combineExitBranches(*fn, *fp);
     }
     return combined;
 }

@@ -540,36 +540,34 @@ class HyperblockFormer
         }
 
         // Acyclic regions seeded at remaining hot branchy blocks.
-        if (opts_.acyclicRegions) {
-            CfgInfo cfg2(fn_);
-            DominatorTree dom2(fn_, cfg2);
-            LoopInfo loops2(fn_, cfg2, dom2);
-            std::vector<BlockId> seeds = fn_.layout();
-            std::stable_sort(seeds.begin(), seeds.end(),
-                             [&](BlockId a, BlockId b) {
-                                 return profile_.blockCount(a) >
-                                        profile_.blockCount(b);
-                             });
-            for (BlockId seed : seeds) {
-                if (converted_.count(seed) != 0)
-                    continue;
-                bool isLoopHeader = false;
-                for (const Loop &loop : loops2.loops()) {
-                    if (loop.header == seed)
-                        isLoopHeader = true;
-                }
-                if (isLoopHeader)
-                    continue;
-                std::set<BlockId> candidates;
-                int depth = loops2.depth(seed);
-                for (BlockId id : fn_.layout()) {
-                    if (loops2.depth(id) == depth &&
-                        converted_.count(id) == 0) {
-                        candidates.insert(id);
-                    }
-                }
-                tryRegion(seed, candidates);
+        CfgInfo cfg2(fn_);
+        DominatorTree dom2(fn_, cfg2);
+        LoopInfo loops2(fn_, cfg2, dom2);
+        std::vector<BlockId> seeds = fn_.layout();
+        std::stable_sort(seeds.begin(), seeds.end(),
+                         [&](BlockId a, BlockId b) {
+                             return profile_.blockCount(a) >
+                                    profile_.blockCount(b);
+                         });
+        for (BlockId seed : seeds) {
+            if (converted_.count(seed) != 0)
+                continue;
+            bool isLoopHeader = false;
+            for (const Loop &loop : loops2.loops()) {
+                if (loop.header == seed)
+                    isLoopHeader = true;
             }
+            if (isLoopHeader)
+                continue;
+            std::set<BlockId> candidates;
+            int depth = loops2.depth(seed);
+            for (BlockId id : fn_.layout()) {
+                if (loops2.depth(id) == depth &&
+                    converted_.count(id) == 0) {
+                    candidates.insert(id);
+                }
+            }
+            tryRegion(seed, candidates);
         }
         return stats_;
     }

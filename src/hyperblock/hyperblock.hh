@@ -43,9 +43,6 @@ struct HyperblockOptions
      * first, so unlikely paths are the ones left out as exits.
      */
     double saturationFactor = 1.5;
-
-    /** Also form hyperblocks from acyclic (non-loop) regions. */
-    bool acyclicRegions = true;
 };
 
 /** Formation statistics, for tests and reporting. */
@@ -99,16 +96,6 @@ int reducePredicateHeight(Function &fn);
 /** reducePredicateHeight over every function. */
 int reducePredicateHeight(Program &prog);
 
-/** Options for exit-branch combining. */
-struct BranchCombineOptions
-{
-    /** Combine only exits taken with at most this probability. */
-    double maxTakenProb = 0.05;
-
-    /** Minimum number of combinable exits to bother. */
-    std::size_t minRun = 2;
-};
-
 /**
  * Branch combining (paper §4.2, grep discussion): merge runs of
  * unlikely predicated exit branches in a hyperblock into predicate
@@ -119,12 +106,10 @@ struct BranchCombineOptions
  *
  * @return number of branches eliminated (combined into defines).
  */
-int combineExitBranches(Function &fn, const FunctionProfile &profile,
-                        const BranchCombineOptions &opts = {});
+int combineExitBranches(Function &fn, const FunctionProfile &profile);
 
 /** combineExitBranches over every profiled function. */
-int combineExitBranches(Program &prog, const ProgramProfile &profile,
-                        const BranchCombineOptions &opts = {});
+int combineExitBranches(Program &prog, const ProgramProfile &profile);
 
 /**
  * "hyperblock.form": formation as a Pass consuming the pre-formation
@@ -152,8 +137,7 @@ std::unique_ptr<Pass> createHeightReductionPass();
  * post-formation PassContext::regionProfile (no-op when no region
  * re-profile ran). Counter: hyperblock.combine.branches_combined.
  */
-std::unique_ptr<Pass>
-createBranchCombinePass(BranchCombineOptions opts = {});
+std::unique_ptr<Pass> createBranchCombinePass();
 
 } // namespace predilp
 

@@ -77,10 +77,6 @@ class HeightReductionPass : public FunctionPass
 class BranchCombinePass : public Pass
 {
   public:
-    explicit BranchCombinePass(BranchCombineOptions opts)
-        : opts_(opts)
-    {}
-
     std::string name() const override { return "hyperblock.combine"; }
 
     PassResult
@@ -90,15 +86,12 @@ class BranchCombinePass : public Pass
         if (!ctx.regionProfile)
             return result;
         result.changes = static_cast<std::uint64_t>(
-            combineExitBranches(prog, *ctx.regionProfile, opts_));
+            combineExitBranches(prog, *ctx.regionProfile));
         if (result.changed())
             ctx.stats.counter("hyperblock.combine.branches_combined")
                 .add(result.changes);
         return result;
     }
-
-  private:
-    BranchCombineOptions opts_;
 };
 
 } // namespace
@@ -122,9 +115,9 @@ createHeightReductionPass()
 }
 
 std::unique_ptr<Pass>
-createBranchCombinePass(BranchCombineOptions opts)
+createBranchCombinePass()
 {
-    return std::make_unique<BranchCombinePass>(opts);
+    return std::make_unique<BranchCombinePass>();
 }
 
 } // namespace predilp

@@ -11,11 +11,14 @@ namespace predilp
 namespace
 {
 
+/** Only callees of at most this many instructions are inlined. */
+constexpr std::size_t maxCalleeInstrs = 32;
+
 /** @return true when @p fn is a leaf (no calls) small enough. */
 bool
-inlinable(const Function &fn, std::size_t maxInstrs)
+inlinable(const Function &fn)
 {
-    if (fn.instructionCount() > maxInstrs)
+    if (fn.instructionCount() > maxCalleeInstrs)
         return false;
     for (BlockId id : fn.layout()) {
         for (const auto &instr : fn.block(id)->instrs()) {
@@ -171,7 +174,7 @@ inlineCall(Function &caller, BlockId blockId, std::size_t callIndex,
 } // namespace
 
 int
-inlineFunctions(Program &prog, std::size_t maxCalleeInstrs)
+inlineFunctions(Program &prog)
 {
     int inlined = 0;
     // A few rounds so chains of small functions collapse (leaf-ness
@@ -193,10 +196,8 @@ inlineFunctions(Program &prog, std::size_t maxCalleeInstrs)
                             prog.function(instrs[i].callee());
                         panicIf(callee == nullptr,
                                 "call to unknown function");
-                        if (callee == &fn ||
-                            !inlinable(*callee, maxCalleeInstrs)) {
+                        if (callee == &fn || !inlinable(*callee))
                             continue;
-                        }
                         inlineCall(fn, id, i, *callee);
                         inlined += 1;
                         changed = true;
@@ -220,33 +221,25 @@ namespace
 class InlinePass : public Pass
 {
   public:
-    explicit InlinePass(std::size_t maxCalleeInstrs)
-        : maxCalleeInstrs_(maxCalleeInstrs)
-    {}
-
     std::string name() const override { return "opt.inline"; }
 
     PassResult
     run(Program &prog, PassContext &ctx) override
     {
         PassResult result;
-        result.changes = static_cast<std::uint64_t>(
-            inlineFunctions(prog, maxCalleeInstrs_));
+        result.changes = static_cast<std::uint64_t>(inlineFunctions(prog));
         if (result.changed())
             ctx.stats.counter("opt.inline.sites").add(result.changes);
         return result;
     }
-
-  private:
-    std::size_t maxCalleeInstrs_;
 };
 
 } // namespace
 
 std::unique_ptr<Pass>
-createInlinePass(std::size_t maxCalleeInstrs)
+createInlinePass()
 {
-    return std::make_unique<InlinePass>(maxCalleeInstrs);
+    return std::make_unique<InlinePass>();
 }
 
 } // namespace predilp

@@ -154,9 +154,9 @@ namespace
 
 /**
  * Final block layout. Deliberately reads PassContext::profile — the
- * pre-formation profile — not freshestProfile(): chain layout keys
- * off the original branch weights even after formation rewrote the
- * regions.
+ * pre-formation profile — not the region re-profile: chain layout
+ * keys off the original branch weights even after formation rewrote
+ * the regions.
  */
 class LayoutPass : public Pass
 {

@@ -12,10 +12,9 @@
  *
  * Scalar passes that iterate to a fixpoint are grouped with
  * addFixpoint(): the group reruns while any member reports changes,
- * up to an iteration cap. Because every member is function-local and
- * idempotent once a function reaches its fixpoint, this yields the
- * same final IR as the classic per-function
- * optimize-to-fixpoint loop it replaces.
+ * up to an iteration cap. Every member is function-local and
+ * idempotent once a function reaches its fixpoint, so a function
+ * that settles early is left as it is while the others iterate.
  */
 
 #ifndef PREDILP_OPT_PASS_HH
@@ -99,19 +98,6 @@ struct PassContext
 
     /** Emulator fuel for profiling runs. */
     std::uint64_t profileFuel = 2'000'000'000ull;
-
-    /**
-     * @return the freshest profile available — the re-measured
-     * region profile when present, else the pre-formation profile;
-     * null before any profiling pass ran.
-     */
-    const ProgramProfile *
-    freshestProfile() const
-    {
-        if (regionProfile)
-            return regionProfile.get();
-        return profile.get();
-    }
 };
 
 /** One unit of program transformation behind the uniform seam. */
@@ -144,13 +130,6 @@ class FunctionPass : public Pass
     virtual std::uint64_t runOnFunction(Function &fn,
                                         PassContext &ctx) = 0;
 };
-
-/**
- * Wrap a count-returning free function as a FunctionPass:
- *   makeFunctionPass("opt.fold", constantFold)
- */
-std::unique_ptr<Pass> makeFunctionPass(std::string name,
-                                       int (*fn)(Function &));
 
 /**
  * Runs a declarative list of passes in order, wrapping every
@@ -193,14 +172,6 @@ class PassManager
 
 /** Total instruction count of @p prog (all functions, all blocks). */
 std::uint64_t programInstrCount(const Program &prog);
-
-/**
- * Run @p pass once behind the uniform instrumentation seam
- * (the same recording PassManager::run applies). Exposed for
- * fixpoint-style custom drivers.
- */
-PassResult runInstrumented(Pass &pass, Program &prog,
-                           PassContext &ctx);
 
 } // namespace predilp
 

@@ -26,6 +26,13 @@ FunctionPass::run(Program &prog, PassContext &ctx)
     return result;
 }
 
+namespace
+{
+
+/**
+ * Run @p pass once behind the uniform instrumentation seam, for
+ * PassManager::run and the members of a fixpoint group.
+ */
 PassResult
 runInstrumented(Pass &pass, Program &prog, PassContext &ctx)
 {
@@ -53,31 +60,6 @@ runInstrumented(Pass &pass, Program &prog, PassContext &ctx)
             .add(before - after);
     return result;
 }
-
-namespace
-{
-
-/** makeFunctionPass adapter: name + count-returning free function. */
-class FreeFunctionPass : public FunctionPass
-{
-  public:
-    FreeFunctionPass(std::string name, int (*fn)(Function &))
-        : name_(std::move(name)), fn_(fn)
-    {}
-
-    std::string name() const override { return name_; }
-
-    std::uint64_t
-    runOnFunction(Function &fn, PassContext &) override
-    {
-        int changes = fn_(fn);
-        return changes > 0 ? static_cast<std::uint64_t>(changes) : 0;
-    }
-
-  private:
-    std::string name_;
-    int (*fn_)(Function &);
-};
 
 /**
  * A group of passes iterated to a fixpoint: rerun while any member
@@ -122,12 +104,6 @@ class FixpointPass : public Pass
 };
 
 } // namespace
-
-std::unique_ptr<Pass>
-makeFunctionPass(std::string name, int (*fn)(Function &))
-{
-    return std::make_unique<FreeFunctionPass>(std::move(name), fn);
-}
 
 void
 PassManager::add(std::unique_ptr<Pass> pass)

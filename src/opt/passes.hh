@@ -40,8 +40,7 @@ std::unique_ptr<Pass> createDCEPass();
 std::unique_ptr<Pass> createSimplifyCfgPass();
 
 /** "opt.inline": leaf inlining. Counter: opt.inline.sites. */
-std::unique_ptr<Pass>
-createInlinePass(std::size_t maxCalleeInstrs = 32);
+std::unique_ptr<Pass> createInlinePass();
 
 /** "opt.licm": invariant code motion. Counter: opt.licm.hoisted. */
 std::unique_ptr<Pass> createLicmPass();
@@ -51,7 +50,7 @@ std::unique_ptr<Pass> createLicmPass();
  * PassContext::regionProfile (run a region ProfilePass first).
  * Counter: opt.unroll.copies.
  */
-std::unique_ptr<Pass> createUnrollPass(UnrollOptions opts = {});
+std::unique_ptr<Pass> createUnrollPass();
 
 /**
  * "opt.layout": profile-guided final block layout, using the
@@ -68,12 +67,11 @@ std::unique_ptr<Pass> createLayoutPass();
 std::vector<std::unique_ptr<Pass>> scalarPassList();
 
 /**
- * Convenience fixpoint of the scalar group on one function / one
- * program, without external instrumentation — the classic
- * optimize-to-quiescence entry point used by tests, examples, and
- * the reference (oracle) pipeline.
+ * Run the pipelines' "opt.scalar" fixpoint group (scalarPassList,
+ * the default iteration cap) once over @p prog, recording into a
+ * throwaway registry — the optimize-to-quiescence entry point used
+ * by tests, examples, and the reference (oracle) pipeline.
  */
-void optimizeFunction(Function &fn);
 void optimizeProgram(Program &prog);
 
 } // namespace predilp

@@ -170,27 +170,13 @@ scalarPassList()
 }
 
 void
-optimizeFunction(Function &fn)
-{
-    for (int iter = 0; iter < 10; ++iter) {
-        int changes = 0;
-        changes += constantFold(fn);
-        changes += copyPropagate(fn);
-        changes += localCSE(fn);
-        changes += forwardMemory(fn);
-        changes += coalesceCopies(fn);
-        changes += deadCodeElim(fn);
-        changes += simplifyCfg(fn);
-        if (changes == 0)
-            break;
-    }
-}
-
-void
 optimizeProgram(Program &prog)
 {
-    for (auto &fn : prog.functions())
-        optimizeFunction(*fn);
+    StatsRegistry stats;
+    PassContext ctx(stats);
+    PassManager pm;
+    pm.addFixpoint("opt.scalar", scalarPassList());
+    pm.run(prog, ctx);
 }
 
 } // namespace predilp

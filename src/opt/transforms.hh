@@ -61,15 +61,14 @@ int deadCodeElim(Function &fn);
 int simplifyCfg(Function &fn);
 
 /**
- * Function inlining: splice small leaf callees (at most
- * @p maxCalleeInstrs instructions, no calls of their own) into their
- * call sites. Run before region formation — hyperblocks exclude
- * call-containing blocks, so inlining hot helpers (stdio-style
- * getchar, comparison kernels) is what lets the paper's loops
- * if-convert at all.
+ * Function inlining: splice small leaf callees (no calls of their
+ * own) into their call sites. Run before region formation —
+ * hyperblocks exclude call-containing blocks, so inlining hot
+ * helpers (stdio-style getchar, comparison kernels) is what lets
+ * the paper's loops if-convert at all.
  * @return number of call sites inlined.
  */
-int inlineFunctions(Program &prog, std::size_t maxCalleeInstrs = 32);
+int inlineFunctions(Program &prog);
 
 /**
  * Copy coalescing: fold "op t, ...; mov x, t" pairs (the frontend's
@@ -103,15 +102,6 @@ int licmProgram(Program &prog);
  */
 int forwardMemory(Function &fn);
 
-/** Loop unrolling knobs. */
-struct UnrollOptions
-{
-    std::uint64_t minCount = 256;    ///< minimum loop weight.
-    std::size_t maxBodyInstrs = 40;  ///< only tight loops unroll.
-    std::size_t targetInstrs = 96;   ///< unrolled body budget.
-    std::size_t maxFactor = 4;
-};
-
 /**
  * Unroll hot self-loop blocks (formed superblock/hyperblock loops or
  * tight plain loops) in place, as the IMPACT compiler does during
@@ -119,12 +109,10 @@ struct UnrollOptions
  * scheduling.
  * @return number of extra body copies created.
  */
-int unrollLoops(Function &fn, const FunctionProfile &profile,
-                const UnrollOptions &opts = {});
+int unrollLoops(Function &fn, const FunctionProfile &profile);
 
 /** unrollLoops over every profiled function. */
-int unrollLoops(Program &prog, const ProgramProfile &profile,
-                const UnrollOptions &opts = {});
+int unrollLoops(Program &prog, const ProgramProfile &profile);
 
 /**
  * Profile-guided code layout. Orders blocks so that likely successors

@@ -11,6 +11,18 @@ namespace predilp
 namespace
 {
 
+/** Minimum profile count for a loop block to unroll. */
+constexpr std::uint64_t minCount = 256;
+
+/** Only tight loops of at most this many instructions unroll. */
+constexpr std::size_t maxBodyInstrs = 40;
+
+/** Instruction budget of the unrolled body. */
+constexpr std::size_t targetInstrs = 96;
+
+/** At most this many copies of the body. */
+constexpr std::size_t maxFactor = 4;
+
 /**
  * Recognize a self-loop block (a formed superblock/hyperblock loop
  * or a tight plain loop): the last instruction transfers to the
@@ -115,20 +127,18 @@ unrollBlock(Function &fn, BasicBlock &bb, int factor)
 } // namespace
 
 int
-unrollLoops(Function &fn, const FunctionProfile &profile,
-            const UnrollOptions &opts)
+unrollLoops(Function &fn, const FunctionProfile &profile)
 {
     int unrolled = 0;
     for (BlockId id : fn.layout()) {
         BasicBlock *bb = fn.block(id);
-        if (profile.blockCount(id) < opts.minCount)
+        if (profile.blockCount(id) < minCount)
             continue;
         std::size_t size = bb->instrs().size();
-        if (size < 2 || size > opts.maxBodyInstrs)
+        if (size < 2 || size > maxBodyInstrs)
             continue;
         int factor = static_cast<int>(
-            std::min<std::size_t>(opts.maxFactor,
-                                  opts.targetInstrs / size));
+            std::min<std::size_t>(maxFactor, targetInstrs / size));
         if (factor < 2)
             continue;
         unrolled += unrollBlock(fn, *bb, factor);
@@ -137,15 +147,14 @@ unrollLoops(Function &fn, const FunctionProfile &profile,
 }
 
 int
-unrollLoops(Program &prog, const ProgramProfile &profile,
-            const UnrollOptions &opts)
+unrollLoops(Program &prog, const ProgramProfile &profile)
 {
     int unrolled = 0;
     for (auto &fn : prog.functions()) {
         const FunctionProfile *fp = profile.find(fn->name());
         if (fp == nullptr)
             continue;
-        unrolled += unrollLoops(*fn, *fp, opts);
+        unrolled += unrollLoops(*fn, *fp);
     }
     return unrolled;
 }
@@ -162,8 +171,6 @@ namespace
 class UnrollPass : public Pass
 {
   public:
-    explicit UnrollPass(UnrollOptions opts) : opts_(opts) {}
-
     std::string name() const override { return "opt.unroll"; }
 
     PassResult
@@ -173,23 +180,20 @@ class UnrollPass : public Pass
         if (!ctx.regionProfile)
             return result;
         result.changes = static_cast<std::uint64_t>(
-            unrollLoops(prog, *ctx.regionProfile, opts_));
+            unrollLoops(prog, *ctx.regionProfile));
         if (result.changed())
             ctx.stats.counter("opt.unroll.copies")
                 .add(result.changes);
         return result;
     }
-
-  private:
-    UnrollOptions opts_;
 };
 
 } // namespace
 
 std::unique_ptr<Pass>
-createUnrollPass(UnrollOptions opts)
+createUnrollPass()
 {
-    return std::make_unique<UnrollPass>(opts);
+    return std::make_unique<UnrollPass>();
 }
 
 } // namespace predilp

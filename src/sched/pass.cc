@@ -9,17 +9,14 @@ namespace
 class SchedulePass : public Pass
 {
   public:
-    SchedulePass(MachineConfig config, bool allowSpeculation)
-        : config_(config), allowSpeculation_(allowSpeculation)
-    {}
+    explicit SchedulePass(MachineConfig config) : config_(config) {}
 
     std::string name() const override { return "sched.schedule"; }
 
     PassResult
     run(Program &prog, PassContext &ctx) override
     {
-        ScheduleStats stats =
-            scheduleProgram(prog, config_, allowSpeculation_);
+        ScheduleStats stats = scheduleProgram(prog, config_);
         ctx.stats.counter("sched.schedule.cycles")
             .add(static_cast<std::uint64_t>(stats.totalCycles));
         ctx.stats.counter("sched.schedule.instrs")
@@ -36,15 +33,14 @@ class SchedulePass : public Pass
 
   private:
     MachineConfig config_;
-    bool allowSpeculation_;
 };
 
 } // namespace
 
 std::unique_ptr<Pass>
-createSchedulePass(MachineConfig config, bool allowSpeculation)
+createSchedulePass(MachineConfig config)
 {
-    return std::make_unique<SchedulePass>(config, allowSpeculation);
+    return std::make_unique<SchedulePass>(config);
 }
 
 } // namespace predilp

@@ -150,13 +150,11 @@ scheduleFunction(Function &fn, const MachineConfig &config,
 }
 
 ScheduleStats
-scheduleProgram(Program &prog, const MachineConfig &config,
-                bool allowSpeculation)
+scheduleProgram(Program &prog, const MachineConfig &config)
 {
     ScheduleStats stats;
     for (auto &fn : prog.functions()) {
-        ScheduleStats s =
-            scheduleFunction(*fn, config, allowSpeculation);
+        ScheduleStats s = scheduleFunction(*fn, config);
         stats.totalCycles += s.totalCycles;
         stats.totalInstrs += s.totalInstrs;
         stats.speculated += s.speculated;

@@ -35,17 +35,14 @@ ScheduleStats scheduleFunction(Function &fn,
                                const MachineConfig &config,
                                bool allowSpeculation = true);
 
-/** scheduleFunction over every function. */
-ScheduleStats scheduleProgram(Program &prog,
-                              const MachineConfig &config,
-                              bool allowSpeculation = true);
+/** scheduleFunction, with speculation, over every function. */
+ScheduleStats scheduleProgram(Program &prog, const MachineConfig &config);
 
 /**
- * "sched.schedule": list scheduling as a Pass. Counters:
- * sched.schedule.cycles / .instrs / .speculated.
+ * "sched.schedule": list scheduling with speculation as a Pass.
+ * Counters: sched.schedule.cycles / .instrs / .speculated.
  */
-std::unique_ptr<Pass>
-createSchedulePass(MachineConfig config, bool allowSpeculation = true);
+std::unique_ptr<Pass> createSchedulePass(MachineConfig config);
 
 } // namespace predilp
 

@@ -9,10 +9,6 @@ namespace
 class SuperblockFormationPass : public Pass
 {
   public:
-    explicit SuperblockFormationPass(SuperblockOptions opts)
-        : opts_(opts)
-    {}
-
     std::string name() const override { return "superblock.form"; }
 
     PassResult
@@ -22,7 +18,7 @@ class SuperblockFormationPass : public Pass
         if (!ctx.profile)
             return result;
         SuperblockStats stats =
-            formSuperblocks(prog, *ctx.profile, opts_);
+            formSuperblocks(prog, *ctx.profile);
         ctx.stats.counter("superblock.form.traces")
             .add(static_cast<std::uint64_t>(stats.tracesFormed));
         ctx.stats.counter("superblock.form.blocks_merged")
@@ -33,17 +29,14 @@ class SuperblockFormationPass : public Pass
             static_cast<std::uint64_t>(stats.tracesFormed);
         return result;
     }
-
-  private:
-    SuperblockOptions opts_;
 };
 
 } // namespace
 
 std::unique_ptr<Pass>
-createSuperblockFormationPass(SuperblockOptions opts)
+createSuperblockFormationPass()
 {
-    return std::make_unique<SuperblockFormationPass>(opts);
+    return std::make_unique<SuperblockFormationPass>();
 }
 
 } // namespace predilp

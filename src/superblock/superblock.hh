@@ -72,12 +72,12 @@ SuperblockStats formSuperblocks(Program &prog,
                                 const SuperblockOptions &opts = {});
 
 /**
- * "superblock.form": formation as a Pass consuming the pre-formation
- * PassContext::profile (no-op when no profile ran). Counters:
- * superblock.form.traces / .blocks_merged / .blocks_duplicated.
+ * "superblock.form": formation with the default SuperblockOptions as
+ * a Pass consuming the pre-formation PassContext::profile (no-op
+ * when no profile ran). Counters: superblock.form.traces /
+ * .blocks_merged / .blocks_duplicated.
  */
-std::unique_ptr<Pass>
-createSuperblockFormationPass(SuperblockOptions opts = {});
+std::unique_ptr<Pass> createSuperblockFormationPass();
 
 } // namespace predilp
 

@@ -308,8 +308,8 @@ TEST(MemForward, StoreToLoadWithinBlock)
             return g;   // load forwarded from the store.
         }
     )");
+    optimizeProgram(*prog);
     Function *fn = prog->function("main");
-    optimizeFunction(*fn);
     EXPECT_EQ(countInstrs(*fn, [](const Instruction &i) {
                   return i.isLoad();
               }),

@@ -18,6 +18,7 @@
 #include "opt/pass.hh"
 #include "opt/passes.hh"
 #include "support/diag.hh"
+#include "workloads/workloads.hh"
 
 namespace predilp
 {
@@ -309,6 +310,26 @@ TEST(BuildPassPipeline, AblationFlagsPrunePasses)
     EXPECT_FALSE(has("hyperblock.combine"));
     EXPECT_FALSE(has("opt.unroll"));
     EXPECT_TRUE(has("hyperblock.height"));
+}
+
+TEST(BuildPassPipeline, AblationFlagsReachTheLowering)
+{
+    // The or-tree switch prunes no pass: it reaches the Cond. Move
+    // pipeline only through the lowering's options. wc holds the
+    // one accumulation chain of the suite it rebalances.
+    const Workload *wc = findWorkload("wc");
+    ASSERT_NE(wc, nullptr);
+    for (bool orTree : {true, false}) {
+        CompileOptions opts;
+        opts.model = Model::CondMove;
+        opts.profileInput = wc->makeInput(1);
+        opts.ablation.orTree = orTree;
+        StatsRegistry stats;
+        compileForModel(wc->source, opts, &stats);
+        EXPECT_EQ(stats.snapshot().counter("partial.lower.or_trees"),
+                  orTree ? 1u : 0u)
+            << "orTree " << orTree;
+    }
 }
 
 } // namespace

@@ -375,7 +375,7 @@ TEST(Scheduler, ScheduledKernelsStaySemanticallyCorrect)
             }
         )");
         optimizeProgram(*copy);
-        scheduleProgram(*copy, config, true);
+        scheduleProgram(*copy, config);
         EXPECT_EQ(verifyProgram(*copy), "");
         Emulator emu(*copy);
         EXPECT_EQ(emu.run("").exitValue, expected);
