@@ -14,6 +14,10 @@
 # below them; the old 8-byte format would trip both). Throughput
 # itself is not gated here: absolute rates depend on the machine, so
 # perfbench/ judges them against the parent commit's runs instead.
+# A fault-free cold pass's "compiler" section must also match the
+# plan counts: one sched.schedule run per compile, one
+# superblock.form or hyperblock.form run per formation, and one
+# driver.profile run per prefix compile.
 #
 # Served warm pass: reruns the same binaries against the store
 # populated by the cold pass and enforces the result-tier contract —
@@ -114,6 +118,13 @@ THRESHOLDS = not os.environ.get("PREDILP_FAULTS")
 MAX_TRACE_BYTES_PER_CAPTURE = 3_000_000
 MAX_TRACE_BYTES_PER_ENTRY = 6.0
 
+# The passes whose runs sum to each plan count of timing.counters.
+PLAN_PASSES = (
+    (("sched.schedule",), "compiles"),
+    (("superblock.form", "hyperblock.form"), "formations"),
+    (("driver.profile",), "prefix_compiles"),
+)
+
 failed = False
 
 
@@ -130,9 +141,17 @@ def threshold_fail(msg):
         print(f"skip (faults armed): {msg}")
 
 
+def pass_runs(compiler, name):
+    node = compiler
+    for key in name.split("."):
+        node = node.get(key, {})
+    return node.get("runs", 0)
+
+
 for path in sys.argv[1:]:
     with open(path) as f:
-        timing = json.load(f)["timing"]
+        doc = json.load(f)
+    timing = doc["timing"]
     counters = timing.get("counters", {})
     throughput = timing.get("throughput", {})
 
@@ -163,6 +182,18 @@ for path in sys.argv[1:]:
         else:
             print(f"ok: {path} trace bytes/capture {per_capture:.0f} "
                   f"<= {MAX_TRACE_BYTES_PER_CAPTURE}")
+
+    compiler = doc.get("compiler", {})
+    for names, plan in PLAN_PASSES:
+        ran = sum(pass_runs(compiler, name) for name in names)
+        label = " + ".join(f"{name}.runs" for name in names)
+        if plan not in counters:
+            fail(f"{path}: no timing.counters.{plan}")
+        elif ran != counters[plan]:
+            threshold_fail(f"{path}: {label} = {ran}, but "
+                           f"counters.{plan} = {counters[plan]}")
+        else:
+            print(f"ok: {path} {label} == counters.{plan} ({ran})")
 
 sys.exit(1 if failed else 0)
 EOF

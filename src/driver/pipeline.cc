@@ -1,7 +1,5 @@
 #include "driver/pipeline.hh"
 
-#include <algorithm>
-
 #include "frontend/irgen.hh"
 #include "ir/verifier.hh"
 #include "opt/passes.hh"
@@ -197,9 +195,11 @@ namespace
 void
 addPrefixPasses(PassManager &pm)
 {
-    pm.add(createInlinePass());
+    pm.add(makePass("opt.inline", [](Program &prog, PassContext &) {
+        return inlineFunctions(prog);
+    }));
     pm.addFixpoint("opt.scalar", scalarPassList());
-    pm.add(createLicmPass());
+    pm.add(makePass("opt.licm", licmFunction));
     pm.addFixpoint("opt.scalar", scalarPassList());
 
     // Profile the optimized pre-formation code.
@@ -223,15 +223,13 @@ addFormPasses(PassManager &pm, const FormOptions &opts)
         // The cmov model pays fetch slots for both representing the
         // predicates and executing all included paths, so its
         // formation tolerates less saturation.
-        if (opts.model == Model::CondMove) {
-            hbOpts.saturationFactor =
-                std::min(hbOpts.saturationFactor, 1.25);
-        }
+        if (opts.model == Model::CondMove)
+            hbOpts.saturationFactor = 1.25;
         pm.add(createHyperblockFormationPass(hbOpts));
         if (ablation.heightReduction)
-            pm.add(createHeightReductionPass());
+            pm.add(makePass("hyperblock.height", reducePredicateHeight));
         if (ablation.promotion)
-            pm.add(createPromotionPass());
+            pm.add(makePass("hyperblock.promote", promotePredicates));
         // Branch combining pays off for full predication (parallel
         // OR defines, one exit slot); under the cmov model the
         // lowered OR chain plus decode-block bubbles cost more than
@@ -239,9 +237,19 @@ addFormPasses(PassManager &pm, const FormOptions &opts)
         // intelligent" cmov compiler the paper calls for skips it.
         if (ablation.branchCombining &&
             opts.model == Model::FullPred) {
+            // Combining reads only the region re-profile (a no-op
+            // without one): its decisions depend on instruction ids
+            // created during formation, which the pre-formation
+            // profile has never seen.
             pm.add(std::make_unique<ProfilePass>(
                 ProfilePass::Slot::Region));
-            pm.add(createBranchCombinePass());
+            pm.add(makePass("hyperblock.combine",
+                            [](Program &prog, PassContext &ctx) {
+                                if (!ctx.regionProfile)
+                                    return 0;
+                                return combineExitBranches(
+                                    prog, *ctx.regionProfile);
+                            }));
         }
         if (opts.model == Model::CondMove) {
             PartialOptions partial;
@@ -257,12 +265,30 @@ addFormPasses(PassManager &pm, const FormOptions &opts)
     if (ablation.unrolling) {
         // Re-profile the formed code so unrolling sees the final
         // loop blocks, then unroll hot tight loops in place.
+        // Unrolling keys off the counts of blocks created during
+        // formation, which the pre-formation profile has never seen,
+        // so it reads only the region re-profile (a no-op without
+        // one).
         pm.add(std::make_unique<ProfilePass>(
             ProfilePass::Slot::Region));
-        pm.add(createUnrollPass());
+        pm.add(makePass("opt.unroll",
+                        [](Program &prog, PassContext &ctx) {
+                            if (!ctx.regionProfile)
+                                return 0;
+                            return unrollLoops(prog,
+                                               *ctx.regionProfile);
+                        }));
         pm.addFixpoint("opt.scalar", scalarPassList());
     }
-    pm.add(createLayoutPass());
+    // Final layout deliberately reads the pre-formation profile, not
+    // the region re-profile: chain layout keys off the original
+    // branch weights even after formation rewrote the regions
+    // (static heuristics when no profile ran). Its changes count the
+    // functions laid out.
+    pm.add(makePass("opt.layout", [](Program &prog, PassContext &ctx) {
+        layoutProgram(prog, ctx.profile.get());
+        return prog.functions().size();
+    }));
 }
 
 /** The schedule stage: the list scheduler, for opts.machine. */

@@ -15,6 +15,21 @@ namespace predilp
 namespace
 {
 
+/** Minimum header execution count to attempt a region. */
+constexpr std::uint64_t minHeaderCount = 32;
+
+/**
+ * A block joins the region when its execution count is at least
+ * this fraction of the header's. Unlikely paths stay as exits.
+ */
+constexpr double inclusionRatio = 0.01;
+
+/** Maximum blocks per region. */
+constexpr std::size_t maxRegionBlocks = 24;
+
+/** Maximum instructions in the formed hyperblock. */
+constexpr std::size_t maxRegionInstrs = 256;
+
 /** @return true when @p instr forbids if-converting its block. */
 bool
 hazardous(const Instruction &instr)
@@ -598,7 +613,7 @@ class HyperblockFormer
     tryRegion(BlockId header, const std::set<BlockId> &candidates)
     {
         std::uint64_t headerCount = profile_.blockCount(header);
-        if (headerCount < opts_.minHeaderCount)
+        if (headerCount < minHeaderCount)
             return;
         if (!blockEligible(header))
             return;
@@ -606,7 +621,7 @@ class HyperblockFormer
         CfgInfo cfg(fn_);
         std::uint64_t minCount = static_cast<std::uint64_t>(
             static_cast<double>(headerCount) *
-            opts_.inclusionRatio);
+            inclusionRatio);
 
         // Grow: add candidate blocks whose predecessors are all
         // already selected (single-entry growth), heaviest first,
@@ -624,7 +639,7 @@ class HyperblockFormer
         double fetchWork = static_cast<double>(instrs);
         double usefulWork = static_cast<double>(instrs);
         bool changed = true;
-        while (changed && region.size() < opts_.maxBlocks) {
+        while (changed && region.size() < maxRegionBlocks) {
             changed = false;
             for (BlockId id : ordered) {
                 if (region.count(id) != 0 || id == header)
@@ -646,7 +661,7 @@ class HyperblockFormer
                     continue;
                 std::size_t size =
                     fn_.block(id)->instrs().size();
-                if (instrs + size > opts_.maxInstrs)
+                if (instrs + size > maxRegionInstrs)
                     continue;
 
                 // Saturation: every included block is fetched on
@@ -670,7 +685,7 @@ class HyperblockFormer
                 fetchWork = newFetch;
                 usefulWork = newUseful;
                 changed = true;
-                if (region.size() >= opts_.maxBlocks)
+                if (region.size() >= maxRegionBlocks)
                     break;
             }
         }

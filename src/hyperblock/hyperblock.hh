@@ -17,30 +17,19 @@
 namespace predilp
 {
 
-/** Tuning knobs for hyperblock block selection. */
+/**
+ * The one region-selection threshold a pipeline sets; the others are
+ * constants in formation.cc.
+ */
 struct HyperblockOptions
 {
-    /** Minimum header execution count to attempt a region. */
-    std::uint64_t minHeaderCount = 32;
-
-    /**
-     * A block joins the region when its execution count is at least
-     * this fraction of the header's. Unlikely paths stay as exits.
-     */
-    double inclusionRatio = 0.01;
-
-    /** Maximum blocks per region. */
-    std::size_t maxBlocks = 24;
-
-    /** Maximum instructions in the formed hyperblock. */
-    std::size_t maxInstrs = 256;
-
     /**
      * Saturation limit (the paper's "including too many blocks may
      * over saturate the processor"): total fetched instructions per
      * region may not exceed this factor times the profile-expected
      * useful instructions per entry. Blocks are considered heaviest
      * first, so unlikely paths are the ones left out as exits.
+     * Cond. Move's pipeline lowers it to 1.25.
      */
     double saturationFactor = 1.5;
 };
@@ -113,31 +102,14 @@ int combineExitBranches(Program &prog, const ProgramProfile &profile);
 
 /**
  * "hyperblock.form": formation as a Pass consuming the pre-formation
- * PassContext::profile (no-op when no profile ran). Counters:
+ * PassContext::profile (no-op when no profile ran). Its changes are
+ * the hyperblocks formed; it also records the breakdown
  * hyperblock.form.formed / .blocks_if_converted / .branches_removed
- * / .pred_defines.
+ * / .pred_defines. The pipelines build promotion, height reduction
+ * and branch combining with makePass() (opt/pass.hh).
  */
 std::unique_ptr<Pass>
 createHyperblockFormationPass(HyperblockOptions opts = {});
-
-/**
- * "hyperblock.promote": predicate promotion.
- * Counter: hyperblock.promote.promoted.
- */
-std::unique_ptr<Pass> createPromotionPass();
-
-/**
- * "hyperblock.height": control height reduction.
- * Counter: hyperblock.height.chains.
- */
-std::unique_ptr<Pass> createHeightReductionPass();
-
-/**
- * "hyperblock.combine": exit-branch combining, consuming the
- * post-formation PassContext::regionProfile (no-op when no region
- * re-profile ran). Counter: hyperblock.combine.branches_combined.
- */
-std::unique_ptr<Pass> createBranchCombinePass();
 
 } // namespace predilp
 

@@ -3,7 +3,7 @@
 
 #include "analysis/cfg.hh"
 #include "ir/function.hh"
-#include "opt/passes.hh"
+#include "opt/transforms.hh"
 
 namespace predilp
 {
@@ -133,34 +133,6 @@ coalesceCopies(Function &fn)
         }
     }
     return coalesced;
-}
-
-namespace
-{
-
-class CoalescePass : public FunctionPass
-{
-  public:
-    std::string name() const override { return "opt.coalesce"; }
-
-    std::uint64_t
-    runOnFunction(Function &fn, PassContext &ctx) override
-    {
-        auto coalesced =
-            static_cast<std::uint64_t>(coalesceCopies(fn));
-        if (coalesced != 0)
-            ctx.stats.counter("opt.coalesce.coalesced")
-                .add(coalesced);
-        return coalesced;
-    }
-};
-
-} // namespace
-
-std::unique_ptr<Pass>
-createCoalescePass()
-{
-    return std::make_unique<CoalescePass>();
 }
 
 } // namespace predilp

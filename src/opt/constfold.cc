@@ -1,5 +1,5 @@
 #include "ir/function.hh"
-#include "opt/passes.hh"
+#include "opt/transforms.hh"
 #include "support/logging.hh"
 
 namespace predilp
@@ -202,32 +202,6 @@ constantFold(Function &fn)
         }
     }
     return changes;
-}
-
-namespace
-{
-
-class ConstantFoldPass : public FunctionPass
-{
-  public:
-    std::string name() const override { return "opt.fold"; }
-
-    std::uint64_t
-    runOnFunction(Function &fn, PassContext &ctx) override
-    {
-        auto folded = static_cast<std::uint64_t>(constantFold(fn));
-        if (folded != 0)
-            ctx.stats.counter("opt.fold.folded").add(folded);
-        return folded;
-    }
-};
-
-} // namespace
-
-std::unique_ptr<Pass>
-createConstantFoldPass()
-{
-    return std::make_unique<ConstantFoldPass>();
 }
 
 } // namespace predilp

@@ -2,7 +2,7 @@
 
 #include "analysis/cfg.hh"
 #include "ir/function.hh"
-#include "opt/passes.hh"
+#include "opt/transforms.hh"
 
 namespace predilp
 {
@@ -88,34 +88,6 @@ copyPropagate(Function &fn)
         }
     }
     return changes;
-}
-
-namespace
-{
-
-class CopyPropagatePass : public FunctionPass
-{
-  public:
-    std::string name() const override { return "opt.copyprop"; }
-
-    std::uint64_t
-    runOnFunction(Function &fn, PassContext &ctx) override
-    {
-        auto propagated =
-            static_cast<std::uint64_t>(copyPropagate(fn));
-        if (propagated != 0)
-            ctx.stats.counter("opt.copyprop.propagated")
-                .add(propagated);
-        return propagated;
-    }
-};
-
-} // namespace
-
-std::unique_ptr<Pass>
-createCopyPropagatePass()
-{
-    return std::make_unique<CopyPropagatePass>();
 }
 
 } // namespace predilp

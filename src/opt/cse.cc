@@ -4,7 +4,7 @@
 
 #include "analysis/cfg.hh"
 #include "ir/function.hh"
-#include "opt/passes.hh"
+#include "opt/transforms.hh"
 
 namespace predilp
 {
@@ -120,32 +120,6 @@ localCSE(Function &fn)
         }
     }
     return changes;
-}
-
-namespace
-{
-
-class CSEPass : public FunctionPass
-{
-  public:
-    std::string name() const override { return "opt.cse"; }
-
-    std::uint64_t
-    runOnFunction(Function &fn, PassContext &ctx) override
-    {
-        auto removed = static_cast<std::uint64_t>(localCSE(fn));
-        if (removed != 0)
-            ctx.stats.counter("opt.cse.removed").add(removed);
-        return removed;
-    }
-};
-
-} // namespace
-
-std::unique_ptr<Pass>
-createCSEPass()
-{
-    return std::make_unique<CSEPass>();
 }
 
 } // namespace predilp

@@ -2,7 +2,7 @@
 
 #include "analysis/liveness.hh"
 #include "ir/function.hh"
-#include "opt/passes.hh"
+#include "opt/transforms.hh"
 
 namespace predilp
 {
@@ -91,32 +91,6 @@ deadCodeElim(Function &fn)
         total += removed;
     }
     return total;
-}
-
-namespace
-{
-
-class DCEPass : public FunctionPass
-{
-  public:
-    std::string name() const override { return "opt.dce"; }
-
-    std::uint64_t
-    runOnFunction(Function &fn, PassContext &ctx) override
-    {
-        auto removed = static_cast<std::uint64_t>(deadCodeElim(fn));
-        if (removed != 0)
-            ctx.stats.counter("opt.dce.removed").add(removed);
-        return removed;
-    }
-};
-
-} // namespace
-
-std::unique_ptr<Pass>
-createDCEPass()
-{
-    return std::make_unique<DCEPass>();
 }
 
 } // namespace predilp

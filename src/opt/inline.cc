@@ -2,7 +2,7 @@
 
 #include "ir/function.hh"
 #include "ir/program.hh"
-#include "opt/passes.hh"
+#include "opt/transforms.hh"
 #include "support/logging.hh"
 
 namespace predilp
@@ -213,33 +213,6 @@ inlineFunctions(Program &prog)
             break;
     }
     return inlined;
-}
-
-namespace
-{
-
-class InlinePass : public Pass
-{
-  public:
-    std::string name() const override { return "opt.inline"; }
-
-    PassResult
-    run(Program &prog, PassContext &ctx) override
-    {
-        PassResult result;
-        result.changes = static_cast<std::uint64_t>(inlineFunctions(prog));
-        if (result.changed())
-            ctx.stats.counter("opt.inline.sites").add(result.changes);
-        return result;
-    }
-};
-
-} // namespace
-
-std::unique_ptr<Pass>
-createInlinePass()
-{
-    return std::make_unique<InlinePass>();
 }
 
 } // namespace predilp

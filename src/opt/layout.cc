@@ -2,7 +2,7 @@
 
 #include "analysis/cfg.hh"
 #include "ir/function.hh"
-#include "opt/passes.hh"
+#include "opt/transforms.hh"
 #include "support/logging.hh"
 
 namespace predilp
@@ -147,40 +147,6 @@ layoutProgram(Program &prog, const ProgramProfile *profile)
             profile != nullptr ? profile->find(fn->name()) : nullptr;
         layoutFunction(*fn, fp);
     }
-}
-
-namespace
-{
-
-/**
- * Final block layout. Deliberately reads PassContext::profile — the
- * pre-formation profile — not the region re-profile: chain layout
- * keys off the original branch weights even after formation rewrote
- * the regions.
- */
-class LayoutPass : public Pass
-{
-  public:
-    std::string name() const override { return "opt.layout"; }
-
-    PassResult
-    run(Program &prog, PassContext &ctx) override
-    {
-        PassResult result;
-        layoutProgram(prog, ctx.profile.get());
-        result.changes = prog.functions().size();
-        ctx.stats.counter("opt.layout.functions")
-            .add(result.changes);
-        return result;
-    }
-};
-
-} // namespace
-
-std::unique_ptr<Pass>
-createLayoutPass()
-{
-    return std::make_unique<LayoutPass>();
 }
 
 } // namespace predilp

@@ -4,7 +4,7 @@
 
 #include "analysis/loops.hh"
 #include "ir/function.hh"
-#include "opt/passes.hh"
+#include "opt/transforms.hh"
 
 namespace predilp
 {
@@ -193,32 +193,6 @@ licmProgram(Program &prog)
     for (auto &fn : prog.functions())
         hoisted += licmFunction(*fn);
     return hoisted;
-}
-
-namespace
-{
-
-class LicmPass : public FunctionPass
-{
-  public:
-    std::string name() const override { return "opt.licm"; }
-
-    std::uint64_t
-    runOnFunction(Function &fn, PassContext &ctx) override
-    {
-        auto hoisted = static_cast<std::uint64_t>(licmFunction(fn));
-        if (hoisted != 0)
-            ctx.stats.counter("opt.licm.hoisted").add(hoisted);
-        return hoisted;
-    }
-};
-
-} // namespace
-
-std::unique_ptr<Pass>
-createLicmPass()
-{
-    return std::make_unique<LicmPass>();
 }
 
 } // namespace predilp

@@ -3,7 +3,7 @@
 
 #include "analysis/cfg.hh"
 #include "ir/function.hh"
-#include "opt/passes.hh"
+#include "opt/transforms.hh"
 
 namespace predilp
 {
@@ -102,33 +102,6 @@ forwardMemory(Function &fn)
         }
     }
     return forwarded;
-}
-
-namespace
-{
-
-class MemoryForwardPass : public FunctionPass
-{
-  public:
-    std::string name() const override { return "opt.memfwd"; }
-
-    std::uint64_t
-    runOnFunction(Function &fn, PassContext &ctx) override
-    {
-        auto forwarded =
-            static_cast<std::uint64_t>(forwardMemory(fn));
-        if (forwarded != 0)
-            ctx.stats.counter("opt.memfwd.forwarded").add(forwarded);
-        return forwarded;
-    }
-};
-
-} // namespace
-
-std::unique_ptr<Pass>
-createMemoryForwardPass()
-{
-    return std::make_unique<MemoryForwardPass>();
 }
 
 } // namespace predilp

@@ -17,17 +17,31 @@ programInstrCount(const Program &prog)
     return count;
 }
 
-PassResult
-FunctionPass::run(Program &prog, PassContext &ctx)
-{
-    PassResult result;
-    for (auto &fn : prog.functions())
-        result.changes += runOnFunction(*fn, ctx);
-    return result;
-}
-
 namespace
 {
+
+/** The pass makePass() builds: a name and a transform. */
+class TransformPass : public Pass
+{
+  public:
+    TransformPass(std::string name, ProgramTransform transform)
+        : name_(std::move(name)), transform_(std::move(transform))
+    {}
+
+    std::string name() const override { return name_; }
+
+    PassResult
+    run(Program &prog, PassContext &ctx) override
+    {
+        PassResult result;
+        result.changes = transform_(prog, ctx);
+        return result;
+    }
+
+  private:
+    std::string name_;
+    ProgramTransform transform_;
+};
 
 /**
  * Run @p pass once behind the uniform instrumentation seam, for
@@ -104,6 +118,27 @@ class FixpointPass : public Pass
 };
 
 } // namespace
+
+std::unique_ptr<Pass>
+makePass(std::string name, ProgramTransform transform)
+{
+    return std::make_unique<TransformPass>(std::move(name),
+                                           std::move(transform));
+}
+
+std::unique_ptr<Pass>
+makePass(std::string name, int (*transform)(Function &))
+{
+    return makePass(std::move(name),
+                    [transform](Program &prog, PassContext &) {
+                        std::uint64_t changes = 0;
+                        for (auto &fn : prog.functions()) {
+                            changes += static_cast<std::uint64_t>(
+                                transform(*fn));
+                        }
+                        return changes;
+                    });
+}
 
 void
 PassManager::add(std::unique_ptr<Pass> pass)

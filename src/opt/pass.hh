@@ -2,13 +2,17 @@
  * @file
  * The compiler's uniform pass seam. Every transformation the driver
  * pipeline runs — scalar cleanups, region formation, lowering,
- * scheduling — implements Pass, and a PassManager executes a
- * declarative list of them, recording wall time, change counts, and
- * before/after IR size for each run into a StatsRegistry
+ * scheduling — is a Pass, and a PassManager executes a declarative
+ * list of them, recording wall time, change counts, and before/after
+ * IR size for each run into a StatsRegistry
  * (support/stats_registry.hh). The per-pass counter scope is the
  * pass's name: pass "opt.cse" owns `opt.cse.seconds`,
- * `opt.cse.changes`, ..., and may register extra counters of its own
- * (e.g. `opt.cse.removed`) through PassContext::stats.
+ * `opt.cse.changes`, .... A pass that runs one transform is built by
+ * makePass(), and the transform's count is its `.changes`. Only a
+ * pass whose work has a breakdown that one count cannot carry
+ * (region formation, lowering, scheduling, profiling) is a class of
+ * its own, recording the breakdown under its scope through
+ * PassContext::stats (e.g. `hyperblock.form.blocks_if_converted`).
  *
  * Scalar passes that iterate to a fixpoint are grouped with
  * addFixpoint(): the group reruns while any member reports changes,
@@ -20,6 +24,7 @@
 #ifndef PREDILP_OPT_PASS_HH
 #define PREDILP_OPT_PASS_HH
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -117,19 +122,26 @@ class Pass
 };
 
 /**
- * A pass that operates function-at-a-time with no cross-function
- * effects. run() maps runOnFunction over the program in layout
- * order.
+ * A whole-program transform for makePass(). @return the number of
+ * rewrites it made.
  */
-class FunctionPass : public Pass
-{
-  public:
-    PassResult run(Program &prog, PassContext &ctx) final;
+using ProgramTransform =
+    std::function<std::uint64_t(Program &, PassContext &)>;
 
-    /** @return number of rewrites performed in @p fn. */
-    virtual std::uint64_t runOnFunction(Function &fn,
-                                        PassContext &ctx) = 0;
-};
+/**
+ * The pass named @p name that runs @p transform once per invocation
+ * and reports its count as the pass's changes.
+ */
+std::unique_ptr<Pass> makePass(std::string name,
+                               ProgramTransform transform);
+
+/**
+ * The pass named @p name that runs @p transform on every function in
+ * program order and reports the sum of its counts as the pass's
+ * changes.
+ */
+std::unique_ptr<Pass> makePass(std::string name,
+                               int (*transform)(Function &));
 
 /**
  * Runs a declarative list of passes in order, wrapping every

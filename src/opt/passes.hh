@@ -1,12 +1,12 @@
 /**
  * @file
- * Pass-object API of the classical optimizer. The raw algorithms
- * live in opt/transforms.hh (the unit-test seam); this header wraps
- * each one as a Pass (opt/pass.hh) so pipelines are declarative pass
- * lists run by a PassManager, with wall-time/change/IR-size
- * instrumentation recorded per pass into a StatsRegistry. Each pass
- * additionally owns detail counters under its own scope
- * (`opt.cse.removed`, `opt.licm.hoisted`, ...).
+ * The classical optimizer as passes. The raw algorithms live in
+ * opt/transforms.hh (the unit-test seam); the pipelines build each
+ * one as a Pass with makePass() (opt/pass.hh), so a PassManager
+ * records its wall time, change count and IR-size delta under the
+ * pass's name. The transform's count is the pass's `.changes`
+ * (`opt.cse.changes` counts the computations CSE replaced); no
+ * scalar pass records a counter of its own.
  */
 
 #ifndef PREDILP_OPT_PASSES_HH
@@ -18,50 +18,10 @@
 namespace predilp
 {
 
-/** "opt.fold": constant folding. Counter: opt.fold.folded. */
-std::unique_ptr<Pass> createConstantFoldPass();
-
-/** "opt.copyprop": copy propagation. Counter: opt.copyprop.propagated. */
-std::unique_ptr<Pass> createCopyPropagatePass();
-
-/** "opt.cse": local CSE. Counter: opt.cse.removed. */
-std::unique_ptr<Pass> createCSEPass();
-
-/** "opt.memfwd": memory forwarding. Counter: opt.memfwd.forwarded. */
-std::unique_ptr<Pass> createMemoryForwardPass();
-
-/** "opt.coalesce": copy coalescing. Counter: opt.coalesce.coalesced. */
-std::unique_ptr<Pass> createCoalescePass();
-
-/** "opt.dce": dead code elimination. Counter: opt.dce.removed. */
-std::unique_ptr<Pass> createDCEPass();
-
-/** "opt.simplifycfg": CFG cleanup. Counter: opt.simplifycfg.simplified. */
-std::unique_ptr<Pass> createSimplifyCfgPass();
-
-/** "opt.inline": leaf inlining. Counter: opt.inline.sites. */
-std::unique_ptr<Pass> createInlinePass();
-
-/** "opt.licm": invariant code motion. Counter: opt.licm.hoisted. */
-std::unique_ptr<Pass> createLicmPass();
-
 /**
- * "opt.unroll": hot-loop unrolling. Requires a fresh
- * PassContext::regionProfile (run a region ProfilePass first).
- * Counter: opt.unroll.copies.
- */
-std::unique_ptr<Pass> createUnrollPass();
-
-/**
- * "opt.layout": profile-guided final block layout, using the
- * pre-formation PassContext::profile (static heuristics when no
- * profile ran). Counter: opt.layout.functions.
- */
-std::unique_ptr<Pass> createLayoutPass();
-
-/**
- * The scalar cleanup group (fold, copyprop, CSE, memfwd, coalesce,
- * DCE, simplifycfg) in canonical order, for
+ * The scalar cleanup group in canonical order: "opt.fold",
+ * "opt.copyprop", "opt.cse", "opt.memfwd", "opt.coalesce", "opt.dce"
+ * and "opt.simplifycfg", for
  * PassManager::addFixpoint("opt.scalar", scalarPassList()).
  */
 std::vector<std::unique_ptr<Pass>> scalarPassList();

@@ -1,6 +1,6 @@
 #include "analysis/cfg.hh"
 #include "ir/function.hh"
-#include "opt/passes.hh"
+#include "opt/transforms.hh"
 
 namespace predilp
 {
@@ -125,58 +125,6 @@ simplifyCfg(Function &fn)
         changes += 1;
     }
     return changes;
-}
-
-namespace
-{
-
-class SimplifyCfgPass : public FunctionPass
-{
-  public:
-    std::string name() const override { return "opt.simplifycfg"; }
-
-    std::uint64_t
-    runOnFunction(Function &fn, PassContext &ctx) override
-    {
-        auto simplified =
-            static_cast<std::uint64_t>(simplifyCfg(fn));
-        if (simplified != 0)
-            ctx.stats.counter("opt.simplifycfg.simplified")
-                .add(simplified);
-        return simplified;
-    }
-};
-
-} // namespace
-
-std::unique_ptr<Pass>
-createSimplifyCfgPass()
-{
-    return std::make_unique<SimplifyCfgPass>();
-}
-
-std::vector<std::unique_ptr<Pass>>
-scalarPassList()
-{
-    std::vector<std::unique_ptr<Pass>> passes;
-    passes.push_back(createConstantFoldPass());
-    passes.push_back(createCopyPropagatePass());
-    passes.push_back(createCSEPass());
-    passes.push_back(createMemoryForwardPass());
-    passes.push_back(createCoalescePass());
-    passes.push_back(createDCEPass());
-    passes.push_back(createSimplifyCfgPass());
-    return passes;
-}
-
-void
-optimizeProgram(Program &prog)
-{
-    StatsRegistry stats;
-    PassContext ctx(stats);
-    PassManager pm;
-    pm.addFixpoint("opt.scalar", scalarPassList());
-    pm.run(prog, ctx);
 }
 
 } // namespace predilp

@@ -4,9 +4,9 @@
  * the paper's partial-predication flow (§3.2) applies — "common
  * subexpression elimination, copy propagation, and dead code removal"
  * — plus inlining, LICM, unrolling, and layout. These are the
- * algorithm seams used by unit tests and by the Pass wrappers in
- * passes.hh; production pipelines run them through a PassManager
- * (opt/pass.hh), which adds timing, change, and IR-size
+ * algorithm seams used by unit tests; production pipelines build
+ * each one into a pass with makePass() and run it through a
+ * PassManager (opt/pass.hh), which adds timing, change, and IR-size
  * instrumentation around every invocation.
  *
  * Count-returning functions report the number of individual rewrites

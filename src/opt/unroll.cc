@@ -2,7 +2,7 @@
 
 #include "analysis/profile.hh"
 #include "ir/function.hh"
-#include "opt/passes.hh"
+#include "opt/transforms.hh"
 #include "support/logging.hh"
 
 namespace predilp
@@ -157,43 +157,6 @@ unrollLoops(Program &prog, const ProgramProfile &profile)
         unrolled += unrollLoops(*fn, *fp);
     }
     return unrolled;
-}
-
-namespace
-{
-
-/**
- * Hot self-loop unrolling. Consumes PassContext::regionProfile (the
- * post-formation re-profile) — unrolling keys off block counts of
- * blocks created during formation, which the pre-formation profile
- * has never seen. A no-op when no region profile is available.
- */
-class UnrollPass : public Pass
-{
-  public:
-    std::string name() const override { return "opt.unroll"; }
-
-    PassResult
-    run(Program &prog, PassContext &ctx) override
-    {
-        PassResult result;
-        if (!ctx.regionProfile)
-            return result;
-        result.changes = static_cast<std::uint64_t>(
-            unrollLoops(prog, *ctx.regionProfile));
-        if (result.changed())
-            ctx.stats.counter("opt.unroll.copies")
-                .add(result.changes);
-        return result;
-    }
-};
-
-} // namespace
-
-std::unique_ptr<Pass>
-createUnrollPass()
-{
-    return std::make_unique<UnrollPass>();
 }
 
 } // namespace predilp

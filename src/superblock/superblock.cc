@@ -13,6 +13,18 @@ namespace predilp
 namespace
 {
 
+/** Minimum execution count for a block to seed or join a trace. */
+constexpr std::uint64_t minCount = 32;
+
+/** Minimum branch probability to extend a trace along an edge. */
+constexpr double minProb = 0.6;
+
+/** Maximum blocks per trace. */
+constexpr std::size_t maxTraceBlocks = 24;
+
+/** Maximum instructions per formed superblock. */
+constexpr std::size_t maxTraceInstrs = 256;
+
 /** One outgoing edge of a block, with its estimated dynamic count. */
 struct EdgeCount
 {
@@ -53,9 +65,8 @@ edgeCounts(const FunctionProfile &profile, const BasicBlock &bb)
 class SuperblockFormer
 {
   public:
-    SuperblockFormer(Function &fn, const FunctionProfile &profile,
-                     const SuperblockOptions &opts)
-        : fn_(fn), profile_(profile), opts_(opts)
+    SuperblockFormer(Function &fn, const FunctionProfile &profile)
+        : fn_(fn), profile_(profile)
     {}
 
     SuperblockStats
@@ -73,7 +84,7 @@ class SuperblockFormer
         for (BlockId seed : seeds) {
             if (visited_.count(seed) != 0)
                 continue;
-            if (profile_.blockCount(seed) < opts_.minCount)
+            if (profile_.blockCount(seed) < minCount)
                 continue;
             traces.push_back(growTrace(seed));
         }
@@ -125,10 +136,10 @@ class SuperblockFormer
             }
 
             if (best.target != invalidBlock && weight > 0 &&
-                weight >= opts_.minCount) {
+                weight >= minCount) {
                 double prob = static_cast<double>(best.count) /
                               static_cast<double>(weight);
-                if (prob >= opts_.minProb)
+                if (prob >= minProb)
                     bestSucc_[static_cast<std::size_t>(id)] =
                         best.target;
             }
@@ -142,7 +153,7 @@ class SuperblockFormer
         visited_.insert(seed);
 
         // Grow forward along mutually-most-likely edges.
-        while (trace.size() < opts_.maxBlocks) {
+        while (trace.size() < maxTraceBlocks) {
             BlockId last = trace.back();
             BlockId next =
                 bestSucc_[static_cast<std::size_t>(last)];
@@ -150,14 +161,14 @@ class SuperblockFormer
                 break;
             if (bestPred_[static_cast<std::size_t>(next)] != last)
                 break;
-            if (profile_.blockCount(next) < opts_.minCount)
+            if (profile_.blockCount(next) < minCount)
                 break;
             trace.push_back(next);
             visited_.insert(next);
         }
 
         // Grow backward from the seed the same way.
-        while (trace.size() < opts_.maxBlocks) {
+        while (trace.size() < maxTraceBlocks) {
             BlockId first = trace.front();
             BlockId prev =
                 bestPred_[static_cast<std::size_t>(first)];
@@ -165,7 +176,7 @@ class SuperblockFormer
                 break;
             if (bestSucc_[static_cast<std::size_t>(prev)] != first)
                 break;
-            if (profile_.blockCount(prev) < opts_.minCount)
+            if (profile_.blockCount(prev) < minCount)
                 break;
             trace.insert(trace.begin(), prev);
             visited_.insert(prev);
@@ -271,7 +282,7 @@ class SuperblockFormer
         for (std::size_t i = 1; i < trace.size(); ++i) {
             BasicBlock *next = fn_.block(trace[i]);
             if (head->instrs().size() + next->instrs().size() >
-                opts_.maxInstrs) {
+                maxTraceInstrs) {
                 break;
             }
             prepareAppend(head, trace[i]);
@@ -288,7 +299,6 @@ class SuperblockFormer
 
     Function &fn_;
     const FunctionProfile &profile_;
-    const SuperblockOptions &opts_;
     std::vector<BlockId> bestSucc_;
     std::vector<BlockId> bestPred_;
     std::set<BlockId> visited_;
@@ -333,22 +343,20 @@ retargetEdges(Function &fn, BlockId from, BlockId oldTarget,
 }
 
 SuperblockStats
-formSuperblocks(Function &fn, const FunctionProfile &profile,
-                const SuperblockOptions &opts)
+formSuperblocks(Function &fn, const FunctionProfile &profile)
 {
-    return SuperblockFormer(fn, profile, opts).run();
+    return SuperblockFormer(fn, profile).run();
 }
 
 SuperblockStats
-formSuperblocks(Program &prog, const ProgramProfile &profile,
-                const SuperblockOptions &opts)
+formSuperblocks(Program &prog, const ProgramProfile &profile)
 {
     SuperblockStats total;
     for (auto &fn : prog.functions()) {
         const FunctionProfile *fp = profile.find(fn->name());
         if (fp == nullptr)
             continue;
-        SuperblockStats stats = formSuperblocks(*fn, *fp, opts);
+        SuperblockStats stats = formSuperblocks(*fn, *fp);
         total.tracesFormed += stats.tracesFormed;
         total.blocksMerged += stats.blocksMerged;
         total.blocksDuplicated += stats.blocksDuplicated;

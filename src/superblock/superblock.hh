@@ -17,22 +17,6 @@
 namespace predilp
 {
 
-/** Tuning knobs for trace selection. */
-struct SuperblockOptions
-{
-    /** Minimum execution count for a block to seed or join a trace. */
-    std::uint64_t minCount = 32;
-
-    /** Minimum branch probability to extend a trace along an edge. */
-    double minProb = 0.6;
-
-    /** Maximum blocks per trace. */
-    std::size_t maxBlocks = 24;
-
-    /** Maximum instructions per formed superblock. */
-    std::size_t maxInstrs = 256;
-};
-
 /** Statistics reported by formation, for tests and logging. */
 struct SuperblockStats
 {
@@ -58,24 +42,23 @@ void retargetEdges(Function &fn, BlockId from, BlockId oldTarget,
                    BlockId newTarget);
 
 /**
- * Form superblocks in @p fn using @p profile.
+ * Form superblocks in @p fn using @p profile. The trace-selection
+ * thresholds are constants in superblock.cc.
  * The function must be in explicit-control form or fallthrough form;
  * the result keeps the same external behavior.
  */
 SuperblockStats formSuperblocks(Function &fn,
-                                const FunctionProfile &profile,
-                                const SuperblockOptions &opts = {});
+                                const FunctionProfile &profile);
 
 /** formSuperblocks over every function with a profile entry. */
 SuperblockStats formSuperblocks(Program &prog,
-                                const ProgramProfile &profile,
-                                const SuperblockOptions &opts = {});
+                                const ProgramProfile &profile);
 
 /**
- * "superblock.form": formation with the default SuperblockOptions as
- * a Pass consuming the pre-formation PassContext::profile (no-op
- * when no profile ran). Counters: superblock.form.traces /
- * .blocks_merged / .blocks_duplicated.
+ * "superblock.form": formation as a Pass consuming the pre-formation
+ * PassContext::profile (no-op when no profile ran). Its changes are
+ * the traces formed; it also records the breakdown
+ * superblock.form.traces / .blocks_merged / .blocks_duplicated.
  */
 std::unique_ptr<Pass> createSuperblockFormationPass();
 

@@ -109,7 +109,7 @@ std::string jsonEscape(const std::string &s);
 /**
  * Format @p value so it parses back to the identical double and is
  * lexically classified as a Double (always carries '.' or an
- * exponent) — the same convention as StatsSnapshot::toJson.
+ * exponent).
  */
 std::string jsonDouble(double value);
 

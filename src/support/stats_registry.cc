@@ -3,6 +3,7 @@
 #include <chrono>
 #include <sstream>
 
+#include "support/json.hh"
 #include "support/logging.hh"
 
 namespace predilp
@@ -98,27 +99,6 @@ insertLeaf(JsonNode &root, const std::string &name, bool isCounter,
     node->timerValue = timerValue;
 }
 
-/**
- * Format a double so a JSON reader gets back the identical value and
- * classifies it as a timer (always contains '.' or an exponent).
- */
-std::string
-formatDouble(double value)
-{
-    std::ostringstream os;
-    os.precision(17);
-    os << value;
-    std::string text = os.str();
-    if (text.find('.') == std::string::npos &&
-        text.find('e') == std::string::npos &&
-        text.find('E') == std::string::npos &&
-        text.find("inf") == std::string::npos &&
-        text.find("nan") == std::string::npos) {
-        text += ".0";
-    }
-    return text;
-}
-
 void
 emitNode(std::ostream &os, const JsonNode &node, int indent)
 {
@@ -132,7 +112,7 @@ emitNode(std::ostream &os, const JsonNode &node, int indent)
             if (child.isCounter)
                 os << child.counterValue;
             else
-                os << formatDouble(child.timerValue);
+                os << jsonDouble(child.timerValue);
         } else {
             emitNode(os, child, indent + 2);
         }

@@ -4,8 +4,8 @@
  * counters and timers shared by the compiler's PassManager and the
  * timing simulator.
  *
- * Names are dot-separated scopes — `opt.cse.removed`,
- * `sim.btb.mispredict` — and a name is either a leaf or a scope,
+ * Names are dot-separated scopes — `opt.cse.changes`,
+ * `sim.btb.mispredicts` — and a name is either a leaf or a scope,
  * never both. Handles returned by StatsRegistry::counter() & co. are
  * stable for the registry's lifetime, so hot paths increment a plain
  * 64-bit slot with no map lookup. A registry's handles are meant to
@@ -16,10 +16,11 @@
  *
  * StatsSnapshot is the frozen, serializable view: counters plus
  * timers, rendered by toJson() as one nested JSON object grouped by
- * scope, integers for counters and doubles for timers, so a JSON
- * reader that keeps number classes (JsonValue) reads back exactly
- * what was recorded. Every bench binary emits its harness, per-pass and per-simulator
- * numbers through this one seam.
+ * scope, integers for counters and doubles for timers (formatted by
+ * jsonDouble), so a JSON reader that keeps number classes
+ * (JsonValue) reads back exactly what was recorded. Every bench
+ * binary emits its harness, per-pass and per-simulator numbers
+ * through this one seam.
  */
 
 #ifndef PREDILP_SUPPORT_STATS_REGISTRY_HH
