@@ -17,20 +17,22 @@
 # A fault-free cold pass's "compiler" section must also match the
 # plan counts: one sched.schedule run per compile, one
 # superblock.form or hyperblock.form run per formation, and one
-# driver.profile run per prefix compile.
+# driver.profile run per prefix compile. It must also make one input
+# per prefix compile (counters.inputs): an input is made on first use,
+# by a trace the store lacks, once per (workload, scale).
 #
 # Served warm pass: reruns the same binaries against the store
 # populated by the cold pass and enforces the result-tier contract —
 # every bench must serve its cells from their certified records
 # (store.result_hit > 0): zero compiles, zero formations, zero
-# captures, zero replays, zero emulation seconds, zero record writes,
-# and figure output bit-identical to the cold run.
+# captures, zero replays, zero inputs, zero emulation seconds, zero
+# record writes, and figure output bit-identical to the cold run.
 #
 # Trace-tier warm pass: removes the certified records and reruns, so
 # every cell maps its trace from the store — every bench must report
 # store.hit > 0, zero compiles, zero formations, zero captures, zero
-# emulation seconds, and figure output bit-identical to the cold
-# run. It republishes the records it replays.
+# inputs, zero emulation seconds, and figure output bit-identical to
+# the cold run. It republishes the records it replays.
 #
 # Usage: scripts/bench_json.sh [bench-binary...]; defaults to the
 # figures benchmark (Figures 8-11, Tables 2-3) and the ablation
@@ -195,6 +197,19 @@ for path in sys.argv[1:]:
         else:
             print(f"ok: {path} {label} == counters.{plan} ({ran})")
 
+    # The store held no traces, so every (workload, scale) with a
+    # prefix compile made its input, once, and no other did.
+    inputs = counters.get("inputs")
+    if inputs is None:
+        fail(f"{path}: no timing.counters.inputs")
+    elif inputs != counters.get("prefix_compiles"):
+        threshold_fail(f"{path}: counters.inputs = {inputs}, but "
+                       f"counters.prefix_compiles = "
+                       f"{counters.get('prefix_compiles')}")
+    else:
+        print(f"ok: {path} counters.inputs == counters.prefix_compiles "
+              f"({inputs})")
+
 sys.exit(1 if failed else 0)
 EOF
 
@@ -240,12 +255,12 @@ if mode == "served":
     ZERO = (("store", "miss"), ("store", "result_write"),
             ("counters", "compiles"), ("counters", "formations"),
             ("counters", "captures"), ("counters", "replays"),
-            ("phases", "emulate_seconds"))
+            ("counters", "inputs"), ("phases", "emulate_seconds"))
 else:
     HIT = "hit"
     ZERO = (("store", "miss"), ("counters", "compiles"),
             ("counters", "formations"), ("counters", "captures"),
-            ("phases", "emulate_seconds"))
+            ("counters", "inputs"), ("phases", "emulate_seconds"))
 
 failed = False
 

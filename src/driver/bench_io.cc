@@ -70,7 +70,8 @@ printPhaseTiming(std::ostream &os, const StatsSnapshot &stats,
        << "s (threads=" << threads << ") | compile "
        << seconds("phases.compile_seconds") << "s | emulate "
        << seconds("phases.emulate_seconds") << "s | simulate "
-       << seconds("phases.simulate_seconds") << "s\n"
+       << seconds("phases.simulate_seconds") << "s | wait "
+       << seconds("phases.wait_seconds") << "s\n"
        << "-- cache: " << n("counters.compiles") << " compiles ("
        << n("counters.formations") << " formations, +"
        << n("counters.prefix_compiles") << " prefix), "

@@ -20,7 +20,8 @@ namespace predilp
 {
 
 /**
- * Print compile/emulate/simulate phase totals and cache counters from
+ * Print compile/emulate/simulate phase totals, the seconds pool
+ * threads waited on each other's shared work, and cache counters from
  * @p stats, a SuiteEvaluator::stats() (or a merge of several).
  */
 void printPhaseTiming(std::ostream &os, const StatsSnapshot &stats,

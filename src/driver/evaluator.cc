@@ -1,5 +1,7 @@
 #include "driver/evaluator.hh"
 
+#include <algorithm>
+#include <chrono>
 #include <exception>
 #include <map>
 #include <sstream>
@@ -19,19 +21,6 @@ namespace predilp
 
 namespace
 {
-
-CompileOptions
-makeCompileOptions(const EvalRequest &request, Model model,
-                   const MachineConfig &machine,
-                   const std::string &input)
-{
-    CompileOptions opts;
-    opts.model = model;
-    opts.machine = machine;
-    opts.profileInput = input;
-    opts.ablation = request.ablation;
-    return opts;
-}
 
 /**
  * Ablation flags that can affect @p model's compilation, in
@@ -68,31 +57,6 @@ traceKey(const Workload &workload, const EvalRequest &request,
     return os.str();
 }
 
-/**
- * Full provenance of one priced cell, whose trace key is @p tkey. A
- * pure function of (workload, request, model, sim), so the
- * BENCH/sweep emitters and the certified records in the store agree
- * on every digest.
- */
-CellProvenance
-cellProvenance(const Workload &workload, const EvalRequest &request,
-               Model model, const SimConfig &sim,
-               const std::string &tkey)
-{
-    CellProvenance prov;
-    prov.workload = workload.name;
-    prov.model = modelKey(model);
-    prov.scale = request.scale;
-    prov.ablation = flagsKey(request, model);
-    prov.fuel = sim.maxDynInstrs;
-    prov.machine = machineIdentity(sim.machine);
-    prov.sourceSha256 = sha256Hex(workload.source);
-    prov.pipelineDigest = passPipelineDigest(model, request.ablation);
-    prov.configDigest = sim.configDigest();
-    prov.traceDigest = ArtifactStore::keyFor(workload.source, tkey);
-    return prov;
-}
-
 /** @p request's workloads (empty = the whole suite), in order. */
 std::vector<const Workload *>
 selectWorkloads(const EvalRequest &request)
@@ -120,7 +84,7 @@ selectWorkloads(const EvalRequest &request)
 CellError
 cellError(const std::exception_ptr &error, const Workload &workload,
           const EvalRequest &request, Model model, bool baseline,
-          const std::string &input, const std::string &reproducerDir)
+          std::string_view input, const std::string &reproducerDir)
 {
     CellError cell;
     cell.workload = workload.name;
@@ -143,7 +107,7 @@ cellError(const std::exception_ptr &error, const Workload &workload,
         spec.scale = request.scale;
         spec.kind = cell.kind;
         spec.message = cell.message;
-        spec.input = input;
+        spec.input = std::string(input);
         spec.source = workload.source;
         cell.reproducerPath = writeReproducer(reproducerDir, spec);
     }
@@ -182,7 +146,7 @@ SuiteEvaluator::SuiteEvaluator(int threads) : pool_(threads)
           "counters.replays", "counters.result_cache_hits",
           "counters.reference_cache_hits", "counters.captured_bytes",
           "counters.captured_records", "counters.replayed_records",
-          "counters.batch_fallbacks", "emu.decodes",
+          "counters.batch_fallbacks", "counters.inputs", "emu.decodes",
           "emu.decoded_bytes", "emu.records.threaded", "store.hit",
           "store.miss", "store.repair", "store.write",
           "store.bytes_mapped",
@@ -191,7 +155,8 @@ SuiteEvaluator::SuiteEvaluator(int threads) : pool_(threads)
         stats_.counter(name);
     for (const char *name :
          {"phases.compile_seconds", "phases.emulate_seconds",
-          "phases.simulate_seconds", "emu.decode_seconds"})
+          "phases.simulate_seconds", "phases.wait_seconds",
+          "emu.decode_seconds"})
         stats_.timer(name);
     // Opt-in persistence without code changes, via the one
     // documented reader of PREDILP_STORE (EnvConfig). setPolicy can
@@ -233,7 +198,8 @@ namespace
 /**
  * Future-based once-per-key cache: the first requester computes
  * inline (so a running pool task never blocks on a queued one);
- * concurrent requesters block on the owner's shared_future.
+ * concurrent requesters block on the owner's shared_future, and the
+ * seconds they block add to phases.wait_seconds of @p stats.
  * Exceptions propagate to every waiter already attached, but the
  * failed entry is evicted first, so the cache is never poisoned: a
  * later request for the same key recomputes instead of replaying a
@@ -275,9 +241,18 @@ cachedCompute(
             }
             promise.set_exception(std::current_exception());
         }
-    } else if (hitCounter != nullptr) {
-        UnitStats hit(stats);
-        hit.counter(hitCounter).add();
+    } else {
+        const bool blocked = future.wait_for(std::chrono::seconds(0)) !=
+                             std::future_status::ready;
+        if (blocked || hitCounter != nullptr) {
+            UnitStats unit(stats);
+            if (hitCounter != nullptr)
+                unit.counter(hitCounter).add();
+            if (blocked) {
+                ScopedTimer timer(unit.timer("phases.wait_seconds"));
+                future.wait();
+            }
+        }
     }
     return future.get();
 }
@@ -308,23 +283,26 @@ SuiteEvaluator::snapshotFor(const Workload &workload,
 
 SuiteEvaluator::FormedPtr
 SuiteEvaluator::formedFor(const Workload &workload,
-                          const EvalRequest &request,
-                          const FormOptions &opts)
+                          const EvalRequest &request, Model model,
+                          const std::string &input)
 {
     // The trace key minus machine and fuel: traces that differ only
     // by those share one formation.
     std::ostringstream key;
     key << workload.name << "|s" << request.scale << "|m"
-        << static_cast<int>(opts.model) << '|'
-        << flagsKey(request, opts.model);
+        << static_cast<int>(model) << '|' << flagsKey(request, model);
     return cachedCompute(
         mutex_, formations_, key.str(), stats_, nullptr,
         [&]() -> FormedPtr {
+            FormOptions opts;
+            opts.model = model;
+            opts.ablation = request.ablation;
+            opts.profileInput = input;
             // Outside the timer: a snapshot's owner times its own
             // compile, and waiting for it is not formation time.
             SnapshotPtr snapshot =
-                snapshotFor(workload, opts.profileInput,
-                            request.scale, opts.maxProfileInstrs);
+                snapshotFor(workload, input, request.scale,
+                            opts.maxProfileInstrs);
             UnitStats unit(stats_);
             ScopedTimer timer(unit.timer("phases.compile_seconds"));
             FAULT_POINT("eval.form");
@@ -335,6 +313,21 @@ SuiteEvaluator::formedFor(const Workload &workload,
             unit.counter("counters.formations").add();
             return formed;
         });
+}
+
+SuiteEvaluator::InputPtr
+SuiteEvaluator::inputFor(const Workload &workload, int scale)
+{
+    std::string key =
+        workload.name + "|input|s" + std::to_string(scale);
+    return cachedCompute(mutex_, inputs_, key, stats_, nullptr,
+                         [&]() -> InputPtr {
+                             UnitStats unit(stats_);
+                             unit.counter("counters.inputs").add();
+                             return std::make_shared<const std::string>(
+                                 workload.makeInput(
+                                     workload.defaultScale * scale));
+                         });
 }
 
 RunResult
@@ -358,26 +351,27 @@ SuiteEvaluator::referenceFor(const Workload &workload,
 SuiteEvaluator::TracePtr
 SuiteEvaluator::traceFor(const Workload &workload,
                          const EvalRequest &request, Model model,
-                         const SimConfig &sim, const std::string &input,
-                         const std::string &key)
+                         const SimConfig &sim, const std::string &key,
+                         const CellProvenance &prov)
 {
     // The persistent artifact store first. A hit skips compile,
     // capture, and the reference-divergence check entirely —
     // artifacts were verified against the oracle before they were
     // published, and the checksum guards the bytes — so warm runs
-    // pay zero emulation.
-    std::string storeKey;
+    // pay zero emulation, and make no input.
     if (store_ != nullptr) {
-        storeKey = ArtifactStore::keyFor(workload.source, key);
-        if (TracePtr fromDisk = store_->load(storeKey))
+        if (TracePtr fromDisk = store_->load(prov.traceDigest))
             return fromDisk;
     }
-    CompileOptions opts =
-        makeCompileOptions(request, model, sim.machine, input);
+    const InputPtr input = inputFor(workload, request.scale);
     // Every machine's compile of this model clones one shared formed
     // program; only the scheduler runs per compile. Waiting for the
     // formation is not compile time: its owner times it.
-    FormedPtr formed = formedFor(workload, request, opts);
+    FormedPtr formed = formedFor(workload, request, model, *input);
+    CompileOptions opts;
+    opts.model = model;
+    opts.ablation = request.ablation;
+    opts.machine = sim.machine;
     UnitStats unit(stats_);
     std::unique_ptr<Program> prog;
     {
@@ -405,41 +399,39 @@ SuiteEvaluator::traceFor(const Workload &workload,
     std::unique_ptr<TraceBuffer> buffer;
     {
         ScopedTimer timer(unit.timer("phases.emulate_seconds"));
-        buffer = captureDecoded(*decoded, input, sim.maxDynInstrs);
+        buffer = captureDecoded(*decoded, *input, sim.maxDynInstrs);
         unit.counter("counters.captures").add();
     }
     unit.counter("emu.records.threaded").add(buffer->size());
     checkReference(buffer->run(),
-                   referenceFor(workload, input, request.scale),
+                   referenceFor(workload, *input, request.scale),
                    modelName(model) + " on " + workload.name);
     if (store_ != nullptr) {
         // Provenance section of the artifact: where this trace came
         // from and under which config it was first captured (the
         // trace itself is shared by every config with the same
         // machine and fuel).
-        JsonValue prov = JsonValue::makeObject({
+        JsonValue section = JsonValue::makeObject({
             {"format_version",
              JsonValue::makeInt(ArtifactStore::formatVersion)},
-            {"store_key", JsonValue::makeString(storeKey)},
+            {"store_key", JsonValue::makeString(prov.traceDigest)},
             {"cell_key", JsonValue::makeString(key)},
-            {"workload", JsonValue::makeString(workload.name)},
-            {"model", JsonValue::makeString(modelKey(model))},
-            {"scale", JsonValue::makeInt(request.scale)},
-            {"ablation", JsonValue::makeString(flagsKey(request, model))},
-            {"fuel", JsonValue::makeInt(
-                         static_cast<std::int64_t>(sim.maxDynInstrs))},
+            {"workload", JsonValue::makeString(prov.workload)},
+            {"model", JsonValue::makeString(prov.model)},
+            {"scale", JsonValue::makeInt(prov.scale)},
+            {"ablation", JsonValue::makeString(prov.ablation)},
+            {"fuel",
+             JsonValue::makeInt(static_cast<std::int64_t>(prov.fuel))},
             {"emu_backend",
              JsonValue::makeString(emuBackendName(defaultEmuBackend()))},
-            {"config_digest", JsonValue::makeString(sim.configDigest())},
-            {"source_sha256",
-             JsonValue::makeString(sha256Hex(workload.source))},
+            {"config_digest", JsonValue::makeString(prov.configDigest)},
+            {"source_sha256", JsonValue::makeString(prov.sourceSha256)},
             {"pipeline_digest",
-             JsonValue::makeString(
-                 passPipelineDigest(model, request.ablation))},
+             JsonValue::makeString(prov.pipelineDigest)},
             {"records", JsonValue::makeInt(
                             static_cast<std::int64_t>(buffer->size()))},
         });
-        store_->save(storeKey, *buffer, prov.dump() + "\n");
+        store_->save(prov.traceDigest, *buffer, section.dump() + "\n");
     }
     unit.counter("counters.captured_bytes").add(buffer->memoryBytes());
     unit.counter("counters.captured_records").add(buffer->size());
@@ -504,6 +496,18 @@ struct Slot
 };
 
 /**
+ * The digests every row of one request shares, computed once per
+ * request: its machine's and the 1-issue baseline's config digest,
+ * and the pipeline digest of each model a slot names.
+ */
+struct RequestDigests
+{
+    std::string config;
+    std::string baseConfig;
+    std::map<Model, std::string> pipeline;
+};
+
+/**
  * One (request, workload) row. Slot 0 is the 1-issue Superblock
  * baseline denominator (paper §4.1), sharing every non-machine axis
  * of the request's config; slots 1..n are the requested models at
@@ -513,11 +517,6 @@ struct Row
 {
     std::size_t request = 0;
     const Workload *workload = nullptr;
-    /** The input of the row's (workload, scale), one per call. */
-    std::string *input = nullptr;
-    /** Whether this row is the first of its (workload, scale), and
-     * so makes the input the others share. */
-    bool makesInput = false;
     std::vector<Slot> slots;
 };
 
@@ -530,59 +529,99 @@ struct Cell
     std::exception_ptr error;
 };
 
+/**
+ * The cells that share one trace key. Round k holds the k-th group
+ * of each (workload, scale) in first-appearance order.
+ */
+struct Group
+{
+    std::size_t round = 0;
+    std::vector<std::size_t> cells;
+};
+
 } // namespace
 
 std::vector<EvalResponse>
 SuiteEvaluator::evaluateBatch(const std::vector<EvalRequest> &requests)
 {
     // --- plan: rows first, so an unknown workload costs no work ---
-    // Rows of one (workload, scale) point at one input (map nodes
-    // never move); the first of them makes it in the row fan-out,
-    // and nothing reads an input before the fan-out ends.
     std::vector<Row> rows;
-    std::map<std::pair<const Workload *, int>, std::string> inputs;
     for (std::size_t r = 0; r < requests.size(); ++r) {
-        for (const Workload *workload : selectWorkloads(requests[r])) {
-            auto [input, first] =
-                inputs.try_emplace({workload, requests[r].scale});
-            rows.push_back(Row{r, workload, &input->second, first, {}});
-        }
+        for (const Workload *workload : selectWorkloads(requests[r]))
+            rows.push_back(Row{r, workload, {}});
     }
+    std::vector<RequestDigests> digests(requests.size());
+    pool_.parallelFor(requests.size(), [&](std::size_t r) {
+        const EvalRequest &request = requests[r];
+        RequestDigests &digest = digests[r];
+        SimConfig base = request.sim;
+        base.machine = issue1();
+        digest.config = request.sim.configDigest();
+        digest.baseConfig = base.configDigest();
+        std::vector<Model> models = request.effectiveModels();
+        models.push_back(Model::Superblock);
+        for (Model model : models) {
+            if (digest.pipeline.count(model) == 0) {
+                digest.pipeline.emplace(
+                    model, passPipelineDigest(model, request.ablation));
+            }
+        }
+    });
     pool_.parallelFor(rows.size(), [&](std::size_t i) {
         Row &row = rows[i];
         const EvalRequest &request = requests[row.request];
+        const RequestDigests &digest = digests[row.request];
         const Workload &workload = *row.workload;
-        if (row.makesInput) {
-            *row.input =
-                workload.makeInput(workload.defaultScale * request.scale);
-        }
+        // Per row, the source is hashed twice: its own digest, and
+        // the store key's source field, which every slot's key
+        // finishes from.
+        const std::string sourceSha256 = sha256Hex(workload.source);
+        const Sha256 keyPrefix = ArtifactStore::keyPrefix(workload.source);
         const std::vector<Model> models = request.effectiveModels();
         row.slots.resize(models.size() + 1);
         for (std::size_t s = 0; s < row.slots.size(); ++s) {
             Slot &slot = row.slots[s];
-            slot.model = s == 0 ? Model::Superblock : models[s - 1];
+            const bool baseline = s == 0;
+            slot.model = baseline ? Model::Superblock : models[s - 1];
             slot.sim = request.sim;
-            if (s == 0)
+            if (baseline)
                 slot.sim.machine = issue1();
+            const std::string &configDigest =
+                baseline ? digest.baseConfig : digest.config;
             slot.tkey = traceKey(workload, request, slot.model, slot.sim);
             // The priced-result key extends the trace identity with
             // the full SimConfig digest: any config axis (cache
             // geometry, BTB shape, predictor, penalties) forces a
             // fresh replay, while the trace is still shared.
-            slot.rkey = slot.tkey + "##" + slot.sim.configDigest();
-            slot.prov = cellProvenance(workload, request, slot.model,
-                                       slot.sim, slot.tkey);
+            slot.rkey = slot.tkey + "##" + configDigest;
+            // The full provenance, a pure function of (workload,
+            // request, model, sim), so the BENCH/sweep emitters and
+            // the certified records in the store agree on every
+            // digest. It is computed once and reused to serve, to
+            // publish, to key the trace and to answer.
+            CellProvenance &prov = slot.prov;
+            prov.workload = workload.name;
+            prov.model = modelKey(slot.model);
+            prov.scale = request.scale;
+            prov.ablation = flagsKey(request, slot.model);
+            prov.fuel = slot.sim.maxDynInstrs;
+            prov.machine = machineIdentity(slot.sim.machine);
+            prov.sourceSha256 = sourceSha256;
+            prov.pipelineDigest = digest.pipeline.at(slot.model);
+            prov.configDigest = configDigest;
+            prov.traceDigest = ArtifactStore::keyFinish(keyPrefix, slot.tkey);
         }
     });
 
     // Dedup slots into cells by result key, then group the cells by
     // trace key in first-appearance order.
     std::vector<Cell> cells;
-    std::vector<std::vector<std::size_t>> groups;
+    std::vector<Group> groups;
     std::uint64_t hits = 0;
     {
         std::unordered_map<std::string_view, std::size_t> cellOf;
         std::unordered_map<std::string_view, std::size_t> groupOf;
+        std::map<std::pair<const Workload *, int>, std::size_t> rounds;
         std::lock_guard<std::mutex> lock(mutex_);
         for (Row &row : rows) {
             for (Slot &slot : row.slots) {
@@ -592,9 +631,13 @@ SuiteEvaluator::evaluateBatch(const std::vector<EvalRequest> &requests)
                     cells.push_back(Cell{&row, &slot, {}, {}});
                     auto [group, added] =
                         groupOf.emplace(slot.tkey, groups.size());
-                    if (added)
-                        groups.emplace_back();
-                    groups[group->second].push_back(cell->second);
+                    if (added) {
+                        groups.push_back(Group{
+                            rounds[{row.workload,
+                                    requests[row.request].scale}]++,
+                            {}});
+                    }
+                    groups[group->second].cells.push_back(cell->second);
                 } else {
                     hits += 1;
                 }
@@ -606,14 +649,20 @@ SuiteEvaluator::evaluateBatch(const std::vector<EvalRequest> &requests)
         UnitStats unit(stats_);
         unit.counter("counters.result_cache_hits").add(hits);
     }
+    // Queue the groups in rounds, so groups that share a snapshot,
+    // formation, reference run or input sit a whole round apart, and
+    // the traces in flight at once belong to different workloads.
+    std::stable_sort(groups.begin(), groups.end(),
+                     [](const Group &a, const Group &b) {
+                         return a.round < b.round;
+                     });
 
     // --- execute: each group obtains its trace once, prices every
     // pending config against it and drops it when the group ends ---
     auto obtain = [&](const Cell &cell) {
-        const Row &row = *cell.row;
-        return traceFor(*row.workload, requests[row.request],
-                        cell.slot->model, cell.slot->sim, *row.input,
-                        cell.slot->tkey);
+        const Slot &slot = *cell.slot;
+        return traceFor(*cell.row->workload, requests[cell.row->request],
+                        slot.model, slot.sim, slot.tkey, slot.prov);
     };
     auto price = [&](const TraceBuffer &trace,
                      const std::vector<Cell *> &batch,
@@ -689,10 +738,10 @@ SuiteEvaluator::evaluateBatch(const std::vector<EvalRequest> &requests)
     if (groups.size() == 1) {
         // A single trace group: parallelism comes from spreading
         // the batch's lanes across the pool instead.
-        runGroup(groups.front(), &pool_);
+        runGroup(groups.front().cells, &pool_);
     } else {
         pool_.parallelFor(groups.size(), [&](std::size_t i) {
-            runGroup(groups[i], nullptr);
+            runGroup(groups[i].cells, nullptr);
         });
     }
 
@@ -726,10 +775,15 @@ SuiteEvaluator::evaluateBatch(const std::vector<EvalRequest> &requests)
             if (error && !policy_.isolateFaults)
                 std::rethrow_exception(error);
             if (error) {
-                result.errors.push_back(
-                    cellError(error, *row.workload, request, slot.model,
-                              baseline, *row.input,
-                              policy_.reproducerDir));
+                // A reproducer carries its input, made here when no
+                // group of the call needed it.
+                InputPtr input;
+                if (!policy_.reproducerDir.empty())
+                    input = inputFor(*row.workload, request.scale);
+                result.errors.push_back(cellError(
+                    error, *row.workload, request, slot.model, baseline,
+                    input ? std::string_view(*input) : std::string_view(),
+                    policy_.reproducerDir));
             }
             if (baseline) {
                 result.baseCycles = error ? 0 : cached(slot.rkey).cycles;

@@ -12,8 +12,10 @@
  * the store on, as every binary in this repository does. Cache keys
  * canonicalize ablation flags that cannot affect a model's
  * compilation (e.g. the OR-tree flag for the Superblock model), so
- * ablation sweeps reuse aggressively. Reference (oracle) runs and
- * priced SimResults are cached for the evaluator's lifetime.
+ * ablation sweeps reuse aggressively. Inputs, reference (oracle)
+ * runs and priced SimResults are cached for the evaluator's
+ * lifetime; an input is made on first use, by a trace the store
+ * does not hold, so a call served from the store makes none.
  *
  * With the store on, each trace group first maps its `.trc` artifact,
  * and the sealed certified records are a second tier under the result
@@ -139,24 +141,32 @@ class SuiteEvaluator
      * responses index-aligned with @p requests.
      *
      * Plan: resolve every request's workloads (an unknown name
-     * throws FatalError before any work runs), then, in parallel
-     * over (request, workload) rows, make each distinct input once
-     * and key each cell and compute its provenance once. Slots dedup
-     * into cells by result key; a slot whose key repeats within the
-     * call, or that an earlier call priced, counts a result-cache
-     * hit. The cells group by trace
-     * key — trace keys are machine-only by design, so cells that
-     * vary only cache/BTB/predictor axes share a group, as do the
-     * 1-issue baselines of a whole sweep.
+     * throws FatalError before any work runs). Each request computes
+     * its two config digests (its machine and the 1-issue baseline)
+     * and each model's pipeline digest once; then, in parallel over
+     * (request, workload) rows, each row hashes its workload's
+     * source once (its digest and the store key's source prefix) and
+     * keys each cell and computes its provenance from those. Slots
+     * dedup into cells by result key; a slot whose key repeats
+     * within the call, or that an earlier call priced, counts a
+     * result-cache hit. The cells group by trace key — trace keys
+     * are machine-only by design, so cells that vary only
+     * cache/BTB/predictor axes share a group, as do the 1-issue
+     * baselines of a whole sweep — and the groups queue in rounds:
+     * round k holds the k-th group of every (workload, scale), so
+     * groups that share a snapshot, formation, reference run or
+     * input sit a whole round apart.
      *
      * Execute, in parallel over groups (a lone group spreads its
      * lanes over the pool instead): serve each cell's certified
      * record (store on), then price the rest from one walk of the
      * group's trace, publish their records and drop the trace. A
-     * group that throws is retried once, one cell at a time
-     * (counters.batch_fallbacks), against its trace if it had one;
-     * the caches evict failures, so the retry recomputes, and a cell
-     * whose retry throws keeps that exception.
+     * pool thread blocked on shared work another thread computes
+     * adds to phases.wait_seconds. A group that throws is retried
+     * once, one cell at a time (counters.batch_fallbacks), against
+     * its trace if it had one; the caches evict failures, so the
+     * retry recomputes, and a cell whose retry throws keeps that
+     * exception.
      *
      * Assemble, in request order: priced cells join the result
      * cache; failed ones never do. Under the strict policy the first
@@ -177,7 +187,9 @@ class SuiteEvaluator
     /**
      * Harness counters and phase timers so far, under the leaf names
      * of the "timing" section of BENCH_*.json: counters.* (work done,
-     * cache hits, captured bytes), phases.*_seconds, emu.* (decode and
+     * inputs made, cache hits, captured bytes), phases.*_seconds
+     * (wait_seconds is time blocked on shared work another thread
+     * computes, outside every other phase), emu.* (decode and
      * threaded-engine records) and the store.* counters of both store
      * tiers. Every leaf is present from construction, zero until
      * work lands on it. Seconds are summed over pool threads.
@@ -204,6 +216,7 @@ class SuiteEvaluator
     using TracePtr = std::shared_ptr<const TraceBuffer>;
     using SnapshotPtr = std::shared_ptr<const FrontendSnapshot>;
     using FormedPtr = std::shared_ptr<const Program>;
+    using InputPtr = std::shared_ptr<const std::string>;
 
     /** (Re)open store_ to match policy_; Off closes it. */
     void openStore();
@@ -221,28 +234,38 @@ class SuiteEvaluator
                             std::uint64_t profileFuel);
 
     /**
-     * The shared formed program for (workload, scale, model,
-     * canonical ablation flags): @p opts' form stage
-     * (formFromSnapshot) resumed from snapshotFor, computed once and
-     * scheduled by every trace compile that differs only by machine
-     * or fuel. Kept for the evaluator's lifetime, so later calls on
-     * other machines schedule it without forming it again.
+     * The shared formed program for (workload, scale, @p model,
+     * canonical ablation flags): the form stage (formFromSnapshot),
+     * profiled on @p input, resumed from snapshotFor, computed once
+     * and scheduled by every trace compile that differs only by
+     * machine or fuel. Kept for the evaluator's lifetime, so later
+     * calls on other machines schedule it without forming it again.
      */
     FormedPtr formedFor(const Workload &workload,
-                        const EvalRequest &request,
-                        const FormOptions &opts);
+                        const EvalRequest &request, Model model,
+                        const std::string &input);
 
     /**
-     * The trace under @p key of @p model's compile for @p sim's
-     * machine, captured on @p input to @p sim's fuel: from the
-     * store's trace tier, else compiled, captured, checked against
-     * the reference run and published. Not cached: the caller's
-     * trace group holds it while it prices and then drops it.
+     * The input of (workload, scale), made on first use
+     * (counters.inputs) and kept for the evaluator's lifetime, as the
+     * snapshots are. Only a trace that the store does not hold, or a
+     * failed cell's reproducer, asks for one.
+     */
+    InputPtr inputFor(const Workload &workload, int scale);
+
+    /**
+     * The trace under cell key @p key of @p model's compile for
+     * @p sim's machine, captured to @p sim's fuel on inputFor's
+     * input: from the store's trace tier under @p prov's trace
+     * digest, else compiled, captured, checked against the reference
+     * run and published with @p prov's digests in its provenance
+     * section. Not cached: the caller's trace group holds it while it
+     * prices and then drops it.
      */
     TracePtr traceFor(const Workload &workload,
                       const EvalRequest &request, Model model,
-                      const SimConfig &sim, const std::string &input,
-                      const std::string &key);
+                      const SimConfig &sim, const std::string &key,
+                      const CellProvenance &prov);
     RunResult referenceFor(const Workload &workload,
                            const std::string &input, int scale);
 
@@ -263,6 +286,13 @@ class SuiteEvaluator
     EvalPolicy policy_;
     std::unique_ptr<ArtifactStore> store_;
     ThreadPool pool_;
+    /**
+     * Guards the caches below. All but results_ map a key to the
+     * shared_future of a cachedCompute and hold work that several
+     * trace groups share: inputs_, references_ and snapshots_ one per
+     * (workload, scale), formations_ one per (workload, scale, model,
+     * canonical flags).
+     */
     std::mutex mutex_;
     std::unordered_map<std::string, std::shared_future<RunResult>>
         references_;
@@ -272,6 +302,8 @@ class SuiteEvaluator
         snapshots_;
     std::unordered_map<std::string, std::shared_future<FormedPtr>>
         formations_;
+    std::unordered_map<std::string, std::shared_future<InputPtr>>
+        inputs_;
 
     /**
      * Counters and phase timers behind stats(). Past construction

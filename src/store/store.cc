@@ -699,6 +699,21 @@ publishBytesAtomically(const std::string &dir,
     return true;
 }
 
+/**
+ * Absorb one length-prefixed field, so (ab, c) never collides with
+ * (a, bc).
+ */
+void
+absorbField(Sha256 &h, const std::string &bytes)
+{
+    std::uint64_t len = bytes.size();
+    std::uint8_t lenBytes[8];
+    for (int i = 0; i < 8; ++i)
+        lenBytes[i] = static_cast<std::uint8_t>(len >> (8 * i));
+    h.update(lenBytes, 8);
+    h.update(bytes);
+}
+
 } // namespace
 
 JsonValue
@@ -766,26 +781,28 @@ ArtifactStore::ArtifactStore(std::string dir, StoreMode mode)
     fs::create_directories(fs::path(dir_) / "objects", ec);
 }
 
+Sha256
+ArtifactStore::keyPrefix(const std::string &sourceBytes)
+{
+    Sha256 h;
+    absorbField(h, sourceBytes);
+    return h;
+}
+
+std::string
+ArtifactStore::keyFinish(Sha256 prefix, const std::string &cellKey)
+{
+    absorbField(prefix, cellKey);
+    absorbField(prefix, std::to_string(formatVersion));
+    absorbField(prefix, compilerEpoch);
+    return prefix.hex();
+}
+
 std::string
 ArtifactStore::keyFor(const std::string &sourceBytes,
                       const std::string &cellKey)
 {
-    Sha256 h;
-    // Length-prefix each field so (ab, c) never collides with
-    // (a, bc).
-    auto field = [&h](const std::string &bytes) {
-        std::uint64_t len = bytes.size();
-        std::uint8_t lenBytes[8];
-        for (int i = 0; i < 8; ++i)
-            lenBytes[i] = static_cast<std::uint8_t>(len >> (8 * i));
-        h.update(lenBytes, 8);
-        h.update(bytes);
-    };
-    field(sourceBytes);
-    field(cellKey);
-    field(std::to_string(formatVersion));
-    field(compilerEpoch);
-    return h.hex();
+    return keyFinish(keyPrefix(sourceBytes), cellKey);
 }
 
 std::string

@@ -70,6 +70,7 @@
 #include <optional>
 #include <string>
 
+#include "store/sha256.hh"
 #include "support/json.hh"
 #include "support/stats_registry.hh"
 #include "trace/trace.hh"
@@ -136,6 +137,17 @@ class ArtifactStore
      */
     static std::string keyFor(const std::string &sourceBytes,
                               const std::string &cellKey);
+
+    /**
+     * keyFor's hasher after its length-prefixed source field, so the
+     * cells of one source hash that source once:
+     * keyFinish(keyPrefix(s), k) == keyFor(s, k).
+     */
+    static Sha256 keyPrefix(const std::string &sourceBytes);
+
+    /** keyFor from @p prefix (a copy; the caller's is unchanged). */
+    static std::string keyFinish(Sha256 prefix,
+                                 const std::string &cellKey);
 
     /**
      * Load the artifact for @p key, or nullptr on miss. A present

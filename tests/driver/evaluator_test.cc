@@ -5,9 +5,11 @@
  * a trace is priced under every simulation configuration of its call
  * and reused by a later call only through the store (the
  * trace-once/replay-many contract), compiles that differ only by
- * machine share one formed program, unknown workloads throw before
- * any work, and a failed trace group retries its cells one at a time
- * so only the cells that fail again fail.
+ * machine share one formed program, an input is made only for a
+ * trace the store lacks, every provenance digest equals its
+ * derivation, unknown workloads throw before any work, and a failed
+ * trace group retries its cells one at a time so only the cells that
+ * fail again fail.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +18,7 @@
 #include <fstream>
 
 #include "driver/evaluator.hh"
+#include "store/sha256.hh"
 #include "support/diag.hh"
 #include "support/faultpoint.hh"
 
@@ -101,6 +104,22 @@ expectResultsEq(const std::vector<BenchmarkResult> &a,
     }
 }
 
+/** Every certified figure of every cell, plus the baselines. */
+void
+expectFiguresEq(const std::vector<BenchmarkResult> &a,
+                const std::vector<BenchmarkResult> &b)
+{
+    expectResultsEq(a, b);
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        for (const auto &[model, sim] : a[i].models) {
+            EXPECT_EQ(certifiedFigures(sim).dump(),
+                      certifiedFigures(b[i].models.at(model)).dump())
+                << a[i].name << ' ' << modelName(model);
+        }
+    }
+}
+
 TEST(SuiteEvaluator, ThreadCountDoesNotChangeResults)
 {
     EvalRequest config = smallConfig();
@@ -124,11 +143,13 @@ TEST(SuiteEvaluator, StatsPrintEveryLeafFromConstruction)
     // tier's store.result_* by name.
     SuiteEvaluator evaluator(1);
     const StatsSnapshot stats = evaluator.stats();
-    EXPECT_EQ(stats.counters().size(), 24u);
-    EXPECT_EQ(stats.timers().size(), 4u);
+    EXPECT_EQ(stats.counters().size(), 25u);
+    EXPECT_EQ(stats.timers().size(), 5u);
     for (const auto &[name, value] : stats.counters())
         EXPECT_EQ(value, 0u) << name;
     EXPECT_EQ(stats.timers().count("phases.emulate_seconds"), 1u);
+    EXPECT_EQ(stats.timers().count("phases.wait_seconds"), 1u);
+    EXPECT_EQ(stats.counters().count("counters.inputs"), 1u);
     EXPECT_EQ(stats.counters().count("store.miss"), 1u);
     for (const char *leaf : {"store.result_hit", "store.result_miss",
                              "store.result_repair", "store.result_write"})
@@ -216,6 +237,106 @@ TEST(SuiteEvaluator, TracesAreReusedAcrossCallsThroughTheStore)
     expectResultsEq(evalSuite(unstored, real, subset), fromStore);
     EXPECT_EQ(unstored.stats().counter("counters.captures"),
               captures + cellsPerCall);
+}
+
+TEST(SuiteEvaluator, InputsAreMadeOnlyForTracesTheStoreLacks)
+{
+    // An input is made on first use, by a trace the store does not
+    // hold, and kept for the evaluator's lifetime: a call whose cells
+    // are all served, or whose traces all come from the store, makes
+    // none.
+    const std::vector<std::string> pair = {"cmp", "wc"};
+    EvalPolicy policy;
+    policy.storeMode = StoreMode::ReadWrite;
+    policy.storeDir = freshDir("predilp-eval-inputs");
+
+    SuiteEvaluator cold(2);
+    cold.setPolicy(policy);
+    const auto expected = evalSuite(cold, smallConfig(), pair);
+    EXPECT_EQ(cold.stats().counter("counters.inputs"), 2u);
+
+    SuiteEvaluator served(2);
+    served.setPolicy(policy);
+    expectFiguresEq(evalSuite(served, smallConfig(), pair), expected);
+    EXPECT_EQ(served.stats().counter("store.result_hit"), 4 * pair.size());
+    EXPECT_EQ(served.stats().counter("counters.inputs"), 0u);
+
+    fs::remove_all(fs::path(policy.storeDir) / "results");
+    SuiteEvaluator mapped(2);
+    mapped.setPolicy(policy);
+    expectFiguresEq(evalSuite(mapped, smallConfig(), pair), expected);
+    const StatsSnapshot fromTraces = mapped.stats();
+    EXPECT_EQ(fromTraces.counter("store.hit"), 4 * pair.size());
+    EXPECT_EQ(fromTraces.counter("counters.compiles"), 0u);
+    EXPECT_EQ(fromTraces.counter("counters.inputs"), 0u);
+
+    // Another machine compiles and captures anew, on the inputs the
+    // first call made.
+    EvalRequest fourIssue = smallConfig();
+    fourIssue.sim.machine = issue4Branch1();
+    const auto other = evalSuite(cold, fourIssue, pair);
+    EXPECT_GT(cold.stats().counter("counters.captures"), 0u);
+    EXPECT_EQ(cold.stats().counter("counters.inputs"), 2u);
+    SuiteEvaluator fresh(2);
+    expectFiguresEq(other, evalSuite(fresh, fourIssue, pair));
+}
+
+TEST(SuiteEvaluator, ProvenanceMatchesItsDerivations)
+{
+    // The plan computes the provenance digests once per row or
+    // request; each must equal its derivation for the cell, and the
+    // trace the store holds under the cell's trace digest must carry
+    // the same ones.
+    EvalRequest perfect = requestFor(smallConfig(), {"cmp", "wc"});
+    EvalRequest real = perfect;
+    real.sim.perfectCaches = false;
+    EvalRequest flipped = perfect;
+    flipped.ablation.orTree = false;
+    const std::vector<EvalRequest> requests = {perfect, real, flipped};
+
+    SuiteEvaluator evaluator(4);
+    EvalPolicy policy;
+    policy.storeMode = StoreMode::ReadWrite;
+    policy.storeDir = freshDir("predilp-eval-provenance");
+    evaluator.setPolicy(policy);
+    const std::vector<EvalResponse> responses =
+        evaluator.evaluateBatch(requests);
+    ASSERT_EQ(responses.size(), requests.size());
+    ASSERT_NE(evaluator.store(), nullptr);
+    std::size_t checked = 0;
+    for (std::size_t r = 0; r < requests.size(); ++r) {
+        const EvalRequest &request = requests[r];
+        for (const BenchmarkResult &result : responses[r].results) {
+            const Workload *workload = findWorkload(result.name);
+            ASSERT_NE(workload, nullptr);
+            ASSERT_EQ(result.provenance.size(), 3u);
+            for (const auto &[model, prov] : result.provenance) {
+                SCOPED_TRACE(result.name + " " + modelName(model) +
+                             " request " + std::to_string(r));
+                EXPECT_EQ(prov.sourceSha256, sha256Hex(workload->source));
+                EXPECT_EQ(prov.pipelineDigest,
+                          passPipelineDigest(model, request.ablation));
+                EXPECT_EQ(prov.configDigest, request.sim.configDigest());
+                const std::string section =
+                    evaluator.store()->loadProvenance(prov.traceDigest);
+                ASSERT_FALSE(section.empty());
+                const JsonValue doc = JsonValue::parse(section);
+                auto field = [&doc](const char *name) {
+                    const JsonValue *value = doc.find(name);
+                    return value == nullptr ? std::string("<absent>")
+                                            : value->asString();
+                };
+                EXPECT_EQ(field("store_key"), prov.traceDigest);
+                EXPECT_EQ(field("source_sha256"), prov.sourceSha256);
+                EXPECT_EQ(field("pipeline_digest"), prov.pipelineDigest);
+                EXPECT_EQ(ArtifactStore::keyFor(workload->source,
+                                                field("cell_key")),
+                          prov.traceDigest);
+                ++checked;
+            }
+        }
+    }
+    EXPECT_EQ(checked, 3u * 2u * 3u);
 }
 
 TEST(SuiteEvaluator, ModelSubsetEvaluatesOnlyThatModel)
@@ -492,22 +613,6 @@ TEST(SuiteEvaluator, RefusedConfigFailsOnlyItsOwnCells)
 
     SuiteEvaluator strict(2);
     EXPECT_THROW(strict.evaluateBatch({good, bad}), PanicError);
-}
-
-/** Every certified figure of every cell, plus the baselines. */
-void
-expectFiguresEq(const std::vector<BenchmarkResult> &a,
-                const std::vector<BenchmarkResult> &b)
-{
-    expectResultsEq(a, b);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        for (const auto &[model, sim] : a[i].models) {
-            EXPECT_EQ(certifiedFigures(sim).dump(),
-                      certifiedFigures(b[i].models.at(model)).dump())
-                << a[i].name << ' ' << modelName(model);
-        }
-    }
 }
 
 TEST(SuiteEvaluator, FigureSetSharesOneFormationPerModel)

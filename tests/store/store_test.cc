@@ -1,9 +1,10 @@
 /**
  * @file
- * Artifact-store tests: SHA-256 key derivation, save/load round
- * trips that replay bit-identically out of the mmap'd file,
- * byte-level corruption injection in every file region (magic,
- * header, provenance, entry stream, varint stream, checksum) with
+ * Artifact-store tests: SHA-256 key derivation (keyFor and its
+ * prefix/finish split), save/load round trips that replay
+ * bit-identically out of the mmap'd file, byte-level corruption
+ * injection in every file region (magic, header, provenance, entry
+ * stream, varint stream, checksum) with
  * quarantine + recompute repair, registers and opcodes replay cannot
  * index, the embedded provenance section, format-version rejection,
  * the shapes a power loss leaves of an unsynced publish, staging that
@@ -30,6 +31,7 @@
 #include "driver/certified.hh"
 #include "driver/evaluator.hh"
 #include "driver/pipeline.hh"
+#include "opt/pass.hh"
 #include "store/sha256.hh"
 #include "store/store.hh"
 #include "store/xxh64.hh"
@@ -213,6 +215,55 @@ TEST(ArtifactStore, KeysSeparateEveryField)
     EXPECT_NE(ArtifactStore::keyFor("ab", "c"),
               ArtifactStore::keyFor("a", "bc"));
     EXPECT_EQ(base, ArtifactStore::keyFor("src", "cell"));
+}
+
+/**
+ * keyFor's bytes hashed in one pass, written out here so the split
+ * below is checked against the key format, not against itself: each
+ * of source, cell key, format version and compiler epoch, prefixed
+ * by its length as 8 little-endian bytes.
+ */
+std::string
+oneShotKey(const std::string &source, const std::string &cellKey)
+{
+    Sha256 h;
+    for (const std::string &field :
+         {source, cellKey, std::to_string(ArtifactStore::formatVersion),
+          std::string(compilerEpoch)}) {
+        const std::uint64_t len = field.size();
+        std::uint8_t lenBytes[8];
+        for (int i = 0; i < 8; ++i)
+            lenBytes[i] = static_cast<std::uint8_t>(len >> (8 * i));
+        h.update(lenBytes, 8);
+        h.update(field);
+    }
+    return h.hex();
+}
+
+TEST(ArtifactStore, KeyPrefixThenFinishEqualsKeyFor)
+{
+    // Source lengths on SHA-256's padding (55/56 bytes) and block
+    // (64 bytes) edges and past them; cell keys of 0-200 bytes.
+    for (std::size_t sourceLen :
+         {0, 1, 55, 56, 63, 64, 65, 119, 120, 128, 4096}) {
+        std::string source(sourceLen, '\0');
+        for (std::size_t i = 0; i < sourceLen; ++i)
+            source[i] = static_cast<char>('a' + (i * 7) % 26);
+        // One prefix finishes every key in turn, so a finish that
+        // advanced the prefix in place would break each key after
+        // the first.
+        const Sha256 prefix = ArtifactStore::keyPrefix(source);
+        for (std::size_t keyLen = 0; keyLen <= 200; ++keyLen) {
+            std::string key(keyLen, '\0');
+            for (std::size_t i = 0; i < keyLen; ++i)
+                key[i] = static_cast<char>('A' + (i * 11 + keyLen) % 26);
+            const std::string expected = ArtifactStore::keyFor(source, key);
+            ASSERT_EQ(expected, oneShotKey(source, key))
+                << "source " << sourceLen << " key " << keyLen;
+            ASSERT_EQ(ArtifactStore::keyFinish(prefix, key), expected)
+                << "source " << sourceLen << " key " << keyLen;
+        }
+    }
 }
 
 TEST(ArtifactStore, RoundTripReplaysBitIdentical)
